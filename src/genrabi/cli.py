@@ -21,21 +21,22 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, GenrabiError, NumericError
-from .modes import (ModeTrajectory, coupling_from_config, propagate_modes,
-                    to_su2_profile)
+from .fields import window_end
+from .modes import (COUPLING_FAMILIES, ModeTrajectory, coupling_from_config,
+                    propagate_modes, to_su2_profile)
 from .propagator import (SCHEMES, PropagatorConfig, Trajectory, propagate,
                          suggested_step)
-from .scenarios import (DEFAULT_SAMPLES, FAMILIES, ScenarioParams,
-                        closed_form_series, default_window, family_summary,
-                        make_scenario, resolved_params, scenario_time_scale)
-from .theta import beta0_ansatz, load_ansatz_table, named_ansatz, verify_ansatz
+from .scenarios import (BUILT_IN, DEFAULT_SAMPLES, FAMILIES, ScenarioParams,
+                        closed_form_series, default_ansatz, default_window,
+                        family_summary, make_scenario, scenario_time_scale)
+from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
+                    verify_ansatz)
 
 ENGINE_CHOICES = ("closed_form", "oracle", "both")
 
@@ -157,7 +158,7 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
         hint = f"; did you mean: {', '.join(near)}" if near else ""
         raise ConfigError(
             f"unknown scenario {family!r}{hint}; available: "
-            f"{', '.join(n for n in FAMILIES if n != 'custom')}")
+            f"{', '.join(BUILT_IN)}")
 
     merged = dict(file_params)
     merged.update(cli_params)
@@ -169,23 +170,19 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
     if getattr(args, "samples", None) is not None:
         samples = args.samples
     d_t_max, d_samples = default_window(family)
-    if t_max is None:
-        t_max = d_t_max
     if samples is None:
         samples = d_samples
-    if not t_max > 0:
-        raise ConfigError("t-max must be > 0")
     if samples < 2:
         raise ConfigError("samples must be >= 2")
-    return params, float(t_max), int(samples)
+    t_max = window_end(d_t_max if t_max is None else t_max, "t-max")
+    return params, t_max, int(samples)
 
 
 def _oracle_config(args, profile, t_max_phys: float, samples: int,
                    scale: float) -> PropagatorConfig:
     scheme = args.scheme if args.scheme else _default_scheme()
+    # PropagatorConfig rejects a step <= 0
     if args.step is not None:
-        if not args.step > 0:
-            raise ConfigError("step must be > 0")
         step = args.step / scale  # axis units to physical time
     else:
         step = suggested_step(profile, t_max_phys)
@@ -196,8 +193,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _trajectory_rows(traj: Trajectory, axis_t: np.ndarray):
@@ -256,9 +256,8 @@ def _cmd_run(args) -> int:
         print(summary if args.out else f"# {summary}",
               file=sys.stdout if args.out else sys.stderr)
         if args.out:
-            with open(args.out + ".deviation.json", "w", newline="") as fh:
-                json.dump(dev, fh, indent=1)
-                fh.write("\n")
+            _write_text(args.out + ".deviation.json",
+                        json.dumps(dev, indent=1) + "\n")
     return 0
 
 
@@ -281,21 +280,6 @@ def _cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _default_ansatz(params: ScenarioParams):
-    fam = params.family
-    r = resolved_params(params)
-    if fam in ("sech_resonant", "exp_resonant", "modulated_resonant"):
-        return named_ansatz("zero")
-    if fam == "rabi":
-        beta = (r["omega_z0"] + 0.5 * r["phi_dot0"]) / r["omega_mag0"]
-        return beta0_ansatz(beta)
-    if fam == "constant_beta0":
-        return beta0_ansatz(r["beta0"])
-    if fam in ("case1", "case2"):
-        return named_ansatz(fam)
-    raise ConfigError(f"no default ansatz for family {fam!r}; use --ansatz")
-
-
 def _cmd_verify(args) -> int:
     params, t_max_axis, samples = _scenario_from_args(args)
     profile = make_scenario(params)
@@ -303,16 +287,16 @@ def _cmd_verify(args) -> int:
     t_max_phys = t_max_axis / scale
 
     if args.ansatz:
-        if args.ansatz in ("zero", "case1", "case2"):
+        if args.ansatz in ANSATZ_NAMES:
             ansatz = named_ansatz(args.ansatz)
         elif os.path.exists(args.ansatz):
             ansatz = load_ansatz_table(args.ansatz)
         else:
             raise ConfigError(
                 f"--ansatz {args.ansatz!r} is neither a catalog name "
-                "(zero, case1, case2) nor a readable table path")
+                f"({', '.join(ANSATZ_NAMES)}) nor a readable table path")
     else:
-        ansatz = _default_ansatz(params)
+        ansatz = default_ansatz(params)
 
     config = _oracle_config(args, profile, t_max_phys, samples, scale)
     # inner quadrature only needs two decades beyond the strictest check;
@@ -367,20 +351,15 @@ def _cmd_modes(args) -> int:
             "coupling": {"family": args.coupling,
                          "params": _parse_params(args.params)},
         })
-    if args.z_max is None or not args.z_max > 0:
-        raise ConfigError("--z-max must be given and > 0")
+    z_max = window_end(args.z_max, "--z-max")
 
     a0, b0 = _parse_initial(args.initial)
     scheme = args.scheme if args.scheme else _default_scheme()
-    profile_step = args.step if args.step is not None else None
-    if profile_step is not None and not profile_step > 0:
-        raise ConfigError("step must be > 0")
-
-    profile = to_su2_profile(spec, window=args.z_max)
-    step = profile_step if profile_step is not None \
-        else suggested_step(profile, args.z_max)
+    profile = to_su2_profile(spec, window=z_max)
+    step = args.step if args.step is not None \
+        else suggested_step(profile, z_max)
     config = PropagatorConfig(scheme=scheme, step=step, samples=args.samples)
-    traj = propagate_modes(spec, (a0, b0), args.z_max, config)
+    traj = propagate_modes(spec, (a0, b0), z_max, config)
 
     def rows(tr: ModeTrajectory):
         for i in range(tr.z.size):
@@ -447,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes = sub.add_parser("modes", help="coupled-waveguide propagation")
     p_modes.add_argument("--config", help="mode JSON config "
                                           "{delta, coupling:{family, params}}")
-    p_modes.add_argument("--coupling", choices=("constant", "sech",
-                                                "custom_table"))
+    p_modes.add_argument("--coupling", choices=COUPLING_FAMILIES)
     p_modes.add_argument("--delta", type=float, default=None)
     p_modes.add_argument("--params", default=None,
                          help="coupling params, e.g. k0=1")
@@ -470,13 +448,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except GenrabiError as exc:
+    except GenrabiError as exc:  # ConfigError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

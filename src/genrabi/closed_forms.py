@@ -1,14 +1,16 @@
 """Closed-form evolution entries for the exactly solvable drive families.
 
 Every family fixes the detuning Delta(t) = Omega(t) + phi_omega_dot(t)/2 in a
-way that makes the two-level Cauchy problem integrable:
+way that makes the two-level Cauchy problem integrable, and every family is a
+choice of the generating function Theta(tau) on the clock tau = integral of
+|omega|. The entries follow from one map of the phase triple
+(Theta, phi_int, r_int)(tau) (see entry_map):
 
-- generalized resonance: Delta = 0, entries driven by the accumulated
-  transverse area tau(t) alone;
+- generalized resonance: Delta = 0, Theta = 0, phi_int = tau;
 - constant ratio: Delta(t) = beta0 |omega(t)|, a rescaled resonance with
   transition probability capped at 1/(1+beta0^2);
 - case1: an arctangent ansatz whose transition probability saturates at 1/2,
-  with entry phases carrying an incomplete-elliptic-integral term;
+  with r_int an incomplete-elliptic-integral term;
 - case2: an arctangent ansatz with linearly growing late-time detuning and
   full asymptotic inversion (Landau-Zener-like).
 
@@ -21,16 +23,25 @@ phi(0) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InconsistentProfileError
-from .fields import FieldProfile, detuning, transverse_area, transverse_area_series
+from .fields import (FieldProfile, area_integral, detuning,
+                     transverse_area_series)
 from .quadrature import CumulativeIntegral, adaptive_quad
 
 __all__ = [
     "EvolutionEntries",
+    "entry_map",
+    "entry_series",
+    "detuning_deviation",
+    "resonance_triple",
+    "beta0_triple",
+    "case1_triple",
+    "case2_triple",
     "resonance_entries",
     "resonance_asymptote",
     "modulated_probability",
@@ -42,6 +53,8 @@ __all__ = [
     "beta0_series",
     "case1_series",
     "case2_series",
+    "case1_theta",
+    "case2_theta",
     "case1_detuning_ratio",
     "case2_detuning_ratio",
     "case1_detuning_integral",
@@ -50,6 +63,9 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-9
+
+# Single-point entries check the detuning on this many points of [0, t].
+_CHECK_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -84,24 +100,86 @@ class EvolutionEntries:
         return abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
 
 
-def _check_condition(profile: FieldProfile, t: float, expected, tol: float,
-                     what: str, samples: int = 33) -> None:
-    # expected: callable grid -> required detuning on that grid
-    grid = np.linspace(0.0, t, samples) if t > 0 else np.array([0.0])
-    dev = np.max(np.abs(detuning(profile, grid) - expected(grid)))
-    if not dev <= tol:
-        raise InconsistentProfileError(
-            f"profile {profile.label!r} does not satisfy {what}: "
-            f"max detuning deviation {dev:.3e} > {tol:.1e} on [0, {t:g}]")
+# ---------------------------------------------------------------------------
+# the shared representation
+
+def entry_map(theta, phi_int, r_int, phi_t, phi_0):
+    """Entries (a, b) from the phase triple and the drive phase.
+
+    a = cos(phi_int) e^{i((phi_t - phi_0)/2 - Theta/2 - r_int)} and
+    b = sin(phi_int) e^{i((phi_t + phi_0)/2 - Theta/2 + r_int - pi/2)},
+    elementwise over arrays. Every closed form and the general Theta route
+    are this map applied to their own (Theta, phi_int, r_int).
+    """
+    half_theta = 0.5 * theta
+    a = np.cos(phi_int) * np.exp(
+        1j * (0.5 * (phi_t - phi_0) - half_theta - r_int))
+    b = np.sin(phi_int) * np.exp(
+        1j * (0.5 * (phi_t + phi_0) - half_theta + r_int - 0.5 * np.pi))
+    return a, b
+
+
+def detuning_deviation(profile: FieldProfile, ts, ratio) -> float:
+    """max over the grid ts of |Delta(t) - ratio |omega(t)||.
+
+    ratio is the detuning in units of |omega| that a representation solves,
+    a scalar or an array on ts.
+    """
+    mag = np.asarray(profile.omega_mag(ts), dtype=float)
+    return float(np.max(np.abs(detuning(profile, ts) - ratio * mag)))
+
+
+def entry_series(profile: FieldProfile, ts, triple, ratio, *,
+                 check: bool = True, tol: float, what: str):
+    """Entries on an ascending time grid from a phase triple.
+
+    triple maps an array of tau to (Theta, phi_int, r_int); ratio maps it to
+    the detuning in units of |omega| that the triple solves. With check the
+    profile's own detuning must match that within tol on the grid, else
+    InconsistentProfileError names what the profile fails to satisfy.
+    """
+    ts = np.asarray(ts, dtype=float)
+    tau = transverse_area_series(profile, ts)
+    if check and ts.size:
+        dev = detuning_deviation(profile, ts, ratio(tau))
+        if not dev <= tol:
+            raise InconsistentProfileError(
+                f"profile {profile.label!r} does not satisfy {what}: max "
+                f"detuning deviation {dev:.3e} > {tol:.1e} on "
+                f"[0, {ts[-1]:g}]")
+    phi = np.asarray(profile.phi_omega(ts), dtype=float)
+    return entry_map(*triple(tau), phi, float(profile.phi_omega(0.0)))
+
+
+def check_grid(t: float) -> np.ndarray:
+    """The grid a single-point evaluation at t checks and evaluates on."""
+    t = float(t)
+    return np.linspace(0.0, t, _CHECK_SAMPLES) if t > 0 else np.array([t])
+
+
+def last_entries(pair, t: float) -> EvolutionEntries:
+    """The final sample of an (a, b) series as EvolutionEntries at t."""
+    a, b = pair
+    return EvolutionEntries(a=complex(a[-1]), b=complex(b[-1]), t=float(t))
+
+
+def _area_entries(triple, omega_mag, phi_omega, t: float,
+                  tau: float | None) -> EvolutionEntries:
+    if tau is None:
+        tau = area_integral(omega_mag)(float(t))
+    pair = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
+                     float(phi_omega(0.0)))
+    return last_entries(pair, t)
 
 
 # ---------------------------------------------------------------------------
 # generalized resonance
 
-def _resonance_pair(tau, phi_t, phi_0):
-    a = np.cos(tau) * np.exp(0.5j * (phi_t - phi_0))
-    b = np.sin(tau) * np.exp(1j * (0.5 * (phi_t + phi_0) - 0.5 * np.pi))
-    return a, b
+def resonance_triple(tau):
+    """Theta = 0: phi_int = tau and r_int = 0."""
+    tau = np.asarray(tau, dtype=float)
+    zero = np.zeros_like(tau)
+    return zero, tau + 0.0, zero
 
 
 def resonance_entries(profile: FieldProfile, t: float, *, check: bool = True,
@@ -112,30 +190,16 @@ def resonance_entries(profile: FieldProfile, t: float, *, check: bool = True,
     tau the accumulated transverse area; the flip probability is sin^2(tau)
     independent of the phase realization.
     """
-    if check:
-        _check_condition(profile, t, lambda g: np.zeros_like(g), tol,
-                         "the generalized resonance condition")
-    tau = transverse_area(profile, t)
-    phi_t = float(profile.phi_omega(t))
-    phi_0 = float(profile.phi_omega(0.0))
-    a, b = _resonance_pair(tau, phi_t, phi_0)
-    return EvolutionEntries(a=complex(a), b=complex(b), t=float(t))
+    return last_entries(resonance_series(profile, check_grid(t), check=check,
+                                         tol=tol), t)
 
 
 def resonance_series(profile: FieldProfile, ts: np.ndarray, *,
                      check: bool = True, tol: float = 1e-10):
     """Vectorized resonance entries over an ascending time grid."""
-    ts = np.asarray(ts, dtype=float)
-    if check and ts.size:
-        dev = np.max(np.abs(detuning(profile, ts)))
-        if not dev <= tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} is not generalized-resonant: "
-                f"max |detuning| {dev:.3e} > {tol:.1e}")
-    tau = transverse_area_series(profile, ts)
-    phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    phi_0 = float(profile.phi_omega(0.0))
-    return _resonance_pair(tau, phi, phi_0)
+    return entry_series(profile, ts, resonance_triple, lambda tau: 0.0,
+                        check=check, tol=tol,
+                        what="the generalized resonance condition")
 
 
 def resonance_asymptote(alpha: float) -> float:
@@ -169,14 +233,31 @@ def modulated_probability(C: float, k: float, n: int, tau_tilde):
 # ---------------------------------------------------------------------------
 # constant-ratio detuning (Delta = beta0 |omega|)
 
-def _beta0_pair(beta0, tau, phi_t, phi_0):
-    stretch = np.sqrt(1.0 + beta0 * beta0)
-    big_phi = stretch * tau
-    a_rot = np.cos(big_phi) - 1j * (beta0 / stretch) * np.sin(big_phi)
-    b_rot = -1j * np.sin(big_phi) / stretch
-    a = np.exp(0.5j * (phi_t - phi_0)) * a_rot
-    b = np.exp(0.5j * (phi_t + phi_0)) * b_rot
-    return a, b
+def beta0_triple(beta0: float):
+    """The triple of the locked ratio beta0, as a function of tau.
+
+    With E = sqrt(1 + beta0^2), Theta is the continuous branch of
+    atan((beta0/E) tan(E tau)), r_int = Theta/2 and phi_int =
+    atan2(sin(E tau)/E, hypot(cos(E tau), (beta0/E) sin(E tau))), a form that
+    keeps cos(phi_int) exact where sin(E tau)/E approaches 1. beta0 = 0 is
+    the resonance triple.
+    """
+    beta0 = float(beta0)
+    if beta0 == 0.0:
+        return resonance_triple
+    stretch = math.sqrt(1.0 + beta0 * beta0)
+    slope = beta0 / stretch
+    sign = 1.0 if beta0 > 0 else -1.0
+
+    def triple(tau):
+        big = stretch * np.asarray(tau, dtype=float)
+        m = np.round(big / np.pi)
+        theta = sign * m * np.pi + np.arctan(slope * np.tan(big - m * np.pi))
+        sin_big = np.sin(big)
+        phi_int = np.arctan2(sin_big / stretch,
+                             np.hypot(np.cos(big), slope * sin_big))
+        return theta, phi_int, 0.5 * theta
+    return triple
 
 
 def beta0_entries(profile: FieldProfile, beta0: float, t: float, *,
@@ -187,35 +268,26 @@ def beta0_entries(profile: FieldProfile, beta0: float, t: float, *,
     resonant law with the area axis stretched by sqrt(1+beta0^2) and the
     amplitude capped at 1/(1+beta0^2). beta0 = 0 recovers resonance exactly.
     """
-    if check:
-        mag = profile.omega_mag
-        _check_condition(
-            profile, t,
-            lambda g: beta0 * np.asarray(mag(g), dtype=float), tol,
-            f"detuning = {beta0:g} * |omega|")
-    tau = transverse_area(profile, t)
-    a, b = _beta0_pair(float(beta0), tau, float(profile.phi_omega(t)),
-                       float(profile.phi_omega(0.0)))
-    return EvolutionEntries(a=complex(a), b=complex(b), t=float(t))
+    return last_entries(beta0_series(profile, beta0, check_grid(t),
+                                     check=check, tol=tol), t)
 
 
 def beta0_series(profile: FieldProfile, beta0: float, ts: np.ndarray, *,
                  check: bool = True, tol: float = 1e-10):
-    ts = np.asarray(ts, dtype=float)
-    if check and ts.size:
-        mag = np.asarray(profile.omega_mag(ts), dtype=float)
-        dev = np.max(np.abs(detuning(profile, ts) - beta0 * mag))
-        if not dev <= tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} does not hold detuning = "
-                f"{beta0:g} * |omega|: max deviation {dev:.3e} > {tol:.1e}")
-    tau = transverse_area_series(profile, ts)
-    phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    return _beta0_pair(float(beta0), tau, phi, float(profile.phi_omega(0.0)))
+    beta0 = float(beta0)
+    return entry_series(profile, ts, beta0_triple(beta0), lambda tau: beta0,
+                        check=check, tol=tol,
+                        what=f"detuning = {beta0:g} * |omega|")
 
 
 # ---------------------------------------------------------------------------
 # case1: half-flip saturation with elliptic phases
+
+def case1_theta(tau):
+    """The case1 generating function Theta = 2 atan(2 tau / sqrt(2 + 4 tau^2))."""
+    tau = np.asarray(tau, dtype=float)
+    return 2.0 * np.arctan(2.0 * tau / np.sqrt(2.0 + 4.0 * tau ** 2))
+
 
 def case1_detuning_ratio(tau):
     """Detuning in units of |omega| that the case1 ansatz induces."""
@@ -262,14 +334,13 @@ def _case1_r_integrand(s: float) -> float:
     return np.sqrt((2.0 + 4.0 * s * s) / (1.0 + 4.0 * s * s))
 
 
-def _case1_pair(tau, r_val, phi_t, phi_0):
-    growth = np.sqrt(1.0 + 4.0 * tau ** 2)
-    a_mag = np.sqrt((growth + 1.0) / (2.0 * growth))
-    b_mag = np.sqrt((growth - 1.0) / (2.0 * growth))
-    half_theta = np.arctan(2.0 * tau / np.sqrt(2.0 + 4.0 * tau ** 2))
-    phase_a = 0.5 * (phi_t - phi_0) - half_theta - r_val
-    phase_b = 0.5 * (phi_t + phi_0) - half_theta + r_val - 0.5 * np.pi
-    return a_mag * np.exp(1j * phase_a), b_mag * np.exp(1j * phase_b)
+def case1_triple(tau):
+    """Theta = case1_theta and phi_int = atan(2 tau)/2 in closed form; r_int
+    (= -elliptic_phase) by quadrature along the ascending 1-d tau array."""
+    tau = np.asarray(tau, dtype=float)
+    r_area = CumulativeIntegral(_case1_r_integrand)
+    r_int = np.array([r_area(x) for x in tau])
+    return case1_theta(tau), 0.5 * np.arctan(2.0 * tau), r_int
 
 
 def case1_entries(omega_mag, phi_omega, t: float, *,
@@ -280,34 +351,23 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
     follows case1_detuning_ratio; use case1_series for a checked evaluation.
     tau may be passed directly to skip the quadrature of omega_mag.
     """
-    if tau is None:
-        area = CumulativeIntegral(lambda u: float(omega_mag(u)))
-        tau = area(float(t))
-    r_val = -elliptic_phase(float(tau))
-    a, b = _case1_pair(float(tau), r_val, float(phi_omega(t)),
-                       float(phi_omega(0.0)))
-    return EvolutionEntries(a=complex(a), b=complex(b), t=float(t))
+    return _area_entries(case1_triple, omega_mag, phi_omega, t, tau)
 
 
 def case1_series(profile: FieldProfile, ts: np.ndarray, *,
                  check: bool = True, tol: float = 1e-8):
-    ts = np.asarray(ts, dtype=float)
-    tau = transverse_area_series(profile, ts)
-    if check and ts.size:
-        mag = np.asarray(profile.omega_mag(ts), dtype=float)
-        dev = np.max(np.abs(detuning(profile, ts) - case1_detuning_ratio(tau) * mag))
-        if not dev <= tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} does not follow the case1 "
-                f"detuning: max deviation {dev:.3e} > {tol:.1e}")
-    r_area = CumulativeIntegral(_case1_r_integrand)
-    r_vals = np.array([r_area(x) for x in tau])
-    phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    return _case1_pair(tau, r_vals, phi, float(profile.phi_omega(0.0)))
+    return entry_series(profile, ts, case1_triple, case1_detuning_ratio,
+                        check=check, tol=tol, what="the case1 detuning")
 
 
 # ---------------------------------------------------------------------------
 # case2: Landau-Zener-like full inversion
+
+def case2_theta(tau):
+    """The case2 generating function Theta = 2 atan(tau / sqrt(2 + tau^2))."""
+    tau = np.asarray(tau, dtype=float)
+    return 2.0 * np.arctan(tau / np.sqrt(2.0 + tau ** 2))
+
 
 def case2_detuning_ratio(tau):
     """Detuning in units of |omega| that the case2 ansatz induces."""
@@ -326,22 +386,12 @@ def case2_detuning_integral(tau):
     return float(out) if out.ndim == 0 else out
 
 
-def _case2_phase_quadrature(tau):
-    # integral of sqrt(2+s^2)/2 from 0 to tau, in closed form
+def case2_triple(tau):
+    """phi_int = atan(tau); r_int = integral of sqrt(2 + s^2)/2 over [0, tau]."""
     tau = np.asarray(tau, dtype=float)
-    return 0.5 * (0.5 * tau * np.sqrt(2.0 + tau ** 2)
-                  + np.arcsinh(tau / np.sqrt(2.0)))
-
-
-def _case2_pair(tau, phi_t, phi_0):
-    shrink = np.sqrt(1.0 + tau ** 2)
-    a_mag = 1.0 / shrink
-    b_mag = tau / shrink
-    half_theta = np.arctan(tau / np.sqrt(2.0 + tau ** 2))
-    r_val = _case2_phase_quadrature(tau)
-    phase_a = 0.5 * (phi_t - phi_0) - half_theta - r_val
-    phase_b = 0.5 * (phi_t + phi_0) - half_theta + r_val - 0.5 * np.pi
-    return a_mag * np.exp(1j * phase_a), b_mag * np.exp(1j * phase_b)
+    r_int = 0.5 * (0.5 * tau * np.sqrt(2.0 + tau ** 2)
+                   + np.arcsinh(tau / np.sqrt(2.0)))
+    return case2_theta(tau), np.arctan(tau), r_int
 
 
 def case2_entries(omega_mag, phi_omega, t: float, *,
@@ -352,23 +402,10 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
     Pair with a profile following case2_detuning_ratio; use case2_series for
     a checked evaluation.
     """
-    if tau is None:
-        area = CumulativeIntegral(lambda u: float(omega_mag(u)))
-        tau = area(float(t))
-    a, b = _case2_pair(float(tau), float(phi_omega(t)), float(phi_omega(0.0)))
-    return EvolutionEntries(a=complex(a), b=complex(b), t=float(t))
+    return _area_entries(case2_triple, omega_mag, phi_omega, t, tau)
 
 
 def case2_series(profile: FieldProfile, ts: np.ndarray, *,
                  check: bool = True, tol: float = 1e-8):
-    ts = np.asarray(ts, dtype=float)
-    tau = transverse_area_series(profile, ts)
-    if check and ts.size:
-        mag = np.asarray(profile.omega_mag(ts), dtype=float)
-        dev = np.max(np.abs(detuning(profile, ts) - case2_detuning_ratio(tau) * mag))
-        if not dev <= tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} does not follow the case2 "
-                f"detuning: max deviation {dev:.3e} > {tol:.1e}")
-    phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    return _case2_pair(tau, phi, float(profile.phi_omega(0.0)))
+    return entry_series(profile, ts, case2_triple, case2_detuning_ratio,
+                        check=check, tol=tol, what="the case2 detuning")

@@ -18,6 +18,7 @@ drives, and the exactly solvable out-of-resonance families fix its shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,7 @@ __all__ = [
     "from_profile",
     "transverse_area",
     "transverse_area_series",
+    "window_end",
 ]
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
@@ -117,25 +119,36 @@ def detuning(profile: FieldProfile, t):
     return float(out) if scalar else out
 
 
-def _window_grid(window, samples: int) -> np.ndarray:
+def window_end(window, name: str = "window") -> float:
+    """The end of a window given as t_max or as a (0, t_max) pair.
+
+    Windows start at 0 and end at a finite t_max > 0; anything else is a
+    ConfigError naming ``name``.
+    """
     try:
         lo, hi = 0.0, float(window)
     except TypeError:
-        lo, hi = (float(window[0]), float(window[1]))
-    if not hi > lo:
-        raise ConfigError(f"empty evaluation window [{lo:g}, {hi:g}]")
-    return np.linspace(lo, hi, samples)
+        try:
+            lo, hi = float(window[0]), float(window[1])
+        except (TypeError, ValueError, IndexError):
+            raise ConfigError(
+                f"{name} must be t_max or a (0, t_max) pair, got {window!r}")
+    if lo != 0.0:
+        raise ConfigError(f"{name} must start at t = 0, got {lo:g}")
+    if not (hi > 0.0 and math.isfinite(hi)):
+        raise ConfigError(f"{name} end must be finite and > 0, got {hi:g}")
+    return hi
 
 
 def is_generalized_resonant(profile: FieldProfile, window, tol: float = 1e-10,
                             samples: int = 512) -> bool:
     """True iff sup |detuning| <= tol over the sampled window.
 
-    ``window`` is either t_max (window starts at 0) or a (t_min, t_max) pair.
+    ``window`` is t_max or a (0, t_max) pair (see window_end).
     """
     if not tol > 0:
         raise ConfigError("tol must be > 0")
-    grid = _window_grid(window, samples)
+    grid = np.linspace(0.0, window_end(window, "evaluation window"), samples)
     return bool(np.max(np.abs(detuning(profile, grid))) <= tol)
 
 
@@ -145,10 +158,12 @@ def transverse_area(profile: FieldProfile, t: float) -> float:
     Uses the analytic ``tau_of_t`` when the profile carries one, adaptive
     quadrature otherwise. tau is the natural clock of every solvable family.
     """
-    if profile.tau_of_t is not None:
-        return float(profile.tau_of_t(float(t)))
-    area = CumulativeIntegral(lambda u: float(profile.omega_mag(u)))
-    return area(float(t))
+    return float(transverse_area_series(profile, np.array([float(t)]))[0])
+
+
+def area_integral(omega_mag: Callable) -> CumulativeIntegral:
+    """Cached t -> integral of |omega| from 0 to t, by adaptive quadrature."""
+    return CumulativeIntegral(lambda u: float(omega_mag(u)))
 
 
 def transverse_area_series(profile: FieldProfile, ts) -> np.ndarray:
@@ -156,7 +171,7 @@ def transverse_area_series(profile: FieldProfile, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if profile.tau_of_t is not None:
         return np.asarray(profile.tau_of_t(ts), dtype=float)
-    area = CumulativeIntegral(lambda u: float(profile.omega_mag(u)))
+    area = area_integral(profile.omega_mag)
     return np.array([area(float(x)) for x in ts])
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import FieldProfile, _held_phase
 from .propagator import PropagatorConfig, Trajectory, propagate, suggested_step
+from .scenarios import check_numbers
 
 __all__ = [
     "ModeState",
@@ -144,19 +145,21 @@ def detilde(v, z: float, delta: float) -> ModeState:
     Moduli are unchanged: the transformation is a pure opposite phase on
     each mode.
     """
-    if isinstance(v, ModeState):
-        at, bt = v.amp_a, v.amp_b
-    else:
-        at, bt = v
-    rot = np.exp(-0.5j * delta * z)
-    return ModeState(amp_a=complex(at * rot), amp_b=complex(bt / rot),
-                     z=float(z))
+    at, bt = (v.amp_a, v.amp_b) if isinstance(v, ModeState) else v
+    amp_a, amp_b = _rotate(at, bt, z, delta)
+    return ModeState(amp_a=complex(amp_a), amp_b=complex(amp_b), z=float(z))
 
 
 def tilde(state: ModeState, delta: float) -> tuple[complex, complex]:
     """The tilded amplitude pair of a physical ModeState."""
-    rot = np.exp(0.5j * delta * state.z)
-    return complex(state.amp_a * rot), complex(state.amp_b / rot)
+    at, bt = _rotate(state.amp_a, state.amp_b, state.z, -delta)
+    return complex(at), complex(bt)
+
+
+def _rotate(amp_a, amp_b, z, delta):
+    # detilde's opposite phases, elementwise; -delta gives tilde
+    rot = np.exp(-0.5j * delta * z)
+    return amp_a * rot, amp_b / rot
 
 
 def propagate_modes(spec: CouplingSpec, initial, z_max: float,
@@ -185,9 +188,7 @@ def propagate_modes(spec: CouplingSpec, initial, z_max: float,
     # tilded evolution, then detilde sample-wise
     at = traj.a * a0 + traj.b * b0
     bt = -np.conj(traj.b) * a0 + np.conj(traj.a) * b0
-    rot = np.exp(-0.5j * spec.delta * traj.t)
-    amp_a = at * rot
-    amp_b = bt / rot
+    amp_a, amp_b = _rotate(at, bt, traj.t, spec.delta)
     pa = np.abs(amp_a) ** 2
     pb = np.abs(amp_b) ** 2
     return ModeTrajectory(
@@ -202,6 +203,7 @@ def propagate_modes(spec: CouplingSpec, initial, z_max: float,
 def _constant_coupling(params: dict) -> tuple[Callable, str]:
     k0 = params.get("k0", 1.0)
     phase = params.get("phase", 0.0)
+    check_numbers({"k0": k0, "phase": phase})
     if not k0 >= 0:
         raise ConfigError("coupling.params.k0 must be >= 0")
     value = complex(k0 * np.exp(1j * phase))
@@ -210,6 +212,7 @@ def _constant_coupling(params: dict) -> tuple[Callable, str]:
 
 def _sech_coupling(params: dict) -> tuple[Callable, str]:
     k0 = params.get("k0", 1.0)
+    check_numbers({"k0": k0})
     if not k0 > 0:
         raise ConfigError("coupling.params.k0 must be > 0")
 
@@ -221,10 +224,14 @@ def _sech_coupling(params: dict) -> tuple[Callable, str]:
 
 def _table_coupling(params: dict) -> tuple[Callable, str]:
     path = params.get("path")
-    if not path:
-        raise ConfigError("coupling.params.path is required for custom_table")
-    rows = np.genfromtxt(path, delimiter=",", comments="#",
-                         skip_header=0, dtype=float)
+    if not (path and isinstance(path, str)):
+        raise ConfigError("coupling.params.path (a file path) is required "
+                          "for custom_table")
+    try:
+        rows = np.genfromtxt(path, delimiter=",", comments="#",
+                             skip_header=0, dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read coupling table {path}: {exc}")
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
     # tolerate a header line by dropping non-numeric leading rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StepResolutionError, UnitarityDriftError
-from .fields import FieldProfile, detuning, phase_derivative
+from .fields import FieldProfile, detuning, phase_derivative, window_end
 from .observables import pauli_series
 
 __all__ = [
@@ -38,6 +38,10 @@ __all__ = [
 SCHEMES = ("midpoint_exponential", "commutator_free_4th")
 
 _NOMINAL_ORDER = {"midpoint_exponential": 2, "commutator_free_4th": 4}
+
+# step exponentials per substep (the round-off floor of richardson_check
+# scales with their count)
+_EXPONENTIALS = {"midpoint_exponential": 1, "commutator_free_4th": 2}
 
 # Gauss-Legendre nodes on [0,1] and the two-exponential weights.
 _GAUSS_SHIFT = math.sqrt(3.0) / 6.0
@@ -134,18 +138,6 @@ class ConvergenceReport:
     fine_diff: float
     within_tolerance: bool
     note: str = ""
-
-
-def _t_max(window) -> float:
-    try:
-        lo, hi = 0.0, float(window)
-    except TypeError:
-        lo, hi = float(window[0]), float(window[1])
-    if lo != 0.0:
-        raise ConfigError("integration window must start at t = 0")
-    if not hi > 0.0:
-        raise ConfigError(f"window end must be > 0, got {hi:g}")
-    return hi
 
 
 def profile_scale(profile: FieldProfile, t_max: float, probes: int = 257) -> float:
@@ -262,7 +254,7 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
     unitary; the accumulated round-off drift is checked against
     config.max_unitarity_drift and reported on the trajectory.
     """
-    t_max = _t_max(window)
+    t_max = window_end(window, "integration window")
     dt = t_max / (config.samples - 1)
     substeps = max(1, math.ceil(dt / config.step - 1e-12))
     h = dt / substeps
@@ -286,9 +278,11 @@ def richardson_check(profile: FieldProfile, config: PropagatorConfig,
     then compares successive entry differences; halving the step should
     shrink them by 2^order. Profiles the scheme integrates exactly (a
     diagonal constant Hamiltonian, for instance) leave only round-off, which
-    is reported as such rather than as an order estimate.
+    is reported as such rather than as an order estimate. Round-off grows
+    with the number N of step exponentials in the finest run, so differences
+    at or below 8 eps N count as round-off.
     """
-    t_max = _t_max(window)
+    t_max = window_end(window, "integration window")
     dt = t_max / (config.samples - 1)
     n0 = max(1, math.ceil(dt / config.step - 1e-12))
     _check_resolution(profile, t_max, dt / n0)
@@ -299,7 +293,9 @@ def richardson_check(profile: FieldProfile, config: PropagatorConfig,
         diffs.append(float(max(np.max(np.abs(a0 - a1)), np.max(np.abs(b0 - b1)))))
     coarse, fine = diffs
     nominal = float(_NOMINAL_ORDER[config.scheme])
-    if fine <= 1e-13 or coarse <= 1e-13:
+    exponentials = (config.samples - 1) * 4 * n0 * _EXPONENTIALS[config.scheme]
+    floor = 8.0 * np.finfo(float).eps * exponentials
+    if fine <= floor or coarse <= floor:
         return ConvergenceReport(
             scheme=config.scheme, nominal_order=nominal,
             observed_order=float("nan"), coarse_diff=coarse, fine_diff=fine,

@@ -24,34 +24,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .closed_forms import (beta0_series, case1_detuning_integral,
-                           case1_detuning_ratio, case1_series,
-                           case2_detuning_integral, case2_detuning_ratio,
-                           case2_series, resonance_series)
+from . import closed_forms
+from .closed_forms import (case1_detuning_integral, case1_detuning_ratio,
+                           case2_detuning_integral, case2_detuning_ratio)
+# unused here; benchmarks/gbench/tracer.py patches scenarios.case1_series
+from .closed_forms import case1_series  # noqa: F401
 from .errors import ConfigError
 from .fields import FieldProfile
+from .theta import (ThetaAnsatz, beta0_ansatz, case1_ansatz, case2_ansatz,
+                    zero_ansatz)
 
 __all__ = [
     "FAMILIES",
+    "BUILT_IN",
     "ScenarioParams",
     "make_scenario",
     "resolved_params",
     "scenario_time_scale",
     "default_window",
+    "default_ansatz",
     "family_summary",
     "closed_form_series",
     "DEFAULT_SAMPLES",
 ]
 
-FAMILIES = ("rabi", "sech_resonant", "exp_resonant", "modulated_resonant",
-            "constant_beta0", "case1", "case2", "custom")
-
 DEFAULT_SAMPLES = 1001
-
-_SPLIT_FAMILIES = ("case1", "case2")
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,11 @@ class ScenarioParams:
         if not (isinstance(f, (int, float)) and math.isfinite(f)
                 and 0.0 <= f <= 1.0):
             raise ConfigError("split_fraction must be in [0, 1]")
-        if f != 0.0 and self.family not in _SPLIT_FAMILIES:
+        if f != 0.0 and not _CATALOG[self.family].split:
+            splits = ", ".join(n for n, fam in _CATALOG.items() if fam.split)
             raise ConfigError(
-                f"split_fraction applies to {', '.join(_SPLIT_FAMILIES)} "
-                f"only, not {self.family!r}")
+                f"split_fraction applies to {splits} only, not "
+                f"{self.family!r}")
 
 
 def _require(cond: bool, name: str, msg: str) -> None:
@@ -87,8 +89,9 @@ def _require(cond: bool, name: str, msg: str) -> None:
         raise ConfigError(f"parameter {name!r} {msg}")
 
 
-def _finite(resolved: dict) -> None:
-    for k, v in resolved.items():
+def check_numbers(values: dict) -> None:
+    """ConfigError naming the first value that is not a finite number."""
+    for k, v in values.items():
         _require(isinstance(v, (int, float)) and math.isfinite(v), k,
                  "must be a finite number")
 
@@ -103,81 +106,49 @@ def _check_keys(family: str, params: dict, allowed: tuple) -> None:
 
 # -- per-family resolvers: fill defaults, enforce domains -------------------
 
-def _resolve_rabi(p: dict) -> dict:
-    _check_keys("rabi", p, ("omega_z0", "omega_mag0", "phi_dot0"))
-    r = {"omega_z0": p.get("omega_z0", 0.5),
-         "omega_mag0": p.get("omega_mag0", 1.0),
-         "phi_dot0": p.get("phi_dot0", 1.0)}
-    _finite(r)
-    _require(r["omega_mag0"] > 0, "omega_mag0", "must be > 0")
-    return r
-
-
-def _resolve_sech(p: dict) -> dict:
-    _check_keys("sech_resonant", p, ("omega_mag0", "phi_dot0"))
-    r = {"omega_mag0": p.get("omega_mag0", 1.0),
-         "phi_dot0": p.get("phi_dot0", 10.0)}
-    _finite(r)
-    _require(r["omega_mag0"] > 0, "omega_mag0", "must be > 0")
-    return r
+def _resolver(family: str, defaults: dict, positive: tuple = (),
+              nonnegative: tuple = ()):
+    def resolver(p: dict) -> dict:
+        _check_keys(family, p, tuple(defaults))
+        r = {k: p.get(k, v) for k, v in defaults.items()}
+        check_numbers(r)
+        for k in nonnegative:
+            _require(r[k] >= 0, k, "must be >= 0")
+        for k in positive:
+            _require(r[k] > 0, k, "must be > 0")
+        return r
+    return resolver
 
 
 def _resolve_exp(p: dict) -> dict:
     _check_keys("exp_resonant", p, ("omega_mag0", "gamma", "alpha", "phi_dot0"))
-    w0 = p.get("omega_mag0", 1.0)
-    _require(isinstance(w0, (int, float)) and math.isfinite(w0) and w0 > 0,
-             "omega_mag0", "must be a finite number > 0")
     if "gamma" in p and "alpha" in p:
         raise ConfigError(
             "give either 'gamma' or 'alpha' (= omega_mag0/gamma), not both")
-    if "gamma" in p:
-        gamma = p["gamma"]
-    elif "alpha" in p:
-        alpha = p["alpha"]
-        _require(isinstance(alpha, (int, float)) and math.isfinite(alpha)
-                 and alpha > 0, "alpha", "must be > 0")
-        gamma = w0 / alpha
-    else:
-        gamma = w0 / (4.5 * math.pi)
+    w0, alpha = p.get("omega_mag0", 1.0), p.get("alpha", 4.5 * math.pi)
+    check_numbers({"omega_mag0": w0, "alpha": alpha})
+    _require(w0 > 0, "omega_mag0", "must be > 0")
+    _require(alpha > 0, "alpha", "must be > 0")
+    gamma = p.get("gamma", w0 / alpha)
     r = {"omega_mag0": w0, "gamma": gamma,
          "phi_dot0": p.get("phi_dot0", 10.0 * gamma)}
-    _finite(r)
+    check_numbers(r)
     _require(r["gamma"] > 0, "gamma", "must be > 0")
     return r
 
 
+_MODULATED = _resolver("modulated_resonant",
+                       {"C": 1.0, "k": 1.0, "n": 10, "phi_dot0": 1.0},
+                       positive=("C", "n", "phi_dot0"), nonnegative=("k",))
+
+
 def _resolve_modulated(p: dict) -> dict:
-    _check_keys("modulated_resonant", p, ("C", "k", "n", "phi_dot0"))
-    r = {"C": p.get("C", 1.0), "k": p.get("k", 1.0), "n": p.get("n", 10),
-         "phi_dot0": p.get("phi_dot0", 1.0)}
-    _finite(r)
-    _require(r["C"] > 0, "C", "must be > 0")
-    _require(0.0 <= r["k"] <= 1.0, "k",
+    r = _MODULATED(p)
+    _require(r["k"] <= 1.0, "k",
              "must be in [0, 1] (the modulated |omega| must stay >= 0)")
-    _require(float(r["n"]).is_integer() and r["n"] >= 1, "n",
-             "must be a positive integer")
-    _require(r["phi_dot0"] > 0, "phi_dot0", "must be > 0")
+    _require(float(r["n"]).is_integer(), "n", "must be a positive integer")
     r["n"] = int(r["n"])
     return r
-
-
-def _resolve_beta0(p: dict) -> dict:
-    _check_keys("constant_beta0", p, ("beta0", "omega_mag0"))
-    r = {"beta0": p.get("beta0", 1.0), "omega_mag0": p.get("omega_mag0", 1.0)}
-    _finite(r)
-    _require(r["beta0"] >= 0, "beta0", "must be >= 0")
-    _require(r["omega_mag0"] > 0, "omega_mag0", "must be > 0")
-    return r
-
-
-def _resolve_case(family: str):
-    def resolver(p: dict) -> dict:
-        _check_keys(family, p, ("omega_mag0",))
-        r = {"omega_mag0": p.get("omega_mag0", 1.0)}
-        _finite(r)
-        _require(r["omega_mag0"] > 0, "omega_mag0", "must be > 0")
-        return r
-    return resolver
 
 
 # -- builders ---------------------------------------------------------------
@@ -201,15 +172,26 @@ def _label(family: str, resolved: dict, split: float) -> str:
     return f"{family}({', '.join(parts)})"
 
 
-def _build_rabi(r: dict, split: float) -> FieldProfile:
-    w0 = r["omega_mag0"]
+def _constant(family: str, r: dict, omega_z: float, w0: float,
+              rate: float) -> FieldProfile:
+    # constant Omega and |omega| with a linear phase sweep at rate
     return FieldProfile(
-        omega_z=_const(r["omega_z0"]),
-        omega_mag=_const(w0),
-        phi_omega=_linear(r["phi_dot0"]),
-        phi_omega_dot=_const(r["phi_dot0"]),
-        tau_of_t=_linear(w0),
-        label=_label("rabi", r, split))
+        omega_z=_const(omega_z), omega_mag=_const(w0),
+        phi_omega=_linear(rate), phi_omega_dot=_const(rate),
+        tau_of_t=_linear(w0), label=_label(family, r, 0.0))
+
+
+def _resonant(family: str, r: dict, rate: float, mag, tau) -> FieldProfile:
+    # generalized resonance: Omega = -rate/2 against a linear phase sweep
+    return FieldProfile(
+        omega_z=_const(-0.5 * rate), omega_mag=mag,
+        phi_omega=_linear(rate), phi_omega_dot=_const(rate),
+        tau_of_t=tau, label=_label(family, r, 0.0))
+
+
+def _build_rabi(r: dict, split: float) -> FieldProfile:
+    return _constant("rabi", r, r["omega_z0"], r["omega_mag0"],
+                     r["phi_dot0"])
 
 
 def _build_sech(r: dict, split: float) -> FieldProfile:
@@ -221,13 +203,7 @@ def _build_sech(r: dict, split: float) -> FieldProfile:
     def tau(t):
         return np.arctan(np.sinh(w0 * np.asarray(t, dtype=float)))
 
-    return FieldProfile(
-        omega_z=_const(-0.5 * r["phi_dot0"]),
-        omega_mag=mag,
-        phi_omega=_linear(r["phi_dot0"]),
-        phi_omega_dot=_const(r["phi_dot0"]),
-        tau_of_t=tau,
-        label=_label("sech_resonant", r, split))
+    return _resonant("sech_resonant", r, r["phi_dot0"], mag, tau)
 
 
 def _build_exp(r: dict, split: float) -> FieldProfile:
@@ -240,13 +216,7 @@ def _build_exp(r: dict, split: float) -> FieldProfile:
     def tau(t):
         return alpha * (1.0 - np.exp(-gamma * np.asarray(t, dtype=float)))
 
-    return FieldProfile(
-        omega_z=_const(-0.5 * r["phi_dot0"]),
-        omega_mag=mag,
-        phi_omega=_linear(r["phi_dot0"]),
-        phi_omega_dot=_const(r["phi_dot0"]),
-        tau_of_t=tau,
-        label=_label("exp_resonant", r, split))
+    return _resonant("exp_resonant", r, r["phi_dot0"], mag, tau)
 
 
 def _build_modulated(r: dict, split: float) -> FieldProfile:
@@ -262,24 +232,12 @@ def _build_modulated(r: dict, split: float) -> FieldProfile:
         arr = np.asarray(t, dtype=float)
         return w0 * (arr + (k / lam) * np.sin(lam * arr))
 
-    return FieldProfile(
-        omega_z=_const(-0.5 * rate),
-        omega_mag=mag,
-        phi_omega=_linear(rate),
-        phi_omega_dot=_const(rate),
-        tau_of_t=tau,
-        label=_label("modulated_resonant", r, split))
+    return _resonant("modulated_resonant", r, rate, mag, tau)
 
 
 def _build_beta0(r: dict, split: float) -> FieldProfile:
     w0 = r["omega_mag0"]
-    return FieldProfile(
-        omega_z=_const(r["beta0"] * w0),
-        omega_mag=_const(w0),
-        phi_omega=_const(0.0),
-        phi_omega_dot=_const(0.0),
-        tau_of_t=_linear(w0),
-        label=_label("constant_beta0", r, split))
+    return _constant("constant_beta0", r, r["beta0"] * w0, w0, 0.0)
 
 
 def _build_case(family: str, ratio, integral):
@@ -308,58 +266,110 @@ def _build_case(family: str, ratio, integral):
 
 @dataclass(frozen=True)
 class _Family:
-    resolver: object
-    builder: object
+    """Everything the package knows about one family, looked up by name.
+
+    closed_form(profile, resolved, ts, tol) evaluates the family's closed
+    form, its (Theta, phi_int, r_int) triple through the shared entry map of
+    closed_forms, with the profile's detuning checked against the ratio the
+    triple solves within tol; it looks the series up on the closed_forms
+    module at call time. ansatz(resolved) is the Theta ansatz of the same
+    Theta. split marks families that take split_fraction. A record without
+    a builder is library-only.
+    """
+
+    resolver: Callable | None
+    builder: Callable | None
     time_scale_key: str
-    default_t_max: float  # on the dimensionless axis
+    default_t_max: float | None  # on the dimensionless axis
     axis: str
     description: str
+    closed_form: Callable | None = None
+    tol: float = 0.0
+    ansatz: Callable[[dict], ThetaAnsatz] | None = None
+    split: bool = False
 
+
+def _rabi_beta(r: dict) -> float:
+    # a constant triple locks the detuning ratio at this beta
+    return (r["omega_z0"] + 0.5 * r["phi_dot0"]) / r["omega_mag0"]
+
+
+def _locked(beta, tol: float) -> dict:
+    # closed form and ansatz of a detuning locked to beta(resolved) |omega|
+    return {"closed_form": lambda p, r, ts, tol: closed_forms.beta0_series(
+                p, beta(r), ts, tol=tol),
+            "ansatz": lambda r: beta0_ansatz(beta(r)), "tol": tol}
+
+
+_RESONANT = {"closed_form": lambda p, r, ts, tol: closed_forms.resonance_series(
+                 p, ts, tol=tol),
+             "ansatz": lambda r: zero_ansatz(), "tol": 1e-10}
 
 _CATALOG = {
     "rabi": _Family(
-        _resolve_rabi, _build_rabi, "omega_mag0", 4.0 * math.pi,
-        "omega_mag0*t",
+        _resolver("rabi", {"omega_z0": 0.5, "omega_mag0": 1.0,
+                           "phi_dot0": 1.0}, positive=("omega_mag0",)),
+        _build_rabi, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
         "constant (omega_z0, omega_mag0, phi_dot0) triple; oscillation at "
-        "the stretched rate sqrt(1+beta^2)|omega0| capped by 1/(1+beta^2)"),
+        "the stretched rate sqrt(1+beta^2)|omega0| capped by 1/(1+beta^2)",
+        **_locked(_rabi_beta, 1e-9)),
     "sech_resonant": _Family(
-        _resolve_sech, _build_sech, "omega_mag0", 6.0, "omega_mag0*t",
-        "resonant hyperbolic-secant pulse; flip probability tanh^2"),
+        _resolver("sech_resonant", {"omega_mag0": 1.0, "phi_dot0": 10.0},
+                  positive=("omega_mag0",)),
+        _build_sech, "omega_mag0", 6.0, "omega_mag0*t",
+        "resonant hyperbolic-secant pulse; flip probability tanh^2",
+        **_RESONANT),
     "exp_resonant": _Family(
         _resolve_exp, _build_exp, "gamma", 20.0, "gamma*t",
         "resonant exponentially decaying drive; flip probability saturates "
-        "at sin^2(alpha), alpha = omega_mag0/gamma"),
+        "at sin^2(alpha), alpha = omega_mag0/gamma", **_RESONANT),
     "modulated_resonant": _Family(
         _resolve_modulated, _build_modulated, "phi_dot0", 4.0 * math.pi,
         "phi_dot0*t",
         "resonant cosine-modulated drive; flip probability periodic on the "
-        "phi_dot0*t axis when n is an integer"),
+        "phi_dot0*t axis when n is an integer", **_RESONANT),
     "constant_beta0": _Family(
-        _resolve_beta0, _build_beta0, "omega_mag0", 4.0 * math.pi,
-        "omega_mag0*t",
+        _resolver("constant_beta0", {"beta0": 1.0, "omega_mag0": 1.0},
+                  positive=("omega_mag0",), nonnegative=("beta0",)),
+        _build_beta0, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
         "detuning locked to beta0*|omega|; flip probability capped at "
-        "1/(1+beta0^2)"),
+        "1/(1+beta0^2)", **_locked(lambda r: r["beta0"], 1e-10)),
     "case1": _Family(
-        _resolve_case("case1"), _build_case("case1", case1_detuning_ratio,
-                                            case1_detuning_integral),
+        _resolver("case1", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
+        _build_case("case1", case1_detuning_ratio, case1_detuning_integral),
         "omega_mag0", 50.0, "omega_mag0*t",
         "arctangent-ansatz detuning; flip probability saturates at 1/2 with "
-        "elliptic entry phases"),
+        "elliptic entry phases",
+        closed_form=lambda p, r, ts, tol: closed_forms.case1_series(
+            p, ts, tol=tol),
+        tol=1e-8, ansatz=lambda r: case1_ansatz(), split=True),
     "case2": _Family(
-        _resolve_case("case2"), _build_case("case2", case2_detuning_ratio,
-                                            case2_detuning_integral),
+        _resolver("case2", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
+        _build_case("case2", case2_detuning_ratio, case2_detuning_integral),
         "omega_mag0", 20.0, "omega_mag0*t",
-        "arctangent-ansatz detuning; full asymptotic inversion"),
+        "arctangent-ansatz detuning; full asymptotic inversion",
+        closed_form=lambda p, r, ts, tol: closed_forms.case2_series(
+            p, ts, tol=tol),
+        tol=1e-8, ansatz=lambda r: case2_ansatz(), split=True),
+    "custom": _Family(
+        None, None, "", None, "t",
+        "user-supplied FieldProfile via the library API (library only)"),
 }
+
+FAMILIES = tuple(_CATALOG)
+
+# the families the catalog can build
+BUILT_IN = tuple(n for n, fam in _CATALOG.items() if fam.builder is not None)
 
 
 def _family_entry(family: str) -> _Family:
-    if family == "custom":
+    fam = _CATALOG[family]
+    if fam.builder is None:
         raise ConfigError(
-            "family 'custom' profiles are built directly as FieldProfile "
+            f"family {family!r} profiles are built directly as FieldProfile "
             "values through the library API; the catalog covers named "
             "families only")
-    return _CATALOG[family]
+    return fam
 
 
 def resolved_params(params: ScenarioParams) -> dict:
@@ -395,35 +405,20 @@ def default_window(family: str) -> tuple[float, int]:
 
 def family_summary() -> list[dict]:
     """Catalog rows for the CLI listing."""
-    rows = []
-    for name in FAMILIES:
-        if name == "custom":
-            rows.append({"family": name, "axis": "t",
-                         "default_t_max": None, "defaults": {},
-                         "description": "user-supplied FieldProfile via the "
-                                        "library API (library only)"})
-            continue
-        fam = _CATALOG[name]
-        rows.append({"family": name, "axis": fam.axis,
-                     "default_t_max": fam.default_t_max,
-                     "defaults": fam.resolver({}),
-                     "description": fam.description})
-    return rows
+    return [{"family": name, "axis": fam.axis,
+             "default_t_max": fam.default_t_max,
+             "defaults": fam.resolver({}) if fam.resolver else {},
+             "description": fam.description}
+            for name, fam in _CATALOG.items()]
 
 
 def closed_form_series(params: ScenarioParams, profile: FieldProfile, ts):
-    """Dispatch to the family's closed-form entries on a time grid."""
-    fam = params.family
-    r = resolved_params(params)
-    if fam == "rabi":
-        beta = (r["omega_z0"] + 0.5 * r["phi_dot0"]) / r["omega_mag0"]
-        return beta0_series(profile, beta, ts, tol=1e-9)
-    if fam in ("sech_resonant", "exp_resonant", "modulated_resonant"):
-        return resonance_series(profile, ts)
-    if fam == "constant_beta0":
-        return beta0_series(profile, r["beta0"], ts)
-    if fam == "case1":
-        return case1_series(profile, ts)
-    if fam == "case2":
-        return case2_series(profile, ts)
-    raise ConfigError(f"no closed form cataloged for family {fam!r}")
+    """The family's closed-form entries on a time grid, detuning checked."""
+    fam = _family_entry(params.family)
+    return fam.closed_form(profile, fam.resolver(params.params), ts, fam.tol)
+
+
+def default_ansatz(params: ScenarioParams) -> ThetaAnsatz:
+    """The Theta ansatz that solves the family's profiles."""
+    fam = _family_entry(params.family)
+    return fam.ansatz(fam.resolver(params.params))

@@ -31,10 +31,14 @@ from typing import Callable
 import numpy as np
 import scipy.integrate
 
-from .closed_forms import EvolutionEntries
-from .errors import (ConfigError, InconsistentProfileError, NumericError,
-                     SingularAnsatzError)
-from .fields import FieldProfile, detuning, transverse_area_series
+from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
+                           case2_theta, check_grid, detuning_deviation,
+                           entry_series, last_entries, resonance_triple)
+from .errors import ConfigError, NumericError, SingularAnsatzError
+# unused here; benchmarks/gbench/tracer.py patches theta.detuning
+from .fields import detuning  # noqa: F401
+from .fields import (FieldProfile, area_integral, transverse_area_series,
+                     window_end)
 from .propagator import PropagatorConfig, propagate, suggested_step
 from .quadrature import CumulativeIntegral, adaptive_quad
 
@@ -55,6 +59,7 @@ __all__ = [
     "named_ansatz",
     "ansatz_from_table",
     "load_ansatz_table",
+    "ANSATZ_NAMES",
 ]
 
 # Below this the r integrand switches to its Taylor form (tau units).
@@ -202,6 +207,15 @@ class ThetaEvaluator:
                                          tol=self.quad_tol)
         return self._r_head + self._r_tail(tau - eps)
 
+    def triple(self, taus) -> tuple:
+        """(Theta, phi_int, r_int) arrays over an ascending array of tau."""
+        return tuple(np.array([f(x) for x in taus])
+                     for f in (self.theta, self.phi_int, self.r_int))
+
+    def ratios(self, taus) -> np.ndarray:
+        """detuning_ratio over an array of tau."""
+        return np.array([self.detuning_ratio(x) for x in taus])
+
     def detuning_ratio(self, tau: float) -> float:
         """Induced detuning in units of |omega| at this tau."""
         tau = float(tau)
@@ -230,10 +244,6 @@ class ThetaEvaluator:
 # ---------------------------------------------------------------------------
 # module-level operations (transient evaluator per call)
 
-def _area_of(omega_mag: Callable) -> CumulativeIntegral:
-    return CumulativeIntegral(lambda u: float(omega_mag(u)))
-
-
 def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
                      t: float, *, quad_tol: float = 1e-10) -> float:
     """The detuning the ansatz demands at time t, given |omega|.
@@ -243,7 +253,7 @@ def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
     at all times in the window.
     """
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    tau = _area_of(profile_omega_mag)(float(t))
+    tau = area_integral(profile_omega_mag)(float(t))
     return float(profile_omega_mag(float(t))) * ev.detuning_ratio(tau)
 
 
@@ -251,18 +261,8 @@ def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
                     quad_tol: float = 1e-10) -> PhaseIntegrals:
     """Both accumulated phases at time t, by adaptive quadrature."""
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    tau = _area_of(omega_mag)(float(t))
+    tau = area_integral(omega_mag)(float(t))
     return PhaseIntegrals(phi_int=ev.phi_int(tau), r_int=ev.r_int(tau))
-
-
-def _entry_pair(ev: ThetaEvaluator, tau: float, phi_t: float, phi_0: float):
-    th = ev.theta(tau)
-    phi_i = ev.phi_int(tau)
-    r = ev.r_int(tau)
-    a = math.cos(phi_i) * np.exp(1j * (0.5 * (phi_t - phi_0) - 0.5 * th - r))
-    b = math.sin(phi_i) * np.exp(1j * (0.5 * (phi_t + phi_0) - 0.5 * th + r
-                                       - 0.5 * math.pi))
-    return complex(a), complex(b)
 
 
 def general_entries(ansatz: ThetaAnsatz, profile: FieldProfile, t: float, *,
@@ -275,27 +275,9 @@ def general_entries(ansatz: ThetaAnsatz, profile: FieldProfile, t: float, *,
     InconsistentProfileError, because evaluating the representation on a
     non-matching profile produces plausible-looking wrong answers.
     """
-    t = float(t)
-    ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    taus = transverse_area_series(profile, np.array([0.0, t]) if t > 0
-                                  else np.array([0.0]))
-    if check:
-        grid = np.linspace(0.0, t, 33) if t > 0 else np.array([0.0])
-        gtaus = transverse_area_series(profile, grid)
-        mag = np.asarray(profile.omega_mag(grid), dtype=float)
-        induced = np.array([m * ev.detuning_ratio(x)
-                            for m, x in zip(mag, gtaus)])
-        dev = float(np.max(np.abs(np.asarray(detuning(profile, grid), dtype=float)
-                                  - induced)))
-        if not dev <= check_tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} detuning deviates from the one "
-                f"induced by ansatz {ansatz.label!r} by {dev:.3e} "
-                f"(> {check_tol:.1e}) on [0, {t:g}]")
-    tau = float(taus[-1])
-    a, b = _entry_pair(ev, tau, float(profile.phi_omega(t)),
-                       float(profile.phi_omega(0.0)))
-    return EvolutionEntries(a=a, b=b, t=t)
+    return last_entries(general_entries_series(
+        ansatz, profile, check_grid(t), check=check, check_tol=check_tol,
+        quad_tol=quad_tol), t)
 
 
 def general_entries_series(ansatz: ThetaAnsatz, profile: FieldProfile, ts, *,
@@ -306,25 +288,9 @@ def general_entries_series(ansatz: ThetaAnsatz, profile: FieldProfile, ts, *,
     if ts.size and (ts[0] < 0 or np.any(np.diff(ts) <= 0)):
         raise ConfigError("time grid must be ascending and start at t >= 0")
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    taus = transverse_area_series(profile, ts)
-    if check and ts.size:
-        mag = np.asarray(profile.omega_mag(ts), dtype=float)
-        induced = np.array([m * ev.detuning_ratio(x)
-                            for m, x in zip(mag, taus)])
-        dev = float(np.max(np.abs(np.asarray(detuning(profile, ts), dtype=float)
-                                  - induced)))
-        if not dev <= check_tol:
-            raise InconsistentProfileError(
-                f"profile {profile.label!r} detuning deviates from the one "
-                f"induced by ansatz {ansatz.label!r} by {dev:.3e} "
-                f"(> {check_tol:.1e})")
-    phis = np.asarray(profile.phi_omega(ts), dtype=float)
-    phi_0 = float(profile.phi_omega(0.0))
-    a = np.empty(ts.size, dtype=complex)
-    b = np.empty(ts.size, dtype=complex)
-    for i, tau in enumerate(taus):
-        a[i], b[i] = _entry_pair(ev, float(tau), float(phis[i]), phi_0)
-    return a, b
+    return entry_series(
+        profile, ts, ev.triple, ev.ratios, check=check, tol=check_tol,
+        what=f"the detuning induced by ansatz {ansatz.label!r}")
 
 
 @dataclass(frozen=True)
@@ -350,18 +316,6 @@ class AnsatzVerification:
     note: str = ""
 
 
-def _window_end(window) -> float:
-    try:
-        lo, hi = 0.0, float(window)
-    except TypeError:
-        lo, hi = float(window[0]), float(window[1])
-    if lo != 0.0:
-        raise ConfigError("verification window must start at t = 0")
-    if not hi > 0:
-        raise ConfigError("window end must be > 0")
-    return hi
-
-
 def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
                   tol: float = 1e-8, *, entries_tol: float = 1e-6,
                   samples: int = 257,
@@ -374,7 +328,7 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     representation from the numerical oracle. Numeric failures inside either
     figure are captured in the note rather than raised.
     """
-    t_max = _window_end(window)
+    t_max = window_end(window, "verification window")
     grid = np.linspace(0.0, t_max, samples)
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     notes = []
@@ -382,11 +336,7 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     residual = float("inf")
     try:
         taus = transverse_area_series(profile, grid)
-        mag = np.asarray(profile.omega_mag(grid), dtype=float)
-        induced = np.array([m * ev.detuning_ratio(x)
-                            for m, x in zip(mag, taus)])
-        residual = float(np.max(np.abs(
-            np.asarray(detuning(profile, grid), dtype=float) - induced)))
+        residual = detuning_deviation(profile, grid, ev.ratios(taus))
     except NumericError as exc:
         notes.append(f"residual evaluation failed: {exc}")
 
@@ -426,16 +376,21 @@ def _as_float_or_array(x, fn):
     return float(out) if arr.ndim == 0 else out
 
 
+def _triple_ansatz(triple, label: str, theta_prime, r_prime) -> ThetaAnsatz:
+    # an ansatz whose phase integrals close: Theta, phi_int and r_int all
+    # read the closed-form triple tau -> (Theta, phi_int, r_int)
+    def member(i):
+        return lambda x: _as_float_or_array(x, lambda v: triple(v)[i])
+    return ThetaAnsatz(theta=member(0), label=label, theta_prime=theta_prime,
+                       phi_int_exact=member(1), r_int_exact=member(2),
+                       r_prime_exact=r_prime)
+
+
 def zero_ansatz(label: str = "zero") -> ThetaAnsatz:
     """Theta identically 0: the generalized-resonance member."""
-    return ThetaAnsatz(
-        theta=lambda x: _as_float_or_array(x, np.zeros_like),
-        label=label,
-        theta_prime=lambda x: _as_float_or_array(x, np.zeros_like),
-        phi_int_exact=lambda x: _as_float_or_array(x, lambda v: v + 0.0),
-        r_int_exact=lambda x: _as_float_or_array(x, np.zeros_like),
-        r_prime_exact=lambda x: _as_float_or_array(x, np.zeros_like),
-    )
+    def zero(x):
+        return _as_float_or_array(x, np.zeros_like)
+    return _triple_ansatz(resonance_triple, label, zero, zero)
 
 
 def case1_ansatz() -> ThetaAnsatz:
@@ -446,52 +401,38 @@ def case1_ansatz() -> ThetaAnsatz:
     generic quadrature on purpose: the closed elliptic form lives in the
     closed-forms module and the two routes cross-check each other.
     """
-    def theta(x):
-        return _as_float_or_array(
-            x, lambda v: 2.0 * np.arctan(2.0 * v / np.sqrt(2.0 + 4.0 * v ** 2)))
-
     def theta_prime(x):
         return _as_float_or_array(
             x, lambda v: 4.0 / ((1.0 + 4.0 * v ** 2) * np.sqrt(2.0 + 4.0 * v ** 2)))
 
-    return ThetaAnsatz(theta=theta, label="case1", theta_prime=theta_prime)
+    return ThetaAnsatz(theta=lambda x: _as_float_or_array(x, case1_theta),
+                       label="case1", theta_prime=theta_prime)
 
 
 def case2_ansatz() -> ThetaAnsatz:
     """The full-inversion family: Theta = 2 atan(tau / sqrt(2 + tau^2))."""
-    def theta(x):
-        return _as_float_or_array(
-            x, lambda v: 2.0 * np.arctan(v / np.sqrt(2.0 + v ** 2)))
-
     def theta_prime(x):
         return _as_float_or_array(
             x, lambda v: 2.0 / ((1.0 + v ** 2) * np.sqrt(2.0 + v ** 2)))
 
-    return ThetaAnsatz(theta=theta, label="case2", theta_prime=theta_prime)
+    return ThetaAnsatz(theta=lambda x: _as_float_or_array(x, case2_theta),
+                       label="case2", theta_prime=theta_prime)
 
 
 def beta0_ansatz(beta0: float) -> ThetaAnsatz:
     """The constant-ratio family: detuning locked to beta0 |omega|.
 
     Theta is the continuous branch of atan((beta0/E) tan(E tau)) with
-    E = sqrt(1 + beta0^2); all the phase quantities close analytically,
-    including dr/dtau = Theta'/2, so the induced detuning evaluates without
-    the cotangent and its removable zeros. Any real beta0 is accepted;
-    beta0 = 0 degenerates to the zero ansatz.
+    E = sqrt(1 + beta0^2); all the phase quantities close analytically (the
+    closed-form beta0_triple), including dr/dtau = Theta'/2, so the induced
+    detuning evaluates without the cotangent and its removable zeros. Any
+    real beta0 is accepted; beta0 = 0 degenerates to the zero ansatz.
     """
     beta0 = float(beta0)
     if beta0 == 0.0:
         return zero_ansatz(label="beta0=0")
     stretch = math.sqrt(1.0 + beta0 * beta0)
     slope = beta0 / stretch
-    sign = 1.0 if beta0 > 0 else -1.0
-
-    def theta(x):
-        def f(v):
-            big = stretch * v
-            m = np.round(big / np.pi)
-            return sign * m * np.pi + np.arctan(slope * np.tan(big - m * np.pi))
-        return _as_float_or_array(x, f)
 
     def theta_prime(x):
         def f(v):
@@ -500,32 +441,23 @@ def beta0_ansatz(beta0: float) -> ThetaAnsatz:
                                       + (slope * np.sin(big)) ** 2)
         return _as_float_or_array(x, f)
 
-    def phi_int_exact(x):
-        return _as_float_or_array(
-            x, lambda v: np.arcsin(np.sin(stretch * v) / stretch))
-
-    return ThetaAnsatz(
-        theta=theta, label=f"beta0={beta0:g}", theta_prime=theta_prime,
-        phi_int_exact=phi_int_exact,
-        r_int_exact=lambda x: 0.5 * np.asarray(theta(x)),
-        r_prime_exact=lambda x: 0.5 * np.asarray(theta_prime(x)),
-    )
+    return _triple_ansatz(beta0_triple(beta0), f"beta0={beta0:g}",
+                          theta_prime,
+                          lambda x: 0.5 * np.asarray(theta_prime(x)))
 
 
-_NAMED = ("zero", "case1", "case2")
+_NAMED = {"zero": zero_ansatz, "case1": case1_ansatz, "case2": case2_ansatz}
+
+ANSATZ_NAMES = tuple(_NAMED)
 
 
 def named_ansatz(name: str) -> ThetaAnsatz:
     """Look up a catalog ansatz by name ('zero', 'case1', 'case2')."""
-    if name == "zero":
-        return zero_ansatz()
-    if name == "case1":
-        return case1_ansatz()
-    if name == "case2":
-        return case2_ansatz()
-    raise ConfigError(
-        f"unknown ansatz {name!r}; choose from {', '.join(_NAMED)} "
-        "or supply a sampled table")
+    if name not in _NAMED:
+        raise ConfigError(
+            f"unknown ansatz {name!r}; choose from {', '.join(_NAMED)} "
+            "or supply a sampled table")
+    return _NAMED[name]()
 
 
 def ansatz_from_table(taus, thetas, label: str = "table") -> ThetaAnsatz:
@@ -555,18 +487,22 @@ def ansatz_from_table(taus, thetas, label: str = "table") -> ThetaAnsatz:
 def load_ansatz_table(path) -> ThetaAnsatz:
     """Read a two-column CSV (tau, theta); header row optional."""
     taus, thetas = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not taus:
-                    continue  # header row
-                raise ConfigError(f"malformed table row: {row!r}")
-            taus.append(x)
-            thetas.append(y)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read ansatz table {path}: {exc}")
+    for row in rows:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            x, y = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if not taus:
+                continue  # header row
+            raise ConfigError(f"malformed table row: {row!r}")
+        taus.append(x)
+        thetas.append(y)
     if len(taus) < 2:
         raise ConfigError(f"no usable (tau, theta) rows in {path}")
     return ansatz_from_table(taus, thetas,

@@ -277,3 +277,57 @@ def test_modes_argument_validation(tmp_path, capsys):
     assert main(["modes", "--coupling", "constant", "--delta", "0",
                  "--z-max", "1", "--initial", "1,2,3"]) == 2
     capsys.readouterr()
+
+
+def _modes_config(tmp_path, coupling):
+    cfg = tmp_path / "modes.json"
+    cfg.write_text(json.dumps({"delta": 0.0, "coupling": coupling}))
+    return ["modes", "--config", str(cfg), "--z-max", "1", "--samples", "5"]
+
+
+def _table(tmp_path, text):
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def _binary(tmp_path):
+    path = tmp_path / "theta.bin"
+    path.write_bytes(bytes(range(128, 256)) * 4)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "missing_table": lambda p: _modes_config(p, {
+        "family": "custom_table", "params": {"path": str(p / "none.csv")}}),
+    "numeric_table_path": lambda p: _modes_config(p, {
+        "family": "custom_table", "params": {"path": 5}}),
+    "ragged_table": lambda p: _modes_config(p, {
+        "family": "custom_table",
+        "params": {"path": _table(p, "0,1\n1,1,0,7\n2,1\n")}}),
+    "string_k0": lambda p: _modes_config(p, {
+        "family": "sech", "params": {"k0": "fast"}}),
+    "ansatz_directory": lambda p: [
+        "verify", "--scenario", "case2", "--ansatz", str(p)],
+    "ansatz_binary": lambda p: [
+        "verify", "--scenario", "case2", "--ansatz", _binary(p)],
+    "out_missing_dir": lambda p: [
+        "run", "--scenario", "case2", "--samples", "5",
+        "--out", str(p / "missing" / "x.csv")],
+    "both_out_directory": lambda p: [
+        "run", "--scenario", "case2", "--engine", "both", "--t-max", "1",
+        "--samples", "5", "--out", str(p)],
+    "t_max_inf": lambda p: [
+        "run", "--scenario", "sech_resonant", "--t-max", "inf"],
+    "z_max_inf": lambda p: [
+        "modes", "--coupling", "constant", "--delta", "0", "--z-max", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_config_error_without_traceback(case, tmp_path,
+                                                       capsys):
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -135,6 +135,26 @@ def test_richardson_reports_roundoff_on_exact_profiles():
     assert "round-off" in report.note
 
 
+@pytest.mark.parametrize("beta0, omega", [(1.0, 1.0), (0.3, 2.0), (2.0, 0.5)])
+@pytest.mark.parametrize("scheme, step_factor", [
+    ("midpoint_exponential", 1.0), ("commutator_free_4th", 10.0)])
+def test_richardson_roundoff_floor_scales_with_step_count(beta0, omega, scheme,
+                                                          step_factor):
+    # the locked-ratio drive is constant, so both schemes integrate it
+    # exactly; differences of 1e-13 to 4e-12 over ~1e4-1e5 exponentials are
+    # round-off, not an order estimate
+    prof = make_scenario(ScenarioParams(
+        "constant_beta0", {"beta0": beta0, "omega_mag0": omega}))
+    t_max = 4.0 * math.pi / omega
+    step = step_factor * suggested_step(prof, t_max)
+    report = richardson_check(
+        prof, PropagatorConfig(scheme=scheme, step=step, samples=11), t_max)
+    assert report.within_tolerance
+    assert math.isnan(report.observed_order)
+    assert "round-off" in report.note
+    assert max(report.coarse_diff, report.fine_diff) <= 1e-10
+
+
 def test_resolution_guard():
     fast = make_scenario(ScenarioParams("rabi", {"phi_dot0": 200.0}))
     with pytest.raises(StepResolutionError) as err:

@@ -19,7 +19,8 @@ from genrabi.closed_forms import (
     resonance_series,
 )
 from genrabi.errors import ConfigError, InconsistentProfileError, NumericError, SingularAnsatzError
-from genrabi.scenarios import ScenarioParams, make_scenario
+from genrabi.fields import transverse_area_series
+from genrabi.scenarios import ScenarioParams, closed_form_series, make_scenario
 from genrabi.theta import (
     ThetaAnsatz,
     ThetaEvaluator,
@@ -155,6 +156,23 @@ def test_general_route_matches_locked_ratio_closed_form():
     ac, bc = beta0_series(prof, beta, ts)
     assert np.max(np.abs(a - ac)) < 1e-12
     assert np.max(np.abs(b - bc)) < 1e-12
+
+
+@pytest.mark.parametrize("beta0", [1e-8, 1e-6])
+def test_locked_ratio_routes_match_analytic_entries_at_small_beta0(beta0):
+    # both routes read the shared (Theta, phi_int, r_int) triple; its phi_int
+    # must stay exact where sin(E tau)/E approaches 1
+    params = ScenarioParams("constant_beta0", {"beta0": beta0})
+    prof = make_scenario(params)
+    ts = np.linspace(0.0, 4.0 * math.pi, 1001)
+    stretch = math.sqrt(1.0 + beta0 ** 2)
+    big = stretch * transverse_area_series(prof, ts)
+    exact = np.exp(0.5j * (prof.phi_omega(ts) - prof.phi_omega(0.0))) \
+        * (np.cos(big) - 1j * (beta0 / stretch) * np.sin(big))
+    a_closed, _ = closed_form_series(params, prof, ts)
+    a_theta, _ = general_entries_series(beta0_ansatz(beta0), prof, ts)
+    assert np.max(np.abs(a_closed - exact)) <= 1e-14
+    assert np.max(np.abs(a_theta - exact)) <= 1e-14
 
 
 def test_zero_ansatz_reproduces_resonance():
