@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentProfileError
+from .errors import ConfigError, InconsistentProfileError, NumericError
 from .fields import (FieldProfile, area_integral, detuning,
                      transverse_area_series)
-from .quadrature import CumulativeIntegral, adaptive_quad
+# benchmarks/gbench/tracer.py patches closed_forms.adaptive_quad
+from .quadrature import adaptive_quad, edges_from_zero, panel_quad
 
 __all__ = [
     "EvolutionEntries",
@@ -137,6 +138,7 @@ def entry_series(profile: FieldProfile, ts, triple, ratio, *,
     the detuning in units of |omega| that the triple solves. With check the
     profile's own detuning must match that within tol on the grid, else
     InconsistentProfileError names what the profile fails to satisfy.
+    Entries that are not finite raise NumericError.
     """
     ts = np.asarray(ts, dtype=float)
     tau = transverse_area_series(profile, ts)
@@ -148,7 +150,13 @@ def entry_series(profile: FieldProfile, ts, triple, ratio, *,
                 f"detuning deviation {dev:.3e} > {tol:.1e} on "
                 f"[0, {ts[-1]:g}]")
     phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    return entry_map(*triple(tau), phi, float(profile.phi_omega(0.0)))
+    a, b = entry_map(*triple(tau), phi, float(profile.phi_omega(0.0)))
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if np.any(bad):
+        raise NumericError(
+            f"entries for profile {profile.label!r} are not finite at "
+            f"t={ts[np.argmax(bad)]:g}: the phases overflow")
+    return a, b
 
 
 def check_grid(t: float) -> np.ndarray:
@@ -245,7 +253,7 @@ def beta0_triple(beta0: float):
     beta0 = float(beta0)
     if beta0 == 0.0:
         return resonance_triple
-    stretch = math.sqrt(1.0 + beta0 * beta0)
+    stretch = math.hypot(1.0, beta0)
     slope = beta0 / stretch
     sign = 1.0 if beta0 > 0 else -1.0
 
@@ -329,17 +337,18 @@ def elliptic_phase(tau: float) -> float:
     return -integral / np.sqrt(2.0)
 
 
-def _case1_r_integrand(s: float) -> float:
+def _case1_r_integrand(s):
     # d/dtau of the case1 phase quadrature, algebraically simplified
     return np.sqrt((2.0 + 4.0 * s * s) / (1.0 + 4.0 * s * s))
 
 
 def case1_triple(tau):
     """Theta = case1_theta and phi_int = atan(2 tau)/2 in closed form; r_int
-    (= -elliptic_phase) by quadrature along the ascending 1-d tau array."""
+    (= -elliptic_phase) by one panel quadrature over the tau array."""
     tau = np.asarray(tau, dtype=float)
-    r_area = CumulativeIntegral(_case1_r_integrand)
-    r_int = np.array([r_area(x) for x in tau])
+    edges, index = edges_from_zero(tau)
+    mesh, running = panel_quad(_case1_r_integrand, edges)
+    r_int = running[np.searchsorted(mesh, edges)][index]
     return case1_theta(tau), 0.5 * np.arctan(2.0 * tau), r_int
 
 

@@ -53,6 +53,11 @@ _WEIGHT_2 = 0.25 + _GAUSS_SHIFT
 # pre: effective step times the fastest profile scale stays below this.
 _RESOLUTION_BOUND = 0.1
 
+# Most substeps one integration may take. The sweep holds roughly 200
+# (midpoint) to 400 (CF4) bytes per substep, so this caps one run at a few
+# GB; the largest runs of the test suite and the benchmark take under 3e5.
+_MAX_SUBSTEPS = 1 << 24
+
 
 @dataclass(frozen=True)
 class PropagatorConfig:
@@ -237,6 +242,26 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     return ts, a_out, b_out, h
 
 
+def _substeps(config: PropagatorConfig, t_max: float, refine: int = 1) -> int:
+    """Substeps per output interval at config.step, after checking that the
+    run, refined refine times, stays within _MAX_SUBSTEPS in all."""
+    dt = t_max / (config.samples - 1)
+    per_interval = dt / config.step
+    # compare before ceil: a tiny step overflows per_interval to inf
+    fits = per_interval <= _MAX_SUBSTEPS
+    if fits:
+        substeps = max(1, math.ceil(per_interval - 1e-12))
+        fits = (config.samples - 1) * refine * substeps <= _MAX_SUBSTEPS
+    if not fits:
+        total = (config.samples - 1) * refine * per_interval
+        raise ConfigError(
+            f"step {config.step:.3e} over a window of {t_max:g} needs "
+            f"{total:.3e} substeps, more than the {_MAX_SUBSTEPS} one run "
+            f"may take; use step >= "
+            f"{refine * t_max / _MAX_SUBSTEPS:.3e}")
+    return substeps
+
+
 def _check_resolution(profile: FieldProfile, t_max: float, h: float) -> None:
     scale = profile_scale(profile, t_max)
     if h * scale > _RESOLUTION_BOUND:
@@ -255,9 +280,8 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
     config.max_unitarity_drift and reported on the trajectory.
     """
     t_max = window_end(window, "integration window")
-    dt = t_max / (config.samples - 1)
-    substeps = max(1, math.ceil(dt / config.step - 1e-12))
-    h = dt / substeps
+    substeps = _substeps(config, t_max)
+    h = t_max / (config.samples - 1) / substeps
     _check_resolution(profile, t_max, h)
     ts, a, b, h = _integrate(profile, t_max, config.samples, substeps,
                              config.scheme)
@@ -284,7 +308,7 @@ def richardson_check(profile: FieldProfile, config: PropagatorConfig,
     """
     t_max = window_end(window, "integration window")
     dt = t_max / (config.samples - 1)
-    n0 = max(1, math.ceil(dt / config.step - 1e-12))
+    n0 = _substeps(config, t_max, refine=4)
     _check_resolution(profile, t_max, dt / n0)
     runs = [_integrate(profile, t_max, config.samples, n0 * r, config.scheme)
             for r in (1, 2, 4)]

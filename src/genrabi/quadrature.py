@@ -1,9 +1,17 @@
-"""Adaptive quadrature helpers with a monotone-frontier cache.
+"""Quadrature helpers: a vectorized panel integrator and a scalar fallback.
 
-Trajectory evaluation asks for integrals from 0 to each of N ascending
-sample points. Recomputing from 0 every time is O(N^2) integrand work, so
-``CumulativeIntegral`` caches values at previously visited endpoints and
-integrates only the increment beyond the cached frontier.
+``panel_quad`` integrates a numpy-vectorized integrand over many panels at
+once with a composite Gauss-Legendre rule, bisecting only the panels whose
+error estimate misses their share of the tolerance. One call over the
+panels between N ascending sample points yields the running integral at all
+of them, so the Theta phase integrals and the case1 phase never call a
+scalar integrator.
+
+``adaptive_quad`` (QUADPACK) and ``CumulativeIntegral`` remain for scalar
+integrands: the transverse area of a profile without an analytic clock and
+the elliptic reference phase. ``CumulativeIntegral`` caches values at
+previously visited endpoints and integrates only the increment beyond the
+cached frontier, so N ascending queries cost N short integrations.
 """
 
 from __future__ import annotations
@@ -11,15 +19,42 @@ from __future__ import annotations
 import bisect
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import ConfigError, NumericError, QuadratureError
 
-__all__ = ["adaptive_quad", "CumulativeIntegral"]
+__all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
+           "gauss_legendre", "panel_quad"]
 
 # QUADPACK cannot do much better than ~1e-13 relative; keep a floor so a
-# caller-supplied absolute tolerance of 0 does not make quad error out.
+# caller-supplied absolute tolerance of 0 does not make quad error out. The
+# panel integrator accepts a panel at the same relative floor.
 _MIN_EPSREL = 1e-12
+
+# 8-point Gauss-Legendre nodes and weights on [-1, 1] (the values of
+# numpy.polynomial.legendre.leggauss(8), written out so that importing the
+# package runs no eigenvalue solver), mapped to [0, 1].
+_GL_X = 0.5 * (np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362]) + 1.0)
+_GL_W = 0.5 * np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+
+# Bisection levels below a starting panel; 2^-40 of a panel is at the
+# round-off of its endpoints.
+_MAX_DEPTH = 40
+
+# Refined panels one call may hold per starting panel (adaptive_quad allows
+# QUADPACK 200 subintervals too), and in all unless the starting panels
+# alone need more: beyond this the integrand is too rough for the
+# tolerance. At the cap one level of the r integral of the Theta route
+# (8 nested nodes per node) holds about 4e6 floats.
+_PANELS_PER_EDGE = 200
+_MAX_PANELS = 1 << 15
 
 
 def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
@@ -41,6 +76,105 @@ def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
     return value
 
 
+def gauss_legendre(fn: Callable, lo, hi) -> np.ndarray:
+    """One 8-point Gauss-Legendre rule on each panel [lo[i], hi[i]].
+
+    fn must accept a 1-d array of nodes; it is called once for all panels.
+    """
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(hi, dtype=float) - lo
+    nodes = lo[:, None] + width[:, None] * _GL_X
+    values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return (values @ _GL_W) * width
+
+
+def edges_from_zero(points):
+    """Panel edges from 0 through the distinct points, and the index of each
+    point among them: running integrals from 0 at the points are
+    running[np.searchsorted(mesh, edges)][index] for (mesh, running) from
+    panel_quad over the edges.
+    """
+    points = np.asarray(points, dtype=float)
+    if np.any(points < 0):
+        raise ConfigError("tau must be >= 0")
+    if not np.all(np.isfinite(points)):
+        raise NumericError("tau must be finite")
+    edges = np.unique(np.append(points, 0.0))
+    return edges, np.searchsorted(edges, points)
+
+
+def panel_quad(fn: Callable, edges, tol: float = 1e-10):
+    """Integrate fn over the panels between consecutive ascending edges.
+
+    Each panel's 8-point Gauss-Legendre value is compared with the sum over
+    its two halves, and the difference is the panel's error estimate. A
+    panel is accepted, with the halves' value, when its estimate is within
+    its share tol * width / (edges[-1] - edges[0]) of the tolerance or at
+    the relative round-off floor, and is bisected otherwise. fn must accept
+    a 1-d array and is called once per level.
+
+    Returns (mesh, running): the refined ascending edges, which contain
+    every given edge, and the integral of fn from edges[0] to each of them.
+    The integral over the panel [edges[i], edges[i+1]] is the difference of
+    running at those two edges. When bisection runs out of depth
+    (_MAX_DEPTH) or of panels (_PANELS_PER_EDGE per starting panel,
+    _MAX_PANELS in all), which round-off noise or a step in fn can cause,
+    the open panels are accepted if all the error estimates together stay
+    within tol; otherwise QuadratureError.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size == 0:
+        raise ConfigError("panel edges must be a non-empty 1-d array")
+    if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise ConfigError("panel edges must be finite and strictly ascending")
+    if edges.size == 1:
+        return edges, np.zeros(1)
+    share = tol / (edges[-1] - edges[0])
+    lo, hi = edges[:-1], edges[1:]
+    whole = gauss_legendre(fn, lo, hi)
+    starts, parts = [], []
+    accepted, spent = 0, 0.0
+    limit = max(2 * lo.size, min(_PANELS_PER_EDGE * lo.size, _MAX_PANELS))
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        halves = gauss_legendre(fn, np.concatenate((lo, mid)),
+                                np.concatenate((mid, hi)))
+        left, right = halves[:lo.size], halves[lo.size:]
+        value = left + right
+        error = np.abs(whole - value)
+        done = error <= np.maximum(share * (hi - lo),
+                                   _MIN_EPSREL * np.abs(value))
+        more = ~done
+        spent += np.sum(error[done])
+        accepted += 2 * int(np.sum(done))
+        # bisected, each open panel yields four parts at the next level
+        if np.any(more) and (depth == _MAX_DEPTH
+                             or accepted + 4 * np.sum(more) > limit):
+            # round-off noise, or a step finer than bisection resolves:
+            # settle if all the estimates together still meet tol
+            total = spent + np.sum(error[more])
+            if not total <= tol:
+                worst = int(np.argmax(np.where(more, error, -1.0)))
+                raise QuadratureError(
+                    f"panel quadrature on [{edges[0]:g}, {edges[-1]:g}] did "
+                    f"not converge: after {depth} bisections near "
+                    f"{mid[worst]:g} (estimate {value[worst]:.6e}) the error "
+                    f"bounds add up to {total:.3e} > {tol:.1e}")
+            done[:] = True
+        starts += [lo[done], mid[done]]
+        parts += [left[done], right[done]]
+        if np.all(done):
+            break
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        whole = np.concatenate((left[~done], right[~done]))
+    starts = np.concatenate(starts)
+    order = np.argsort(starts, kind="stable")
+    mesh = np.append(starts[order], edges[-1])
+    running = np.concatenate(([0.0], np.cumsum(np.concatenate(parts)[order])))
+    return mesh, running
+
+
 class CumulativeIntegral:
     """Cached x -> integral of fn from 0 to x, for x >= 0.
 
@@ -57,6 +191,7 @@ class CumulativeIntegral:
         self._nodes = [0.0]
         self._values = [0.0]
 
+    # benchmarks/gbench/tracer.py counts calls of __call__ on the class
     def __call__(self, x: float) -> float:
         if x < 0.0:
             raise ValueError("cumulative integral is defined for x >= 0")

@@ -12,8 +12,13 @@ closed representation by the pair of phase integrals (phi_int, r_int), where
 r_int integrates sin(Theta)/sin(2 phi_int). Ansaetze are expressed in tau,
 not t, which makes them agnostic to the transverse envelope.
 
-The r integrand is a 0/0 ratio at tau = 0; below a small split point it is
-replaced by its Taylor form Theta(s)/(2s), which is exact to O(s^2) there.
+Both phase integrals are taken in one vectorized pass over all requested
+tau (ThetaEvaluator) by the numpy panel quadrature of the quadrature
+module; no scalar quadrature runs on this route. The r integrand is a 0/0
+ratio at tau = 0; below a small split point it is replaced by its Taylor
+form Theta(s)/(2s), which is exact to O(s^2) there. The Gauss-Legendre
+rule on the panel from 0 to the smallest tau keeps phi_int to relative
+accuracy, so the cotangent of the induced detuning stays accurate there.
 An interior zero of sin(2 phi_int) with nonvanishing sin(Theta) makes the
 induced detuning non-integrable and is reported as SingularAnsatzError, not
 patched by principal values: for the built-in families 2 phi_int stays
@@ -29,7 +34,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
+# unused here; benchmarks/gbench/tracer.py patches theta.scipy.integrate.quad
+import scipy.integrate  # noqa: F401
 
 from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
                            case2_theta, check_grid, detuning_deviation,
@@ -40,7 +46,9 @@ from .fields import detuning  # noqa: F401
 from .fields import (FieldProfile, area_integral, transverse_area_series,
                      window_end)
 from .propagator import PropagatorConfig, propagate, suggested_step
-from .quadrature import CumulativeIntegral, adaptive_quad
+# unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
+from .quadrature import adaptive_quad  # noqa: F401
+from .quadrature import edges_from_zero, gauss_legendre, panel_quad
 
 __all__ = [
     "ThetaAnsatz",
@@ -68,10 +76,6 @@ EPS_TAYLOR = 1e-6
 # sin(2 phi_int) at or below this inside the window is treated as singular.
 _SIN_FLOOR = 1e-14
 
-# Below this tau the cot argument is integrated with a relative-tolerance
-# quadrature; an absolute-tolerance cache would lose all relative accuracy.
-_SMALL_TAU = 1e-4
-
 
 @dataclass(frozen=True)
 class ThetaAnsatz:
@@ -90,6 +94,8 @@ class ThetaAnsatz:
         Closed forms for the two phase integrals and for dr/dtau. When
         r_prime_exact is present the induced detuning is evaluated without
         the cotangent, which also removes its removable singularities.
+
+    Every callable is evaluated on numpy arrays of tau.
     """
 
     theta: Callable
@@ -114,23 +120,30 @@ class PhaseIntegrals:
     r_int: float
 
 
-def _numeric_theta_prime(theta: Callable, tau: float) -> float:
-    h = 1e-6 * max(1.0, abs(tau))
-    if tau >= 2.0 * h:
-        f = [float(theta(tau + k * h)) for k in (-2.0, -1.0, 1.0, 2.0)]
-        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-    # one-sided stencil: tau < 0 is outside the ansatz domain
-    f = [float(theta(tau + k * h)) for k in range(5)]
-    return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
-            + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+def _numeric_theta_prime(theta: Callable, tau: np.ndarray) -> np.ndarray:
+    # 5-point stencil, one-sided where tau < 2h: tau < 0 is outside the
+    # ansatz domain
+    h = 1e-6 * np.maximum(1.0, np.abs(tau))
+    central = tau >= 2.0 * h
+    shift = np.where(central, -2.0, 0.0)
+    f = [np.asarray(theta(tau + (shift + k) * h), dtype=float)
+         for k in range(5)]
+    return np.where(central, f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4],
+                    -25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
+                    + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
 
 
 class ThetaEvaluator:
-    """Cached tau-domain evaluation of one ansatz.
+    """Vectorized tau-domain evaluation of one ansatz.
 
-    Holds the quadrature frontiers for phi_int and the r tail so that
-    sweeping an ascending grid costs O(N) quadrature segments. Not
-    thread-safe; build one evaluator per evaluation session.
+    triple and ratios integrate the phase pair in one pass over all the
+    requested tau. panel_quad refines the panels between the sorted tau for
+    cos(Theta); the running sum is phi_int on that mesh. r_int is a second
+    panel_quad over the same mesh, split at eps_taylor: below it the
+    integrand is the Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2
+    phi_int), where phi_int at each node is the mesh value below the node
+    plus one Gauss-Legendre rule up to it. Nothing is cached between calls;
+    the scalar methods are one-point calls of the same path.
     """
 
     def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10,
@@ -142,103 +155,115 @@ class ThetaEvaluator:
         self.ansatz = ansatz
         self.quad_tol = quad_tol
         self.eps_taylor = eps_taylor
-        self._phi_cum = CumulativeIntegral(
-            lambda s: math.cos(float(ansatz.theta(s))), tol=quad_tol)
-        self._r_tail = CumulativeIntegral(
-            lambda u: self._r_integrand(eps_taylor + u), tol=quad_tol)
-        self._r_head: float | None = None
 
     # -- pieces ------------------------------------------------------------
 
-    def theta(self, tau: float) -> float:
-        return float(self.ansatz.theta(float(tau)))
+    def theta(self, tau):
+        return _as_float_or_array(tau, self.ansatz.theta)
 
-    def theta_prime(self, tau: float) -> float:
+    def theta_prime(self, tau):
         if self.ansatz.theta_prime is not None:
-            return float(self.ansatz.theta_prime(float(tau)))
-        return _numeric_theta_prime(self.ansatz.theta, float(tau))
+            return _as_float_or_array(tau, self.ansatz.theta_prime)
+        return _as_float_or_array(
+            tau, lambda v: _numeric_theta_prime(self.ansatz.theta, v))
 
-    def phi_int(self, tau: float) -> float:
-        tau = float(tau)
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
-        if self.ansatz.phi_int_exact is not None:
-            return float(self.ansatz.phi_int_exact(tau))
-        return self._phi_cum(tau)
+    def _cos_theta(self, s):
+        return np.cos(self.ansatz.theta(s))
 
-    def _phi_small(self, tau: float) -> float:
-        # relative-tolerance pass for tiny tau, where the cached absolute
-        # tolerance would swamp the value
-        val, _ = scipy.integrate.quad(
-            lambda s: math.cos(float(self.ansatz.theta(s))), 0.0, tau,
-            epsabs=0.0, epsrel=1e-12)
-        return val
+    def _phi(self, edges: np.ndarray):
+        """phi_int at the edges from edges_from_zero, plus the mesh it was
+        integrated on and a function giving phi_int at nodes inside it."""
+        exact = self.ansatz.phi_int_exact
+        if exact is not None:
+            return np.asarray(exact(edges), dtype=float), edges, exact
+        mesh, running = panel_quad(self._cos_theta, edges, self.quad_tol)
 
-    def _r_integrand(self, s: float) -> float:
-        th = self.theta(s)
-        denom = math.sin(2.0 * self.phi_int(s))
-        if abs(denom) <= _SIN_FLOOR:
+        def phi_at(s):
+            k = np.searchsorted(mesh, s, side="right") - 1
+            return running[k] + gauss_legendre(self._cos_theta, mesh[k], s)
+        return running[np.searchsorted(mesh, edges)], mesh, phi_at
+
+    def _phases(self, edges: np.ndarray):
+        """(phi_int, r_int) at the edges from edges_from_zero."""
+        phi, mesh, phi_at = self._phi(edges)
+        if self.ansatz.r_int_exact is not None:
+            return phi, np.asarray(self.ansatz.r_int_exact(edges), dtype=float)
+
+        eps = self.eps_taylor
+        r_edges = np.union1d(mesh, [eps]) if mesh[-1] > eps else mesh
+
+        def integrand(s):
+            out = np.empty_like(s)
+            head = s <= eps
+            if np.any(head):
+                out[head] = self.ansatz.theta(s[head]) / (2.0 * s[head])
+            tail = ~head
+            if np.any(tail):
+                out[tail] = self._r_tail(s[tail], phi_at)
+            return out
+
+        r_mesh, r_running = panel_quad(integrand, r_edges, self.quad_tol)
+        return phi, r_running[np.searchsorted(r_mesh, edges)]
+
+    def _r_tail(self, s: np.ndarray, phi_at) -> np.ndarray:
+        th = np.asarray(self.ansatz.theta(s), dtype=float)
+        denom = np.sin(2.0 * phi_at(s))
+        bad = np.abs(denom) <= _SIN_FLOOR
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise SingularAnsatzError(
-                f"sin(2 phi_int) vanishes at tau={s:g} while "
-                f"sin(Theta)={math.sin(th):g}; the ansatz "
+                f"sin(2 phi_int) vanishes at tau={s[i]:g} while "
+                f"sin(Theta)={math.sin(th[i]):g}; the ansatz "
                 f"{self.ansatz.label!r} does not induce an integrable "
                 "detuning there")
-        return math.sin(th) / denom
+        return np.sin(th) / denom
 
-    def _r_taylor(self, s: float) -> float:
-        # Theta(s)/(2s), continued to Theta'(0)/2 at s=0
-        if s == 0.0:
-            return 0.5 * self.theta_prime(0.0)
-        return self.theta(s) / (2.0 * s)
-
-    def r_int(self, tau: float) -> float:
-        tau = float(tau)
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
-        if self.ansatz.r_int_exact is not None:
-            return float(self.ansatz.r_int_exact(tau))
-        if tau == 0.0:
-            return 0.0
-        eps = self.eps_taylor
-        if tau <= eps:
-            return adaptive_quad(self._r_taylor, 0.0, tau, tol=self.quad_tol)
-        if self._r_head is None:
-            self._r_head = adaptive_quad(self._r_taylor, 0.0, eps,
-                                         tol=self.quad_tol)
-        return self._r_head + self._r_tail(tau - eps)
+    # -- array path ----------------------------------------------------------
 
     def triple(self, taus) -> tuple:
-        """(Theta, phi_int, r_int) arrays over an ascending array of tau."""
-        return tuple(np.array([f(x) for x in taus])
-                     for f in (self.theta, self.phi_int, self.r_int))
+        """(Theta, phi_int, r_int) arrays over an array of tau >= 0."""
+        edges, index = edges_from_zero(taus)
+        phi, r = self._phases(edges)
+        theta = np.asarray(self.ansatz.theta(edges), dtype=float)
+        return theta[index], phi[index], r[index]
 
     def ratios(self, taus) -> np.ndarray:
-        """detuning_ratio over an array of tau."""
-        return np.array([self.detuning_ratio(x) for x in taus])
+        """Induced detuning in units of |omega| over an array of tau >= 0."""
+        edges, index = edges_from_zero(taus)
+        half_slope = 0.5 * np.asarray(self.theta_prime(edges), dtype=float)
+        phi = self._phi(edges)[0]
+        if self.ansatz.r_prime_exact is not None:
+            # cot-free form: ratio = Theta'/2 + r'(tau) cos(2 phi_int)
+            r_prime = np.asarray(self.ansatz.r_prime_exact(edges), dtype=float)
+            return (half_slope + r_prime * np.cos(2.0 * phi))[index]
+        # edges[0] = 0, where sin(Theta) cot(2 phi_int) -> Theta'(0)/2
+        s2 = np.sin(2.0 * phi[1:])
+        bad = s2 <= _SIN_FLOOR
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise SingularAnsatzError(
+                f"sin(2 phi_int) = {s2[i]:g} at tau={edges[1 + i]:g}; the "
+                f"induced detuning of ansatz {self.ansatz.label!r} is "
+                "singular there")
+        th = np.asarray(self.ansatz.theta(edges[1:]), dtype=float)
+        out = 2.0 * half_slope
+        out[1:] = half_slope[1:] + np.sin(th) * np.cos(2.0 * phi[1:]) / s2
+        return out[index]
+
+    # -- scalar wrappers of the array path -----------------------------------
+    # (benchmarks/gbench/tracer.py counts calls of these three on the class)
+
+    def phi_int(self, tau: float) -> float:
+        edges, index = edges_from_zero(float(tau))
+        return float(self._phi(edges)[0][index])
+
+    def r_int(self, tau: float) -> float:
+        edges, index = edges_from_zero(float(tau))
+        return float(self._phases(edges)[1][index])
 
     def detuning_ratio(self, tau: float) -> float:
         """Induced detuning in units of |omega| at this tau."""
-        tau = float(tau)
-        if tau < 0:
-            raise ConfigError("tau must be >= 0")
-        half_slope = 0.5 * self.theta_prime(tau)
-        if self.ansatz.r_prime_exact is not None:
-            # cot-free form: ratio = Theta'/2 + r'(tau) cos(2 phi_int)
-            return half_slope + float(self.ansatz.r_prime_exact(tau)) \
-                * math.cos(2.0 * self.phi_int(tau))
-        if tau == 0.0:
-            # sin(Theta) cot(2 phi_int) -> Theta'(0)/2 as tau -> 0
-            return 2.0 * half_slope
-        if tau < _SMALL_TAU and self.ansatz.phi_int_exact is None:
-            phi = self._phi_small(tau)
-        else:
-            phi = self.phi_int(tau)
-        s2 = math.sin(2.0 * phi)
-        if s2 <= _SIN_FLOOR:
-            raise SingularAnsatzError(
-                f"sin(2 phi_int) = {s2:g} at tau={tau:g}; the induced "
-                f"detuning of ansatz {self.ansatz.label!r} is singular there")
-        return half_slope + math.sin(self.theta(tau)) * math.cos(2.0 * phi) / s2
+        return float(self.ratios(float(tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +456,7 @@ def beta0_ansatz(beta0: float) -> ThetaAnsatz:
     beta0 = float(beta0)
     if beta0 == 0.0:
         return zero_ansatz(label="beta0=0")
-    stretch = math.sqrt(1.0 + beta0 * beta0)
+    stretch = math.hypot(1.0, beta0)
     slope = beta0 / stretch
 
     def theta_prime(x):

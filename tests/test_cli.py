@@ -321,6 +321,16 @@ BAD_INPUTS = {
         "run", "--scenario", "sech_resonant", "--t-max", "inf"],
     "z_max_inf": lambda p: [
         "modes", "--coupling", "constant", "--delta", "0", "--z-max", "inf"],
+    # substep counts past the propagator's ceiling, before any allocation
+    "step_1e-300": lambda p: [
+        "run", "--scenario", "sech_resonant", "--samples", "3", "--engine",
+        "oracle", "--step", "1e-300"],
+    "step_subnormal": lambda p: [
+        "run", "--scenario", "sech_resonant", "--samples", "3", "--engine",
+        "oracle", "--step", "5e-324"],
+    "modes_delta_1e300": lambda p: [
+        "modes", "--coupling", "constant", "--delta", "1e300", "--z-max",
+        "1", "--samples", "3"],
 }
 
 
@@ -331,3 +341,21 @@ def test_bad_input_is_a_config_error_without_traceback(case, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_huge_locked_ratio_keeps_finite_entries(capsys):
+    # beta = 1e300: sqrt(1 + beta^2) overflowed to an all-NaN CSV
+    assert main(["run", "--scenario", "rabi", "--params", "omega_mag0=1e-300",
+                 "--samples", "3"]) == 0
+    out = capsys.readouterr().out
+    assert np.all(np.isfinite(parse_csv(out)[1]))
+    assert np.max(column(out, "p_flip")) <= 1e-300
+
+
+def test_non_finite_entries_are_a_numeric_failure(capsys):
+    # the stretched clock overflows: entries must not come out as NaN
+    assert main(["run", "--scenario", "rabi", "--params", "phi_dot0=1e308",
+                 "--samples", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "not finite" in err

@@ -1,19 +1,26 @@
-"""Registry-driven properties over random in-domain family parameters.
+"""Properties over random in-domain parameters and grids.
 
 For every catalog family, the closed form (closed_form_series) and the
 general Theta route with the family's own ansatz (default_ansatz) evaluate
 the same (Theta, phi_int, r_int) representation, so they must agree, and
-both must be unitary.
+both must be unitary. The one-pass phase quadrature of the Theta route must
+reproduce closed-form phase integrals on random grids, down to the smallest
+tau.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genrabi.closed_forms import beta0_triple, case2_detuning_ratio, case2_triple
+from genrabi.errors import NumericError
 from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
                                closed_form_series, default_ansatz,
                                make_scenario, scenario_time_scale)
-from genrabi.theta import general_entries_series
+from genrabi.theta import (ThetaAnsatz, ThetaEvaluator, beta0_ansatz,
+                           case2_ansatz, general_entries_series)
 
 
 def _span(lo, hi):
@@ -59,3 +66,54 @@ def test_closed_form_and_theta_route_agree_and_stay_unitary(family, data):
     assert max(np.max(np.abs(a - a_theta)), np.max(np.abs(b - b_theta))) <= 5e-9
     for x, y in ((a, b), (a_theta, b_theta)):
         assert np.max(np.abs(np.abs(x) ** 2 + np.abs(y) ** 2 - 1.0)) <= 1e-12
+
+
+def _generic_beta0_phases(beta0, reach):
+    # beta0_ansatz without its closed phases: only Theta and Theta' remain,
+    # so (phi_int, r_int) come from the panel quadrature; below
+    # 0.9 pi / sqrt(1 + beta0^2) sin(2 phi_int) stays clear of zero
+    exact = beta0_ansatz(beta0)
+    generic = ThetaAnsatz(theta=exact.theta, label="beta0 generic",
+                          theta_prime=exact.theta_prime)
+    taus = np.linspace(0.0, reach * 0.9 * math.pi / math.hypot(1.0, beta0), 17)
+    _, phi, r = ThetaEvaluator(generic).triple(taus)
+    _, phi_ref, r_ref = beta0_triple(beta0)(taus)
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-9
+    assert np.max(np.abs(r - r_ref)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, NumericError),
+                   reason="defect: for 0 < |beta0| below about 1e-6 Theta "
+                   "steps from 0 to pi within a width ~|beta0| at E tau = "
+                   "pi/2, where sin(2 phi_int) ~ 2|beta0| amplifies the "
+                   "round-off of phi_int; the generic route then misses 1e-9 "
+                   "or raises, and below ~1e-16 (a step between adjacent "
+                   "floats) it misses r_int by pi/2, as the QUADPACK route "
+                   "did")
+@settings(report_multiple_bugs=False)
+@given(beta0=_span(-3.0, 3.0), reach=_span(0.01, 1.0))
+def test_generic_quadrature_reproduces_locked_ratio_phases(beta0, reach):
+    _generic_beta0_phases(beta0, reach)
+
+
+@given(beta0=st.one_of(st.just(0.0), _span(-3.0, -1e-4), _span(1e-4, 3.0)),
+       reach=_span(0.01, 1.0))
+def test_generic_quadrature_reproduces_resolvable_locked_ratio_phases(
+        beta0, reach):
+    # the property above where double precision resolves Theta's step
+    _generic_beta0_phases(beta0, reach)
+
+
+@given(first=st.floats(min_value=1e-12, max_value=1e-4),
+       gaps=st.lists(_span(1e-6, 1.0), min_size=1, max_size=40),
+       with_zero=st.booleans())
+def test_generic_quadrature_matches_case2_on_nonuniform_grids(first, gaps,
+                                                              with_zero):
+    taus = first + np.concatenate(([0.0], np.cumsum(gaps)))
+    if with_zero:
+        taus = np.concatenate(([0.0], taus))
+    ev = ThetaEvaluator(case2_ansatz())
+    for got, ref in zip(ev.triple(taus), case2_triple(taus)):
+        assert np.max(np.abs(got - ref)) <= 1e-9
+    # the cotangent needs phi_int to relative accuracy at the smallest tau
+    assert np.max(np.abs(ev.ratios(taus) - case2_detuning_ratio(taus))) <= 1e-9

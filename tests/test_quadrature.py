@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from genrabi.errors import QuadratureError
-from genrabi.quadrature import CumulativeIntegral, adaptive_quad
+from genrabi.errors import ConfigError, NumericError, QuadratureError
+from genrabi.quadrature import (CumulativeIntegral, adaptive_quad,
+                                edges_from_zero, panel_quad)
 
 
 def test_adaptive_quad_matches_analytic():
@@ -44,3 +45,46 @@ def test_cumulative_rejects_negative_argument():
     acc = CumulativeIntegral(math.cos)
     with pytest.raises(ValueError):
         acc(-0.1)
+
+
+def test_panel_quad_refines_and_keeps_every_edge():
+    edges = np.linspace(0.0, 7.0, 113)
+    mesh, running = panel_quad(np.cos, edges)
+    assert np.array_equal(mesh[np.searchsorted(mesh, edges)], edges)
+    assert np.max(np.abs(running - np.sin(mesh))) < 1e-12
+    # one wide panel is bisected until each part meets its share
+    mesh, running = panel_quad(np.cos, [0.0, 50.0])
+    assert mesh.size > 2
+    assert running[-1] == pytest.approx(math.sin(50.0), abs=1e-10)
+    # a kink costs depth near it, not accuracy
+    mesh, running = panel_quad(lambda x: np.abs(x - 0.3), [0.0, 1.0], 1e-12)
+    assert running[-1] == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2), abs=1e-12)
+
+
+def test_panel_quad_reports_nonconvergence():
+    # an endpoint divergence runs out of depth; an interior pole runs out of
+    # panels; both carry where the refinement stopped
+    with pytest.raises(QuadratureError) as err:
+        panel_quad(lambda x: 1.0 / x, [0.0, 1.0])
+    assert "estimate" in str(err.value)
+    with pytest.raises(QuadratureError):
+        panel_quad(lambda x: 1.0 / (x - 0.3), [0.0, 1.0])
+
+
+def test_panel_quad_rejects_bad_edges():
+    for edges in ([], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.inf]):
+        with pytest.raises(ConfigError):
+            panel_quad(np.cos, edges)
+    mesh, running = panel_quad(np.cos, [2.0])
+    assert mesh.tolist() == [2.0] and running.tolist() == [0.0]
+
+
+def test_edges_from_zero_maps_points_back():
+    points = np.array([2.0, 0.5, 2.0, 0.0])
+    edges, index = edges_from_zero(points)
+    assert edges.tolist() == [0.0, 0.5, 2.0]
+    assert np.array_equal(edges[index], points)
+    with pytest.raises(ConfigError):
+        edges_from_zero([1.0, -0.1])
+    with pytest.raises(NumericError):
+        edges_from_zero([1.0, math.nan])

@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from genrabi import quadrature
 from genrabi.closed_forms import (
     beta0_series,
     case1_detuning_ratio,
@@ -302,3 +304,64 @@ def test_zero_locked_ratio_degenerates_to_zero_ansatz():
     assert ev.detuning_ratio(1.3) == 0.0
     assert ev.phi_int(1.3) == 1.3
     assert ev.r_int(1.3) == 0.0
+
+
+def test_theta_route_makes_no_scalar_quadrature_calls(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad was called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", forbidden)
+    monkeypatch.setattr(quadrature, "quad", forbidden)
+    for name, window in (("case1", 3.0), ("case2", 5.0)):
+        prof = make_scenario(name)
+        ansatz = named_ansatz(name)
+        ts = np.linspace(0.0, window, 65)
+        a, b = general_entries_series(ansatz, prof, ts)
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        assert verify_ansatz(ansatz, prof, window, samples=65).passed
+    case1_series(make_scenario("case1"), np.linspace(0.0, 3.0, 65))
+
+
+def test_interior_singularity_surfaces_through_series_and_verify():
+    # the slope ansatz of test_interior_singularity_is_reported, on a clock
+    # tau = t that passes its crossing near tau = 1.64
+    slope = ThetaAnsatz(theta=lambda x: 0.3 * np.asarray(x, dtype=float),
+                        label="slope")
+    prof = make_scenario("case2")
+    ts = np.linspace(0.0, 2.0, 9)
+    assert np.allclose(transverse_area_series(prof, ts), ts)
+    with pytest.raises(SingularAnsatzError):
+        general_entries_series(slope, prof, ts)
+    report = verify_ansatz(slope, prof, 2.0, samples=33)
+    assert not report.passed
+    assert "residual evaluation failed: sin(2 phi_int)" in report.note
+
+
+def test_locked_ratio_ansatz_survives_huge_beta0():
+    # sqrt(1 + beta0^2) overflowed at beta0 = 1e300, so Theta(0) was NaN
+    ev = ThetaEvaluator(beta0_ansatz(1e300))
+    taus = np.linspace(0.0, 1e-299, 5)
+    for values in ev.triple(taus):
+        assert np.all(np.isfinite(values))
+    assert np.allclose(ev.ratios(taus), 1e300, rtol=1e-12)
+
+
+def _stencil_reference(theta, tau):
+    # the scalar 5-point stencil the vectorized one replaced
+    h = 1e-6 * max(1.0, abs(tau))
+    if tau >= 2.0 * h:
+        f = [float(theta(tau + k * h)) for k in (-2.0, -1.0, 1.0, 2.0)]
+        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+    f = [float(theta(tau + k * h)) for k in range(5)]
+    return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
+            + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+
+
+def test_numeric_theta_prime_is_the_scalar_stencil_on_arrays():
+    base = case2_ansatz()
+    bare = ThetaAnsatz(theta=base.theta, label="case2 without Theta'")
+    taus = np.array([0.0, 1e-7, 1.9e-6, 2e-6, 0.3, 1.0, 7.5])
+    got = ThetaEvaluator(bare).theta_prime(taus)
+    ref = np.array([_stencil_reference(bare.theta, x) for x in taus])
+    assert np.max(np.abs(got - ref)) < 1e-9
+    assert np.max(np.abs(got - base.theta_prime(taus))) < 1e-8
