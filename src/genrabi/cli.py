@@ -354,11 +354,8 @@ def _cmd_modes(args) -> int:
     z_max = window_end(args.z_max, "--z-max")
 
     a0, b0 = _parse_initial(args.initial)
-    scheme = args.scheme if args.scheme else _default_scheme()
     profile = to_su2_profile(spec, window=z_max)
-    step = args.step if args.step is not None \
-        else suggested_step(profile, z_max)
-    config = PropagatorConfig(scheme=scheme, step=step, samples=args.samples)
+    config = _oracle_config(args, profile, z_max, args.samples, 1.0)
     traj = propagate_modes(spec, (a0, b0), z_max, config)
 
     def rows(tr: ModeTrajectory):

@@ -234,13 +234,16 @@ def _table_coupling(params: dict) -> tuple[Callable, str]:
         raise ConfigError(f"cannot read coupling table {path}: {exc}")
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
-    # tolerate a header line by dropping non-numeric leading rows
-    while rows.size and np.isnan(rows[0]).any():
+    # tolerate a header line by dropping leading rows with no numeric cell
+    while rows.size and np.isnan(rows[0]).all():
         rows = rows[1:]
     if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] < 2:
         raise ConfigError(
             f"coupling table {path} needs >= 2 numeric rows of "
             "z, re_k[, im_k]")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"coupling table {path} has a cell that is not a "
+                          "finite number")
     zs = rows[:, 0]
     if np.any(np.diff(zs) <= 0):
         raise ConfigError("coupling table z column must be strictly ascending")

@@ -6,22 +6,26 @@ forms. Each step multiplies the running operator by the exact exponential of
 a 2x2 traceless Hermitian matrix, written in Euler (Rodrigues) form, so every
 step factor is unitary by construction and the only drift is float round-off.
 
-Schemes:
-
-- midpoint_exponential: one exponential per step, Hamiltonian sampled at the
-  interval midpoint; global accuracy O(step^2).
-- commutator_free_4th: two exponentials per step built from the two Gauss
-  nodes; global accuracy O(step^4) without commutator evaluations.
+A scheme is one row of the _SCHEMES table: its nominal order, the Gauss
+nodes x_k on [0, 1] where a substep of length h samples the Hamiltonian, and
+one weight row per step exponential, in acting order; exponential j is
+exp(-i h sum_k w_jk H(t + x_k h)). Adding a scheme means adding one row.
+midpoint_exponential: one exponential at the interval midpoint, O(step^2);
+commutator_free_4th: two from the two Gauss nodes, O(step^4), no commutators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
+from operator import mul
 
 import numpy as np
 
-from .errors import ConfigError, StepResolutionError, UnitarityDriftError
+from .errors import (ConfigError, NumericError, StepResolutionError,
+                     UnitarityDriftError)
 from .fields import FieldProfile, detuning, phase_derivative, window_end
 from .observables import pauli_series
 
@@ -35,23 +39,26 @@ __all__ = [
     "SCHEMES",
 ]
 
-SCHEMES = ("midpoint_exponential", "commutator_free_4th")
-
-_NOMINAL_ORDER = {"midpoint_exponential": 2, "commutator_free_4th": 4}
-
-# step exponentials per substep (the round-off floor of richardson_check
-# scales with their count)
-_EXPONENTIALS = {"midpoint_exponential": 1, "commutator_free_4th": 2}
-
-# Gauss-Legendre nodes on [0,1] and the two-exponential weights.
 _GAUSS_SHIFT = math.sqrt(3.0) / 6.0
-_NODE_1 = 0.5 - _GAUSS_SHIFT
-_NODE_2 = 0.5 + _GAUSS_SHIFT
-_WEIGHT_1 = 0.25 - _GAUSS_SHIFT
-_WEIGHT_2 = 0.25 + _GAUSS_SHIFT
+
+# name -> (nominal order, Gauss nodes, weight rows), as the docstring says
+_SCHEMES = {
+    "midpoint_exponential": (2, (0.5,), ((1.0,),)),
+    "commutator_free_4th": (
+        4, (0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT),
+        ((0.25 + _GAUSS_SHIFT, 0.25 - _GAUSS_SHIFT),
+         (0.25 - _GAUSS_SHIFT, 0.25 + _GAUSS_SHIFT))),
+}
+
+SCHEMES = tuple(_SCHEMES)
 
 # pre: effective step times the fastest profile scale stays below this.
 _RESOLUTION_BOUND = 0.1
+
+# suggested_step keeps step * fastest scale, probed at _SCALE_PROBES points,
+# at _STEP_MARGIN: closed-form-level accuracy for the second-order scheme
+_STEP_MARGIN = 0.0015
+_SCALE_PROBES = 257
 
 # Most substeps one integration may take. The sweep holds roughly 200
 # (midpoint) to 400 (CF4) bytes per substep, so this caps one run at a few
@@ -145,26 +152,25 @@ class ConvergenceReport:
     note: str = ""
 
 
-def profile_scale(profile: FieldProfile, t_max: float, probes: int = 257) -> float:
-    """max over the window of max(|Omega| + |omega|, |phase rate|)."""
-    grid = np.linspace(0.0, t_max, probes)
+def profile_scale(profile: FieldProfile, t_max: float) -> float:
+    """max over the window of max(|Omega| + |omega|, |phase rate|); a scale
+    that is not finite raises NumericError."""
+    grid = np.linspace(0.0, t_max, _SCALE_PROBES)
     om = np.abs(np.asarray(profile.omega_z(grid), dtype=float))
     mg = np.abs(np.asarray(profile.omega_mag(grid), dtype=float))
     rate = np.abs(np.asarray(phase_derivative(profile, grid), dtype=float))
-    return float(max(np.max(om + mg), np.max(rate)))
+    scale = float(np.max(np.maximum(om + mg, rate)))
+    if not math.isfinite(scale):
+        raise NumericError(f"profile {profile.label!r} has no finite scale")
+    return scale
 
 
-def suggested_step(profile: FieldProfile, t_max: float, *,
-                   margin: float = 0.0015) -> float:
-    """A step that keeps step * fastest-scale at ``margin``.
-
-    The default margin targets closed-form-level accuracy for the default
-    second-order scheme, not just stability.
-    """
+def suggested_step(profile: FieldProfile, t_max: float) -> float:
+    """A step that keeps step * fastest-scale at _STEP_MARGIN."""
     scale = profile_scale(profile, t_max)
     if scale == 0.0:
         return t_max / 100.0
-    return min(margin / scale, t_max / 10.0)
+    return min(_STEP_MARGIN / scale, t_max / 10.0)
 
 
 def _hamiltonian_arrays(profile: FieldProfile, grid: np.ndarray):
@@ -186,65 +192,48 @@ def _step_factors(om: np.ndarray, ow: np.ndarray, h: float):
 
 def _integrate(profile: FieldProfile, t_max: float, samples: int,
                substeps: int, scheme: str):
-    """Core fixed-step sweep. Returns (ts, a, b, effective_step)."""
-    dt = t_max / (samples - 1)
-    h = dt / substeps
-    total = (samples - 1) * substeps
-    base = np.arange(total) * h
+    """Core fixed-step sweep. Returns the entries (a, b) at the samples."""
+    _, nodes, rows = _SCHEMES[scheme]
+    h = t_max / (samples - 1) / substeps
+    base = np.arange((samples - 1) * substeps) * h
+    hams = [_hamiltonian_arrays(profile, base + x * h) for x in nodes]
+    mixed = [[reduce(np.add, map(mul, row, part)) for part in zip(*hams)]
+             for row in rows]
+    del hams  # freed before the step factors' temporaries peak
+    ok = np.logical_and.reduce([np.isfinite(x) for ham in mixed for x in ham])
+    if not ok.all():
+        raise NumericError(
+            f"Hamiltonian of profile {profile.label!r} is not finite in the "
+            f"substep from t={base[np.argmin(ok)]:g}")
+    factors = [_step_factors(om, ow, h) for om, ow in mixed]
+    # exponential j of substep k sits at k * m + j: acting order
+    m = len(rows)
+    al, be = [None] * (m * base.size), [None] * (m * base.size)
+    for j, (alpha, beta) in enumerate(factors):
+        al[j::m] = alpha.tolist()
+        be[j::m] = beta.tolist()
+    steps = zip(al, be)
 
-    if scheme == "midpoint_exponential":
-        om, ow = _hamiltonian_arrays(profile, base + 0.5 * h)
-        alphas, betas = _step_factors(om, ow, h)
-        factor_sets = [(alphas.tolist(), betas.tolist())]
-    else:
-        om1, ow1 = _hamiltonian_arrays(profile, base + _NODE_1 * h)
-        om2, ow2 = _hamiltonian_arrays(profile, base + _NODE_2 * h)
-        first = _step_factors(_WEIGHT_2 * om1 + _WEIGHT_1 * om2,
-                              _WEIGHT_2 * ow1 + _WEIGHT_1 * ow2, h)
-        second = _step_factors(_WEIGHT_1 * om1 + _WEIGHT_2 * om2,
-                               _WEIGHT_1 * ow1 + _WEIGHT_2 * ow2, h)
-        factor_sets = [(first[0].tolist(), first[1].tolist()),
-                       (second[0].tolist(), second[1].tolist())]
-
-    a_out = np.empty(samples, dtype=complex)
-    b_out = np.empty(samples, dtype=complex)
-    a_out[0] = 1.0
-    b_out[0] = 0.0
+    a_out = np.ones(samples, dtype=complex)
+    b_out = np.zeros(samples, dtype=complex)
 
     # evolve the first column (a, c) of U; b = -conj(c)
     a = 1.0 + 0.0j
     c = 0.0j
-    if scheme == "midpoint_exponential":
-        al, be = factor_sets[0]
-        k = 0
-        for i in range(1, samples):
-            for _ in range(substeps):
-                f, g = al[k], be[k]
-                a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
-                k += 1
-            a_out[i] = a
-            b_out[i] = -c.conjugate()
-    else:
-        al1, be1 = factor_sets[0]
-        al2, be2 = factor_sets[1]
-        k = 0
-        for i in range(1, samples):
-            for _ in range(substeps):
-                f, g = al1[k], be1[k]
-                a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
-                f, g = al2[k], be2[k]
-                a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
-                k += 1
-            a_out[i] = a
-            b_out[i] = -c.conjugate()
-
-    ts = np.linspace(0.0, t_max, samples)
-    return ts, a_out, b_out, h
+    for i in range(1, samples):
+        for f, g in islice(steps, substeps * m):
+            a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
+        a_out[i] = a
+        b_out[i] = -c.conjugate()
+    return a_out, b_out
 
 
-def _substeps(config: PropagatorConfig, t_max: float, refine: int = 1) -> int:
-    """Substeps per output interval at config.step, after checking that the
-    run, refined refine times, stays within _MAX_SUBSTEPS in all."""
+def _prepare(profile: FieldProfile, config: PropagatorConfig, window,
+             refine: int = 1):
+    """(t_max, substeps per output interval, effective step) at config.step,
+    after checking that the run, refined refine times, stays within
+    _MAX_SUBSTEPS in all and that its step resolves the profile."""
+    t_max = window_end(window, "integration window")
     dt = t_max / (config.samples - 1)
     per_interval = dt / config.step
     # compare before ceil: a tiny step overflows per_interval to inf
@@ -259,16 +248,14 @@ def _substeps(config: PropagatorConfig, t_max: float, refine: int = 1) -> int:
             f"{total:.3e} substeps, more than the {_MAX_SUBSTEPS} one run "
             f"may take; use step >= "
             f"{refine * t_max / _MAX_SUBSTEPS:.3e}")
-    return substeps
-
-
-def _check_resolution(profile: FieldProfile, t_max: float, h: float) -> None:
+    h = dt / substeps
     scale = profile_scale(profile, t_max)
     if h * scale > _RESOLUTION_BOUND:
         raise StepResolutionError(
             f"effective step {h:.3e} does not resolve the fastest profile "
             f"scale {scale:.3e} (step*scale = {h * scale:.3f} > "
             f"{_RESOLUTION_BOUND}); use step <= {0.05 / scale:.3e}")
+    return t_max, substeps, h
 
 
 def propagate(profile: FieldProfile, config: PropagatorConfig,
@@ -277,16 +264,14 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
 
     window is t_max or a (0, t_max) pair. The per-step factors are exactly
     unitary; the accumulated round-off drift is checked against
-    config.max_unitarity_drift and reported on the trajectory.
+    config.max_unitarity_drift and reported on the trajectory. A profile
+    that is not finite where the sweep samples it raises NumericError.
     """
-    t_max = window_end(window, "integration window")
-    substeps = _substeps(config, t_max)
-    h = t_max / (config.samples - 1) / substeps
-    _check_resolution(profile, t_max, h)
-    ts, a, b, h = _integrate(profile, t_max, config.samples, substeps,
-                             config.scheme)
-    traj = Trajectory.from_entries(profile, ts, a, b, scheme=config.scheme,
-                                   step=h)
+    t_max, substeps, h = _prepare(profile, config, window)
+    a, b = _integrate(profile, t_max, config.samples, substeps, config.scheme)
+    traj = Trajectory.from_entries(profile,
+                                   np.linspace(0.0, t_max, config.samples),
+                                   a, b, scheme=config.scheme, step=h)
     if traj.unitarity_drift > config.max_unitarity_drift:
         raise UnitarityDriftError(
             f"accumulated unitarity drift {traj.unitarity_drift:.3e} exceeds "
@@ -306,28 +291,20 @@ def richardson_check(profile: FieldProfile, config: PropagatorConfig,
     with the number N of step exponentials in the finest run, so differences
     at or below 8 eps N count as round-off.
     """
-    t_max = window_end(window, "integration window")
-    dt = t_max / (config.samples - 1)
-    n0 = _substeps(config, t_max, refine=4)
-    _check_resolution(profile, t_max, dt / n0)
+    t_max, n0, _ = _prepare(profile, config, window, refine=4)
     runs = [_integrate(profile, t_max, config.samples, n0 * r, config.scheme)
             for r in (1, 2, 4)]
-    diffs = []
-    for (_, a0, b0, _), (_, a1, b1, _) in zip(runs, runs[1:]):
-        diffs.append(float(max(np.max(np.abs(a0 - a1)), np.max(np.abs(b0 - b1)))))
-    coarse, fine = diffs
-    nominal = float(_NOMINAL_ORDER[config.scheme])
-    exponentials = (config.samples - 1) * 4 * n0 * _EXPONENTIALS[config.scheme]
+    coarse, fine = (
+        float(max(np.max(np.abs(a0 - a1)), np.max(np.abs(b0 - b1))))
+        for (a0, b0), (a1, b1) in zip(runs, runs[1:]))
+    order, _, rows = _SCHEMES[config.scheme]
+    exponentials = (config.samples - 1) * 4 * n0 * len(rows)
     floor = 8.0 * np.finfo(float).eps * exponentials
-    if fine <= floor or coarse <= floor:
-        return ConvergenceReport(
-            scheme=config.scheme, nominal_order=nominal,
-            observed_order=float("nan"), coarse_diff=coarse, fine_diff=fine,
-            within_tolerance=True,
-            note="differences at round-off; profile integrated exactly at "
-                 "this step")
-    observed = math.log2(coarse / fine)
+    exact = bool(fine <= floor or coarse <= floor)
+    observed = float("nan") if exact else math.log2(coarse / fine)
     return ConvergenceReport(
-        scheme=config.scheme, nominal_order=nominal, observed_order=observed,
-        coarse_diff=coarse, fine_diff=fine,
-        within_tolerance=abs(observed - nominal) <= 0.3)
+        scheme=config.scheme, nominal_order=float(order),
+        observed_order=observed, coarse_diff=coarse, fine_diff=fine,
+        within_tolerance=exact or abs(observed - order) <= 0.3,
+        note="differences at round-off; profile integrated exactly at this "
+             "step" if exact else "")

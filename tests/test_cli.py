@@ -305,6 +305,19 @@ BAD_INPUTS = {
     "ragged_table": lambda p: _modes_config(p, {
         "family": "custom_table",
         "params": {"path": _table(p, "0,1\n1,1,0,7\n2,1\n")}}),
+    # a non-finite cell once ran to NaN amplitudes with exit 0
+    "nan_cell": lambda p: _modes_config(p, {
+        "family": "custom_table",
+        "params": {"path": _table(p, "0,1\n1,nan\n2,1\n")}}) + [
+        "--step", "0.01"],
+    "empty_cell": lambda p: _modes_config(p, {
+        "family": "custom_table",
+        "params": {"path": _table(p, "0,1\n1,\n2,1\n")}}) + [
+        "--step", "0.01"],
+    # once dropped as a header, leaving k(0) clamped to the next row
+    "nan_first_row": lambda p: _modes_config(p, {
+        "family": "custom_table",
+        "params": {"path": _table(p, "0,nan\n1,1\n2,1\n")}}),
     "string_k0": lambda p: _modes_config(p, {
         "family": "sech", "params": {"k0": "fast"}}),
     "ansatz_directory": lambda p: [

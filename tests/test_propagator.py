@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from genrabi.closed_forms import case2_series
-from genrabi.errors import ConfigError, StepResolutionError, UnitarityDriftError
+from genrabi.errors import (ConfigError, NumericError, StepResolutionError,
+                            UnitarityDriftError)
 from genrabi.fields import FieldProfile
 from genrabi.propagator import (
     SCHEMES,
@@ -162,6 +163,33 @@ def test_resolution_guard():
     assert "use step <=" in str(err.value)
     # a compliant step passes
     propagate(fast, PropagatorConfig(step=4e-4, samples=11), 1.0)
+
+
+def _nan_profile(centre, *, rate=False):
+    # |omega| (or, with rate, the phase rate alone) is NaN on
+    # |t - centre| < 1e-3, the rest a resonant unit drive
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    spike = lambda t: np.where(np.abs(np.asarray(t) - centre) < 1e-3,
+                               np.nan, 1.0)
+    return FieldProfile(omega_z=zero, phi_omega=zero, label="nan spike",
+                        omega_mag=(lambda t: 1.0 + zero(t)) if rate else spike,
+                        phi_omega_dot=spike if rate else zero)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_non_finite_profile_is_a_numeric_failure(scheme):
+    # the entries once came out NaN with a NaN drift that passed the drift
+    # bound; 0.502 falls between the scale probes, so the sweep finds it
+    config = PropagatorConfig(scheme=scheme, step=1e-3, samples=11)
+    with pytest.raises(NumericError, match=r"substep from t=0\.501"):
+        propagate(_nan_profile(0.502), config, 1.0)
+    # a NaN on a scale probe, in |omega| or in the phase rate alone (which
+    # once skipped the resolution check), fails before the sweep
+    for profile in (_nan_profile(0.5), _nan_profile(0.5, rate=True)):
+        with pytest.raises(NumericError, match="no finite scale"):
+            propagate(profile, config, 1.0)
+        with pytest.raises(NumericError, match="no finite scale"):
+            suggested_step(profile, 1.0)
 
 
 def test_drift_guard_uses_configured_bound():

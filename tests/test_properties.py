@@ -3,7 +3,9 @@
 For every catalog family, the closed form (closed_form_series) and the
 general Theta route with the family's own ansatz (default_ansatz) evaluate
 the same (Theta, phi_int, r_int) representation, so they must agree, and
-both must be unitary. The one-pass phase quadrature of the Theta route must
+both must be unitary. The unitary oracle at suggested_step must stay unitary
+under both schemes and, with CF4, track the closed-form flip probability.
+The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
 tau.
 """
@@ -12,10 +14,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genrabi.closed_forms import beta0_triple, case2_detuning_ratio, case2_triple
 from genrabi.errors import NumericError
+from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
+                                suggested_step)
 from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
                                closed_form_series, default_ansatz,
                                make_scenario, scenario_time_scale)
@@ -66,6 +70,31 @@ def test_closed_form_and_theta_route_agree_and_stay_unitary(family, data):
     assert max(np.max(np.abs(a - a_theta)), np.max(np.abs(b - b_theta))) <= 5e-9
     for x, y in ((a, b), (a_theta, b_theta)):
         assert np.max(np.abs(np.abs(x) ** 2 + np.abs(y) ** 2 - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", BUILT_IN)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
+    values = data.draw(st.fixed_dictionaries(DOMAINS[family]), label="params")
+    split = data.draw(_span(0.0, 1.0), label="split_fraction") \
+        if _CATALOG[family].split else 0.0
+    params = ScenarioParams(family, values, split_fraction=split)
+    profile = make_scenario(params)
+    t_max = WINDOW / scenario_time_scale(params)
+    step = suggested_step(profile, t_max)
+    # bounds the cost: the slowest in-domain draws need millions of substeps
+    assume(t_max / step <= 2 ** 18)
+
+    ts = np.linspace(0.0, t_max, SAMPLES)
+    _, b = closed_form_series(params, profile, ts)
+    runs = {scheme: propagate(profile, PropagatorConfig(
+        scheme=scheme, step=step, samples=SAMPLES), t_max)
+        for scheme in SCHEMES}
+    for traj in runs.values():
+        assert traj.unitarity_drift <= 1e-10
+    p_flip = runs["commutator_free_4th"].p_flip
+    assert np.max(np.abs(p_flip - np.abs(b) ** 2)) <= 1e-6
 
 
 def _generic_beta0_phases(beta0, reach):
