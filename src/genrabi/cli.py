@@ -40,8 +40,6 @@ from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
 
 ENGINE_CHOICES = ("closed_form", "oracle", "both")
 
-_SCHEME_ENV = "GRS_DEFAULT_SCHEME"
-
 _RUN_COLUMNS = ("t", "omega_z", "omega_mag", "phi_omega", "detuning",
                 "re_a", "im_a", "re_b", "im_b", "p_flip",
                 "sigma_x", "sigma_y", "sigma_z")
@@ -52,17 +50,6 @@ _MODE_COLUMNS = ("z", "re_A", "im_A", "re_B", "im_B",
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _default_scheme() -> str:
-    scheme = os.environ.get(_SCHEME_ENV, "").strip()
-    if not scheme:
-        return "midpoint_exponential"
-    if scheme not in SCHEMES:
-        raise ConfigError(
-            f"{_SCHEME_ENV}={scheme!r} is not a scheme; choose from "
-            f"{', '.join(SCHEMES)}")
-    return scheme
 
 
 def _parse_params(text: str | None) -> dict:
@@ -180,13 +167,12 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
 
 def _oracle_config(args, profile, t_max_phys: float, samples: int,
                    scale: float) -> PropagatorConfig:
-    scheme = args.scheme if args.scheme else _default_scheme()
     # PropagatorConfig rejects a step <= 0
     if args.step is not None:
         step = args.step / scale  # axis units to physical time
     else:
         step = suggested_step(profile, t_max_phys)
-    return PropagatorConfig(scheme=scheme, step=step, samples=samples)
+    return PropagatorConfig(scheme=args.scheme, step=step, samples=samples)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -393,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=float, default=None,
                        help="oracle substep bound, dimensionless axis units "
                             "(default: auto from the profile's fastest scale)")
-        p.add_argument("--scheme", choices=list(SCHEMES), default=None,
-                       help=f"integrator (default ${_SCHEME_ENV} or "
-                            "midpoint_exponential)")
+        p.add_argument("--scheme", choices=list(SCHEMES),
+                       default="midpoint_exponential", help="integrator")
         if with_engine:
             p.add_argument("--engine", choices=list(ENGINE_CHOICES),
                            default="closed_form")
@@ -432,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes.add_argument("--initial", default="1,0,0,0",
                          help="re_A,im_A,re_B,im_B at z=0")
     p_modes.add_argument("--step", type=float, default=None)
-    p_modes.add_argument("--scheme", choices=list(SCHEMES), default=None)
+    p_modes.add_argument("--scheme", choices=list(SCHEMES),
+                         default="midpoint_exponential")
     p_modes.add_argument("--format", choices=("csv", "json"), default="csv")
     p_modes.add_argument("--out", default=None)
     p_modes.set_defaults(handler=_cmd_modes)

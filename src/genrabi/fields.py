@@ -38,11 +38,12 @@ __all__ = [
     "transverse_area",
     "transverse_area_series",
     "window_end",
+    "drive_phase",
 ]
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
 
-# Default step for the 5-point phase-derivative stencil, in reference time.
+# Step of the 5-point phase-derivative stencil, in reference time.
 DIFF_STEP = 1e-5
 
 
@@ -67,7 +68,7 @@ class FieldProfile:
         Human-readable scenario name.
     phi_omega_dot : callable, optional
         Analytic phase derivative. When absent, a 5-point central difference
-        with step ``diff_step`` is used (see ``phase_derivative``).
+        with step ``DIFF_STEP`` is used (see ``phase_derivative``).
     tau_of_t : callable, optional
         Analytic accumulated transverse area, integral of |omega| from 0 to t.
         Consumers fall back to adaptive quadrature when absent; the numerical
@@ -75,8 +76,6 @@ class FieldProfile:
     allow_numeric_phase_derivative : bool
         Set False to make a missing phi_omega_dot a hard configuration error
         instead of silently differencing.
-    diff_step : float
-        Stencil step for the numerical phase derivative.
     """
 
     omega_z: ArrayFunc
@@ -86,7 +85,6 @@ class FieldProfile:
     phi_omega_dot: ArrayFunc | None = None
     tau_of_t: ArrayFunc | None = None
     allow_numeric_phase_derivative: bool = True
-    diff_step: float = DIFF_STEP
 
 
 def phase_derivative(profile: FieldProfile, t):
@@ -104,7 +102,7 @@ def phase_derivative(profile: FieldProfile, t):
         raise ConfigError(
             f"profile {profile.label!r} has no analytic phase derivative and "
             "numerical differentiation is disabled")
-    h = profile.diff_step
+    h = DIFF_STEP
     stencil = np.stack([np.asarray(profile.phi_omega(arr + k * h), dtype=float)
                         for k in (-2.0, -1.0, 0.0, 1.0, 2.0)])
     stencil = np.unwrap(stencil, axis=0)
@@ -191,29 +189,31 @@ class PhysicalField:
     label: str = "physical"
 
 
-def _held_phase(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    # atan2 is undefined where the transverse field vanishes; hold the last
-    # valid value there (any constant works since |omega| = 0).
-    phase = np.arctan2(-by, bx)
-    dead = np.hypot(bx, by) == 0.0
-    if dead.any():
-        phase = phase.copy()
-        alive = np.where(~dead)[0]
-        if alive.size == 0:
-            return np.zeros_like(phase)
-        idx = np.maximum.accumulate(np.where(dead, -1, np.arange(phase.size)))
-        phase[idx < 0] = phase[alive[0]]
-        keep = idx >= 0
-        phase[keep] = phase[idx[keep]]
-    return phase
+def drive_phase(w):
+    """Phase of the complex transverse drive w, continuous along its samples:
+    np.angle, held where w vanishes (at the last nonzero sample, the first
+    one for leading zeros, 0 for an all-zero w; any value works since
+    |omega| = 0 there), then unwrapped. A scalar gets its principal value."""
+    w = np.asarray(w, dtype=complex)
+    flat = w.ravel()
+    phase = np.angle(flat)
+    dead = flat == 0
+    if dead.all():
+        phase = np.zeros_like(phase)
+    elif dead.any():
+        idx = np.maximum.accumulate(np.where(dead, -1, np.arange(flat.size)))
+        phase = phase[np.where(idx < 0, np.argmin(dead), idx)]
+    phase = np.unwrap(phase).reshape(w.shape)
+    return float(phase) if w.ndim == 0 else phase
 
 
 def to_profile(field: PhysicalField) -> FieldProfile:
     """Convert a laboratory field to a FieldProfile.
 
     Omega = (mu0_g/2) B_z, |omega| = (mu0_g/2) sqrt(B_x^2 + B_y^2),
-    phi_omega = atan2(-B_y, B_x) unwrapped continuously along array input.
-    Scalar phase queries return the principal value.
+    phi_omega = drive_phase(B_x - i B_y) = atan2(-B_y, B_x), unwrapped
+    continuously along array input. Scalar phase queries return the
+    principal value.
     """
     if not field.mu0_g > 0:
         raise ConfigError("mu0_g must be > 0")
@@ -228,14 +228,14 @@ def to_profile(field: PhysicalField) -> FieldProfile:
                                np.asarray(field.b_y(arr), dtype=float))
 
     def phi_omega(t):
-        arr, scalar = _as_array(t)
-        flat = np.atleast_1d(arr)
-        phase = _held_phase(np.asarray(field.b_x(flat), dtype=float),
-                            np.asarray(field.b_y(flat), dtype=float))
-        if flat.size > 1:
-            phase = np.unwrap(phase)
-        phase = phase.reshape(arr.shape) if not scalar else phase[0]
-        return float(phase) if scalar else phase
+        arr = np.asarray(t, dtype=float)
+        bx = np.asarray(field.b_x(arr), dtype=float)
+        by = np.asarray(field.b_y(arr), dtype=float)
+        # B_x - i B_y set part by part: complex arithmetic would turn the
+        # -0.0 of a vanishing -B_y into +0.0 and a phase of -pi into +pi
+        w = np.empty(np.broadcast(bx, by).shape, dtype=complex)
+        w.real, w.imag = bx, -by
+        return drive_phase(w)
 
     return FieldProfile(omega_z=omega_z, omega_mag=omega_mag,
                         phi_omega=phi_omega, label=field.label)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldProfile, _held_phase
+from .fields import FieldProfile, drive_phase
 from .propagator import PropagatorConfig, Trajectory, propagate, suggested_step
 from .scenarios import check_numbers
 
@@ -57,9 +57,13 @@ class ModeState:
 class CouplingSpec:
     """Coupling function and phase mismatch.
 
-    k_ba defaults to the power-conserving partner -conj(k_ab) and may be
-    passed explicitly only to assert that same relation; anything else is
-    rejected, since v1 supports only the conservative case.
+    k_ab maps a float array of z to a complex array of its shape; a constant
+    (0-d) result is broadcast, and a scalar-only callable (one that raises
+    TypeError or ValueError on an array, such as math.cosh) is called once
+    per point. k_ba, on the same contract, defaults to the power-conserving
+    partner -conj(k_ab) and may be passed explicitly only to assert that
+    same relation; anything else is rejected, since v1 supports only the
+    conservative case.
     """
 
     k_ab: Callable
@@ -84,12 +88,23 @@ class ModeTrajectory:
     base: Trajectory
 
 
+def _on_arrays(k: Callable) -> Callable:
+    # k on a float array of z, on the CouplingSpec contract
+    def call(z):
+        z = np.asarray(z, dtype=float)
+        try:
+            out = np.asarray(k(z), dtype=complex)
+        except (TypeError, ValueError):  # scalar-only: once per point
+            out = np.vectorize(k, otypes=[complex])(z)
+        return np.broadcast_to(out, z.shape)
+    return call
+
+
 def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
     if spec.k_ba is None:
         return
     grid = np.linspace(0.0, z_max, 33)
-    kab = np.asarray([complex(spec.k_ab(z)) for z in grid])
-    kba = np.asarray([complex(spec.k_ba(z)) for z in grid])
+    kab, kba = (_on_arrays(k)(grid) for k in (spec.k_ab, spec.k_ba))
     dev = float(np.max(np.abs(kba + np.conj(kab))))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(kab))))
     if dev > bound:
@@ -107,32 +122,17 @@ def to_su2_profile(spec: CouplingSpec, *, window: float = 1.0) -> FieldProfile:
     """
     _check_conservative(spec, float(window))
     half = -0.5 * float(spec.delta)
+    k = _on_arrays(spec.k_ab)
 
     def omega_z(z):
         return np.full_like(np.asarray(z, dtype=float), half)
 
-    def kvals(z):
-        arr = np.asarray(z, dtype=float)
-        flat = np.atleast_1d(arr)
-        vals = np.asarray([complex(spec.k_ab(float(x))) for x in flat])
-        return arr, flat, vals
-
     def omega_mag(z):
-        arr, _, vals = kvals(z)
-        out = np.abs(vals).reshape(arr.shape) if arr.ndim else np.abs(vals)[0]
-        return float(out) if arr.ndim == 0 else out
+        return np.abs(k(z))
 
     def phi_omega(z):
-        # arg(i k) = arg(k) + pi/2, held where k vanishes, unwrapped along
-        # array queries (branch choice is per call; only e^{i phi} matters)
-        arr, flat, vals = kvals(z)
-        gam = 1j * vals
-        phase = _held_phase(np.real(gam), -np.imag(gam))
-        if flat.size > 1:
-            phase = np.unwrap(phase)
-        if arr.ndim == 0:
-            return float(phase[0])
-        return phase.reshape(arr.shape)
+        # arg(i k) = arg(k) + pi/2; only e^{i phi} matters
+        return drive_phase(1j * k(z))
 
     return FieldProfile(omega_z=omega_z, omega_mag=omega_mag,
                         phi_omega=phi_omega, label=f"modes:{spec.label}")
@@ -207,7 +207,7 @@ def _constant_coupling(params: dict) -> tuple[Callable, str]:
     if not k0 >= 0:
         raise ConfigError("coupling.params.k0 must be >= 0")
     value = complex(k0 * np.exp(1j * phase))
-    return (lambda z: value), f"constant(k0={k0:g})"
+    return (lambda z: np.full(np.shape(z), value)), f"constant(k0={k0:g})"
 
 
 def _sech_coupling(params: dict) -> tuple[Callable, str]:
@@ -251,7 +251,7 @@ def _table_coupling(params: dict) -> tuple[Callable, str]:
     im = rows[:, 2] if rows.shape[1] > 2 else np.zeros_like(re)
 
     def fn(z):
-        return complex(np.interp(z, zs, re) + 1j * np.interp(z, zs, im))
+        return np.interp(z, zs, re) + 1j * np.interp(z, zs, im)
 
     return fn, f"custom_table({path})"
 
@@ -266,10 +266,8 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
         raise ConfigError("mode config must be a JSON object")
     if "delta" not in cfg:
         raise ConfigError("missing field: delta")
-    try:
-        delta = float(cfg["delta"])
-    except (TypeError, ValueError):
-        raise ConfigError("field delta must be a number")
+    check_numbers({"delta": cfg["delta"]})
+    delta = float(cfg["delta"])
     coupling = cfg.get("coupling")
     if not isinstance(coupling, dict) or "family" not in coupling:
         raise ConfigError("missing field: coupling.family")

@@ -90,10 +90,11 @@ def _require(cond: bool, name: str, msg: str) -> None:
 
 
 def check_numbers(values: dict) -> None:
-    """ConfigError naming the first value that is not a finite number."""
+    """ConfigError naming the first value that is not a finite number (a
+    bool is not a number)."""
     for k, v in values.items():
-        _require(isinstance(v, (int, float)) and math.isfinite(v), k,
-                 "must be a finite number")
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and math.isfinite(v), k, "must be a finite number")
 
 
 def _check_keys(family: str, params: dict, allowed: tuple) -> None:

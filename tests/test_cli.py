@@ -176,23 +176,6 @@ def test_unresolvable_step_is_a_numeric_failure(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_scheme_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("GRS_DEFAULT_SCHEME", "nope")
-    assert main(["run", "--scenario", "sech_resonant", "--t-max", "1",
-                 "--samples", "5", "--engine", "oracle"]) == 2
-    assert "GRS_DEFAULT_SCHEME" in capsys.readouterr().err
-    monkeypatch.setenv("GRS_DEFAULT_SCHEME", "commutator_free_4th")
-    assert main(["run", "--scenario", "sech_resonant", "--t-max", "1",
-                 "--samples", "5", "--engine", "oracle"]) == 0
-    capsys.readouterr()
-    # an explicit flag beats the environment
-    monkeypatch.setenv("GRS_DEFAULT_SCHEME", "nope")
-    assert main(["run", "--scenario", "sech_resonant", "--t-max", "1",
-                 "--samples", "5", "--engine", "oracle",
-                 "--scheme", "midpoint_exponential"]) == 0
-    capsys.readouterr()
-
-
 def test_verify_pass_and_fail_paths(capsys):
     assert main(["verify", "--scenario", "case2", "--t-max", "5",
                  "--samples", "65"]) == 0
@@ -285,6 +268,13 @@ def _modes_config(tmp_path, coupling):
     return ["modes", "--config", str(cfg), "--z-max", "1", "--samples", "5"]
 
 
+def _modes_delta(tmp_path, text):
+    # delta spelled as raw JSON text, so NaN and true reach the parser
+    cfg = tmp_path / "modes.json"
+    cfg.write_text('{"delta": %s, "coupling": {"family": "constant"}}' % text)
+    return ["modes", "--config", str(cfg), "--z-max", "1", "--samples", "5"]
+
+
 def _table(tmp_path, text):
     path = tmp_path / "k.csv"
     path.write_text(text)
@@ -341,6 +331,16 @@ BAD_INPUTS = {
     "step_subnormal": lambda p: [
         "run", "--scenario", "sech_resonant", "--samples", "3", "--engine",
         "oracle", "--step", "5e-324"],
+    # a non-finite delta once failed as a numeric error (exit 3), and a
+    # JSON true ran as delta = 1
+    "modes_delta_nan": lambda p: [
+        "modes", "--coupling", "constant", "--delta", "nan", "--z-max", "1"],
+    "modes_delta_inf": lambda p: [
+        "modes", "--coupling", "constant", "--delta", "inf", "--z-max", "1"],
+    "modes_delta_json_nan": lambda p: _modes_delta(p, "NaN"),
+    "modes_delta_json_true": lambda p: _modes_delta(p, "true"),
+    "coupling_param_true": lambda p: _modes_config(p, {
+        "family": "sech", "params": {"k0": True}}),
     "modes_delta_1e300": lambda p: [
         "modes", "--coupling", "constant", "--delta", "1e300", "--z-max",
         "1", "--samples", "3"],

@@ -195,3 +195,78 @@ def test_coupling_table_validation(tmp_path):
     with pytest.raises(ConfigError):
         coupling_from_config({"delta": 0.0, "coupling": {
             "family": "custom_table", "params": {"path": str(short)}}})
+
+
+def _sech_builtin(delta):
+    return coupling_from_config(
+        {"delta": delta, "coupling": {"family": "sech", "params": {"k0": 1.0}}})
+
+
+def test_coupling_calls_do_not_grow_with_substeps():
+    calls = []
+
+    def counted(spec):
+        def k_ab(z):
+            calls.append(np.size(z))
+            return spec.k_ab(z)
+        return CouplingSpec(k_ab=k_ab, delta=spec.delta, label=spec.label)
+
+    spec = counted(_sech_builtin(0.5))
+    counts = []
+    for substeps in (1_000, 10_000):
+        calls.clear()
+        propagate_modes(spec, (1.0, 0.0), 6.0, config=PropagatorConfig(
+            step=6.0 / substeps, samples=101))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 30
+    # at suggested_step, as genrabi modes runs it: about 5,000 substeps
+    calls.clear()
+    out = propagate_modes(spec, (1.0, 0.0), 6.0)
+    assert round(6.0 / out.base.step) >= 4_000
+    assert len(calls) <= 30
+
+
+def test_scalar_only_coupling_is_called_per_point_with_the_same_result():
+    config = PropagatorConfig(step=2e-3, samples=51)
+    builtin = propagate_modes(_sech_builtin(0.5), (1.0, 0.0), 3.0, config)
+    # float(z) raises TypeError on an array: one call per point, the same
+    # numpy cosh per point as the array-native built-in
+    scalar = propagate_modes(
+        CouplingSpec(k_ab=lambda z: 1.0 / np.cosh(float(z)), delta=0.5),
+        (1.0, 0.0), 3.0, config)
+    assert np.array_equal(scalar.amp_a, builtin.amp_a)
+    assert np.array_equal(scalar.amp_b, builtin.amp_b)
+    # math.cosh differs from numpy's cosh in the last bit at some points
+    mathcosh = propagate_modes(sech_spec(0.5), (1.0, 0.0), 3.0, config)
+    assert np.max(np.abs(mathcosh.amp_a - builtin.amp_a)) <= 1e-13
+    assert np.max(np.abs(mathcosh.amp_b - builtin.amp_b)) <= 1e-13
+
+
+def test_constant_returning_coupling_is_broadcast():
+    k0 = 1.3
+    prof = to_su2_profile(CouplingSpec(k_ab=lambda z: complex(k0), delta=0.2))
+    grid = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(prof.omega_mag(grid), np.full(7, k0))
+    assert np.array_equal(prof.phi_omega(grid), np.full(7, math.pi / 2.0))
+    config = PropagatorConfig(step=1e-3, samples=21)
+    lam = propagate_modes(constant_spec(k0, 0.2), (1.0, 0.0), 2.0, config)
+    builtin = propagate_modes(coupling_from_config(
+        {"delta": 0.2, "coupling": {"family": "constant",
+                                    "params": {"k0": k0}}}),
+        (1.0, 0.0), 2.0, config)
+    assert np.array_equal(lam.amp_a, builtin.amp_a)
+    assert np.array_equal(lam.amp_b, builtin.amp_b)
+
+
+@pytest.mark.xfail(strict=True, raises=ConfigError, reason=(
+    "defect: where k(z) changes sign at one of profile_scale's probes, the "
+    "phase of i k jumps by pi inside the 5-point stencil, the probed phase "
+    "rate reads about 1e5, and suggested_step asks for more substeps than "
+    "one run may take, although the sweep only ever sees the smooth i k"))
+def test_sign_changing_coupling_propagates():
+    # k = 1 - z vanishes at z = 1, the middle probe of [0, 2]
+    out = propagate_modes(CouplingSpec(k_ab=lambda z: 1.0 - z, delta=0.0),
+                          (1.0, 0.0), 2.0)
+    # real k at zero mismatch: P_B = sin^2 of the area z - z^2/2
+    assert np.max(np.abs(out.power_b - np.sin(out.z - out.z ** 2 / 2) ** 2)) \
+        <= 1e-6

@@ -7,7 +7,8 @@ both must be unitary. The unitary oracle at suggested_step must stay unitary
 under both schemes and, with CF4, track the closed-form flip probability.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
-tau.
+tau. Coupled modes conserve power for random constant, sech and table
+couplings, and the launched-mode transfer equals the mapped flip curve.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from genrabi.closed_forms import beta0_triple, case2_detuning_ratio, case2_triple
 from genrabi.errors import NumericError
+from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
                                 suggested_step)
 from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
@@ -146,3 +148,36 @@ def test_generic_quadrature_matches_case2_on_nonuniform_grids(first, gaps,
         assert np.max(np.abs(got - ref)) <= 1e-9
     # the cotangent needs phi_int to relative accuracy at the smallest tau
     assert np.max(np.abs(ev.ratios(taus) - case2_detuning_ratio(taus))) <= 1e-9
+
+
+MODES_Z_MAX = 2.0
+
+
+@st.composite
+def _couplings(draw, table_dir):
+    family = draw(st.sampled_from(("constant", "sech", "custom_table")))
+    if family == "constant":
+        params = {"k0": draw(_span(0.0, 3.0)), "phase": draw(_span(-4.0, 4.0))}
+    elif family == "sech":
+        params = {"k0": draw(_span(0.05, 3.0))}
+    else:
+        nodes = draw(st.integers(min_value=2, max_value=8))
+        cells = st.lists(_span(-2.0, 2.0), min_size=nodes, max_size=nodes)
+        rows = np.column_stack([np.linspace(0.0, MODES_Z_MAX, nodes),
+                                draw(cells), draw(cells)])
+        path = table_dir / "k.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        params = {"path": str(path)}
+    return {"delta": draw(_span(-3.0, 3.0)),
+            "coupling": {"family": family, "params": params}}
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_modes_conserve_power_and_transfer_the_flip_curve(data,
+                                                          tmp_path_factory):
+    cfg = data.draw(_couplings(tmp_path_factory.getbasetemp()),
+                    label="config")
+    out = propagate_modes(coupling_from_config(cfg), (1.0, 0.0), MODES_Z_MAX)
+    assert np.max(np.abs(out.total_power - 1.0)) <= 1e-10
+    assert np.max(np.abs(out.power_b - out.base.p_flip)) <= 1e-10
