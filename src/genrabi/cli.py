@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, GenrabiError, NumericError
 from .fields import window_end
-from .modes import (COUPLING_FAMILIES, ModeTrajectory, coupling_from_config,
-                    propagate_modes, to_su2_profile)
-from .propagator import (SCHEMES, PropagatorConfig, Trajectory, propagate,
-                         suggested_step)
+from .modes import (COUPLING_FAMILIES, coupling_from_config, propagate_modes,
+                    to_su2_profile)
+from .propagator import (_MAX_SUBSTEPS, SCHEMES, PropagatorConfig, Trajectory,
+                         propagate, suggested_step)
 from .scenarios import (BUILT_IN, DEFAULT_SAMPLES, FAMILIES, ScenarioParams,
                         closed_form_series, default_ansatz, default_window,
                         family_summary, make_scenario, scenario_time_scale)
@@ -39,13 +39,6 @@ from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
                     verify_ansatz)
 
 ENGINE_CHOICES = ("closed_form", "oracle", "both")
-
-_RUN_COLUMNS = ("t", "omega_z", "omega_mag", "phi_omega", "detuning",
-                "re_a", "im_a", "re_b", "im_b", "p_flip",
-                "sigma_x", "sigma_y", "sigma_z")
-
-_MODE_COLUMNS = ("z", "re_A", "im_A", "re_B", "im_B",
-                 "powerA", "powerB", "total")
 
 
 def _fmt(x: float) -> str:
@@ -124,10 +117,6 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
             raise ConfigError("field params must be an object")
         t_max = _number_field(doc, "window.t_max")
         samples = _number_field(doc, "window.samples")
-        if samples is not None:
-            if samples != int(samples) or int(samples) < 2:
-                raise ConfigError("field window.samples must be an integer >= 2")
-            samples = int(samples)
         cfg_split = _number_field(doc, "split_fraction")
         if split is None:
             split = cfg_split
@@ -159,8 +148,11 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
     d_t_max, d_samples = default_window(family)
     if samples is None:
         samples = d_samples
-    if samples < 2:
-        raise ConfigError("samples must be >= 2")
+    # one sample interval takes at least one substep; the range test goes
+    # first so that int() never sees NaN, an infinity or a huge value
+    if not (2 <= samples <= _MAX_SUBSTEPS + 1 and samples == int(samples)):
+        raise ConfigError(
+            f"samples must be an integer in [2, {_MAX_SUBSTEPS + 1}]")
     t_max = window_end(d_t_max if t_max is None else t_max, "t-max")
     return params, t_max, int(samples)
 
@@ -186,23 +178,16 @@ def _write_text(path: str | None, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
-def _trajectory_rows(traj: Trajectory, axis_t: np.ndarray):
-    for i in range(axis_t.size):
-        yield (axis_t[i], traj.omega_z[i], traj.omega_mag[i],
-               traj.phi_omega[i], traj.detuning[i],
-               traj.a[i].real, traj.a[i].imag, traj.b[i].real,
-               traj.b[i].imag, traj.p_flip[i],
-               traj.sigma_x[i], traj.sigma_y[i], traj.sigma_z[i])
-
-
-def _serialize(columns, rows, fmt: str, out: str | None) -> None:
+def _serialize(columns: dict, fmt: str, out: str | None) -> None:
+    """Write equal-length named arrays, in their order, as CSV or JSON."""
+    names = list(columns)
+    rows = zip(*columns.values())
     if fmt == "csv":
-        lines = [",".join(columns)]
+        lines = [",".join(names)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         _write_text(out, "\n".join(lines) + "\n")
     else:
-        records = [dict(zip(columns, (float(v) for v in row)))
-                   for row in rows]
+        records = [dict(zip(names, (float(v) for v in row))) for row in rows]
         _write_text(out, json.dumps(records, indent=1) + "\n")
 
 
@@ -225,9 +210,13 @@ def _cmd_run(args) -> int:
         config = _oracle_config(args, profile, t_max_phys, samples, scale)
         oracle = propagate(profile, config, t_max_phys)
 
-    primary = closed if closed is not None else oracle
-    _serialize(_RUN_COLUMNS, _trajectory_rows(primary, axis_t),
-               args.format, args.out)
+    tr = closed if closed is not None else oracle
+    _serialize({"t": axis_t, "omega_z": tr.omega_z,
+                "omega_mag": tr.omega_mag, "phi_omega": tr.phi_omega,
+                "detuning": tr.detuning, "re_a": tr.a.real, "im_a": tr.a.imag,
+                "re_b": tr.b.real, "im_b": tr.b.imag, "p_flip": tr.p_flip,
+                "sigma_x": tr.sigma_x, "sigma_y": tr.sigma_y,
+                "sigma_z": tr.sigma_z}, args.format, args.out)
 
     if args.engine == "both":
         dev = {
@@ -344,13 +333,11 @@ def _cmd_modes(args) -> int:
     config = _oracle_config(args, profile, z_max, args.samples, 1.0)
     traj = propagate_modes(spec, (a0, b0), z_max, config)
 
-    def rows(tr: ModeTrajectory):
-        for i in range(tr.z.size):
-            yield (tr.z[i], tr.amp_a[i].real, tr.amp_a[i].imag,
-                   tr.amp_b[i].real, tr.amp_b[i].imag,
-                   tr.power_a[i], tr.power_b[i], tr.total_power[i])
-
-    _serialize(_MODE_COLUMNS, rows(traj), args.format, args.out)
+    _serialize({"z": traj.z, "re_A": traj.amp_a.real,
+                "im_A": traj.amp_a.imag, "re_B": traj.amp_b.real,
+                "im_B": traj.amp_b.imag, "powerA": traj.power_a,
+                "powerB": traj.power_b, "total": traj.total_power},
+               args.format, args.out)
     if traj.power_scale != 1.0:
         print(f"# input power {traj.power_scale:g} normalized to 1",
               file=sys.stderr)

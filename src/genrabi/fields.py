@@ -59,9 +59,9 @@ class FieldProfile:
     Parameters
     ----------
     omega_z : callable
-        Diagonal entry Omega(t). Must accept numpy arrays.
+        Diagonal entry Omega(t).
     omega_mag : callable
-        Off-diagonal modulus |omega(t)| >= 0. Must accept numpy arrays.
+        Off-diagonal modulus |omega(t)| >= 0.
     phi_omega : callable
         Off-diagonal phase in radians, continuous on the evaluation window.
     label : str
@@ -73,9 +73,9 @@ class FieldProfile:
         Analytic accumulated transverse area, integral of |omega| from 0 to t.
         Consumers fall back to adaptive quadrature when absent; the numerical
         propagator never uses it.
-    allow_numeric_phase_derivative : bool
-        Set False to make a missing phi_omega_dot a hard configuration error
-        instead of silently differencing.
+
+    Every callable takes a numpy array of t and returns an array of its
+    shape.
     """
 
     omega_z: ArrayFunc
@@ -84,7 +84,6 @@ class FieldProfile:
     label: str = "custom"
     phi_omega_dot: ArrayFunc | None = None
     tau_of_t: ArrayFunc | None = None
-    allow_numeric_phase_derivative: bool = True
 
 
 def phase_derivative(profile: FieldProfile, t):
@@ -98,10 +97,6 @@ def phase_derivative(profile: FieldProfile, t):
     if profile.phi_omega_dot is not None:
         out = np.asarray(profile.phi_omega_dot(arr), dtype=float)
         return float(out) if scalar else out
-    if not profile.allow_numeric_phase_derivative:
-        raise ConfigError(
-            f"profile {profile.label!r} has no analytic phase derivative and "
-            "numerical differentiation is disabled")
     h = DIFF_STEP
     stencil = np.stack([np.asarray(profile.phi_omega(arr + k * h), dtype=float)
                         for k in (-2.0, -1.0, 0.0, 1.0, 2.0)])

@@ -15,6 +15,7 @@ supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,9 +37,6 @@ __all__ = [
     "coupling_from_config",
     "COUPLING_FAMILIES",
 ]
-
-COUPLING_FAMILIES = ("constant", "sech", "custom_table")
-
 
 @dataclass(frozen=True)
 class ModeState:
@@ -174,7 +172,13 @@ def propagate_modes(spec: CouplingSpec, initial, z_max: float,
                             amp_b=complex(initial[1]), z=0.0)
     if initial.z != 0.0:
         raise ConfigError("initial ModeState must sit at z = 0")
-    p0 = initial.power
+    try:
+        p0 = initial.power
+    except OverflowError:  # a finite amplitude whose square overflows
+        p0 = math.inf
+    # a non-finite amplitude component makes the power inf or nan as well
+    if not math.isfinite(p0):
+        raise ConfigError(f"initial power must be finite, got {p0:g}")
     if p0 <= 0.0:
         raise ConfigError("initial state must carry nonzero power")
     a0 = initial.amp_a / np.sqrt(p0)
@@ -256,6 +260,12 @@ def _table_coupling(params: dict) -> tuple[Callable, str]:
     return fn, f"custom_table({path})"
 
 
+_BUILDERS = {"constant": _constant_coupling, "sech": _sech_coupling,
+             "custom_table": _table_coupling}
+
+COUPLING_FAMILIES = tuple(_BUILDERS)
+
+
 def coupling_from_config(cfg: dict) -> CouplingSpec:
     """Build a CouplingSpec from the JSON-shaped mapping.
 
@@ -275,11 +285,9 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
     params = coupling.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field coupling.params must be an object")
-    builders = {"constant": _constant_coupling, "sech": _sech_coupling,
-                "custom_table": _table_coupling}
-    if family not in builders:
+    if family not in _BUILDERS:
         raise ConfigError(
             f"unknown coupling family {family!r}; choose from "
             f"{', '.join(COUPLING_FAMILIES)}")
-    fn, label = builders[family](params)
+    fn, label = _BUILDERS[family](params)
     return CouplingSpec(k_ab=fn, delta=delta, label=label)

@@ -36,7 +36,7 @@ def transition_probability(e: EvolutionEntries) -> float:
 
 def sigma_z_expectation(e: EvolutionEntries, initial: str = "+") -> float:
     """Longitudinal expectation, +-(|a|^2 - |b|^2) for initial +-."""
-    return _sign(initial) * (abs(e.a) ** 2 - abs(e.b) ** 2)
+    return float(pauli_series(e.a, e.b, initial)[2])
 
 
 def sigma_xy_expectation(e: EvolutionEntries, axis: str, initial: str = "+") -> float:
@@ -47,13 +47,9 @@ def sigma_xy_expectation(e: EvolutionEntries, axis: str, initial: str = "+") -> 
     for the initial - state. Unlike the flip probability these depend on the
     phase realization of the drive, not only on its modulus.
     """
-    s = _sign(initial)
-    prod = e.a * e.b
-    if axis == "x":
-        return -2.0 * s * prod.real
-    if axis == "y":
-        return 2.0 * s * prod.imag
-    raise ConfigError(f"axis must be 'x' or 'y', got {axis!r}")
+    if axis not in ("x", "y"):
+        raise ConfigError(f"axis must be 'x' or 'y', got {axis!r}")
+    return float(pauli_series(e.a, e.b, initial)["xy".index(axis)])
 
 
 def pauli_series(a: np.ndarray, b: np.ndarray, initial: str = "+"):

@@ -23,6 +23,8 @@ An interior zero of sin(2 phi_int) with nonvanishing sin(Theta) makes the
 induced detuning non-integrable and is reported as SingularAnsatzError, not
 patched by principal values: for the built-in families 2 phi_int stays
 strictly inside (0, pi), so an interior zero marks an invalid user ansatz.
+Where the phases close (generalized resonance, the locked ratio) the ansatz
+carries the closed form's own (triple, ratio) pair and nothing is integrated.
 """
 
 from __future__ import annotations
@@ -79,31 +81,31 @@ _SIN_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ThetaAnsatz:
-    """A generating function Theta(tau) with optional analytic shortcuts.
+    """A generating function Theta(tau), with its closed form when it has one.
 
     Parameters
     ----------
     theta : callable
         Theta as a function of the rescaled time tau >= 0, in radians,
-        vanishing at tau = 0. Must accept numpy arrays.
+        vanishing at tau = 0.
     label : str
         Catalog or user-facing name.
     theta_prime : callable, optional
         dTheta/dtau. A 5-point stencil substitutes when absent.
-    phi_int_exact, r_int_exact, r_prime_exact : callable, optional
-        Closed forms for the two phase integrals and for dr/dtau. When
-        r_prime_exact is present the induced detuning is evaluated without
-        the cotangent, which also removes its removable singularities.
+    closed : (triple, ratio), optional
+        The closed form's own pair, as closed_forms passes it to
+        entry_series: triple maps tau to (Theta, phi_int, r_int) and ratio
+        is the constant detuning, in units of |omega|, that it solves. When
+        present the evaluator returns this pair instead of integrating.
 
-    Every callable is evaluated on numpy arrays of tau.
+    Every callable takes a numpy array of tau and returns an array of its
+    shape.
     """
 
     theta: Callable
     label: str
     theta_prime: Callable | None = None
-    phi_int_exact: Callable | None = None
-    r_int_exact: Callable | None = None
-    r_prime_exact: Callable | None = None
+    closed: tuple[Callable, float] | None = None
 
     def __post_init__(self):
         at_zero = float(np.asarray(self.theta(0.0)))
@@ -137,35 +139,29 @@ class ThetaEvaluator:
     """Vectorized tau-domain evaluation of one ansatz.
 
     triple and ratios integrate the phase pair in one pass over all the
-    requested tau. panel_quad refines the panels between the sorted tau for
-    cos(Theta); the running sum is phi_int on that mesh. r_int is a second
-    panel_quad over the same mesh, split at eps_taylor: below it the
-    integrand is the Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2
-    phi_int), where phi_int at each node is the mesh value below the node
-    plus one Gauss-Legendre rule up to it. Nothing is cached between calls;
-    the scalar methods are one-point calls of the same path.
+    requested tau, or read the ansatz's closed pair when it has one.
+    panel_quad refines the panels between the sorted tau for cos(Theta);
+    the running sum is phi_int on that mesh. r_int is a second panel_quad
+    over the same mesh, split at EPS_TAYLOR: below it the integrand is the
+    Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2 phi_int), where
+    phi_int at each node is the mesh value below the node plus one
+    Gauss-Legendre rule up to it. Nothing is cached between calls; the
+    scalar methods are one-point calls of the same path.
     """
 
-    def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10,
-                 eps_taylor: float = EPS_TAYLOR):
+    def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10):
         if not quad_tol > 0:
             raise ConfigError("quad_tol must be > 0")
-        if not 0 < eps_taylor <= 1e-3:
-            raise ConfigError("eps_taylor must be in (0, 1e-3]")
         self.ansatz = ansatz
         self.quad_tol = quad_tol
-        self.eps_taylor = eps_taylor
 
     # -- pieces ------------------------------------------------------------
 
-    def theta(self, tau):
-        return _as_float_or_array(tau, self.ansatz.theta)
-
-    def theta_prime(self, tau):
+    def theta_prime(self, tau) -> np.ndarray:
+        tau = np.asarray(tau, dtype=float)
         if self.ansatz.theta_prime is not None:
-            return _as_float_or_array(tau, self.ansatz.theta_prime)
-        return _as_float_or_array(
-            tau, lambda v: _numeric_theta_prime(self.ansatz.theta, v))
+            return np.asarray(self.ansatz.theta_prime(tau), dtype=float)
+        return _numeric_theta_prime(self.ansatz.theta, tau)
 
     def _cos_theta(self, s):
         return np.cos(self.ansatz.theta(s))
@@ -173,9 +169,6 @@ class ThetaEvaluator:
     def _phi(self, edges: np.ndarray):
         """phi_int at the edges from edges_from_zero, plus the mesh it was
         integrated on and a function giving phi_int at nodes inside it."""
-        exact = self.ansatz.phi_int_exact
-        if exact is not None:
-            return np.asarray(exact(edges), dtype=float), edges, exact
         mesh, running = panel_quad(self._cos_theta, edges, self.quad_tol)
 
         def phi_at(s):
@@ -186,10 +179,7 @@ class ThetaEvaluator:
     def _phases(self, edges: np.ndarray):
         """(phi_int, r_int) at the edges from edges_from_zero."""
         phi, mesh, phi_at = self._phi(edges)
-        if self.ansatz.r_int_exact is not None:
-            return phi, np.asarray(self.ansatz.r_int_exact(edges), dtype=float)
-
-        eps = self.eps_taylor
+        eps = EPS_TAYLOR
         r_edges = np.union1d(mesh, [eps]) if mesh[-1] > eps else mesh
 
         def integrand(s):
@@ -223,19 +213,19 @@ class ThetaEvaluator:
     def triple(self, taus) -> tuple:
         """(Theta, phi_int, r_int) arrays over an array of tau >= 0."""
         edges, index = edges_from_zero(taus)
-        phi, r = self._phases(edges)
-        theta = np.asarray(self.ansatz.theta(edges), dtype=float)
-        return theta[index], phi[index], r[index]
+        if self.ansatz.closed is not None:
+            parts = self.ansatz.closed[0](edges)
+        else:
+            parts = (self.ansatz.theta(edges), *self._phases(edges))
+        return tuple(np.asarray(p, dtype=float)[index] for p in parts)
 
     def ratios(self, taus) -> np.ndarray:
         """Induced detuning in units of |omega| over an array of tau >= 0."""
         edges, index = edges_from_zero(taus)
-        half_slope = 0.5 * np.asarray(self.theta_prime(edges), dtype=float)
+        if self.ansatz.closed is not None:
+            return np.full(index.shape, float(self.ansatz.closed[1]))
+        half_slope = 0.5 * self.theta_prime(edges)
         phi = self._phi(edges)[0]
-        if self.ansatz.r_prime_exact is not None:
-            # cot-free form: ratio = Theta'/2 + r'(tau) cos(2 phi_int)
-            r_prime = np.asarray(self.ansatz.r_prime_exact(edges), dtype=float)
-            return (half_slope + r_prime * np.cos(2.0 * phi))[index]
         # edges[0] = 0, where sin(Theta) cot(2 phi_int) -> Theta'(0)/2
         s2 = np.sin(2.0 * phi[1:])
         bad = s2 <= _SIN_FLOOR
@@ -254,12 +244,10 @@ class ThetaEvaluator:
     # (benchmarks/gbench/tracer.py counts calls of these three on the class)
 
     def phi_int(self, tau: float) -> float:
-        edges, index = edges_from_zero(float(tau))
-        return float(self._phi(edges)[0][index])
+        return float(self.triple(float(tau))[1])
 
     def r_int(self, tau: float) -> float:
-        edges, index = edges_from_zero(float(tau))
-        return float(self._phases(edges)[1][index])
+        return float(self.triple(float(tau))[2])
 
     def detuning_ratio(self, tau: float) -> float:
         """Induced detuning in units of |omega| at this tau."""
@@ -285,9 +273,9 @@ def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
 def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
                     quad_tol: float = 1e-10) -> PhaseIntegrals:
     """Both accumulated phases at time t, by adaptive quadrature."""
-    ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     tau = area_integral(omega_mag)(float(t))
-    return PhaseIntegrals(phi_int=ev.phi_int(tau), r_int=ev.r_int(tau))
+    _, phi, r = ThetaEvaluator(ansatz, quad_tol=quad_tol).triple(tau)
+    return PhaseIntegrals(phi_int=float(phi), r_int=float(r))
 
 
 def general_entries(ansatz: ThetaAnsatz, profile: FieldProfile, t: float, *,
@@ -395,27 +383,15 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
 # ---------------------------------------------------------------------------
 # ansatz catalog
 
-def _as_float_or_array(x, fn):
-    arr = np.asarray(x, dtype=float)
-    out = fn(arr)
-    return float(out) if arr.ndim == 0 else out
+def _closed_ansatz(triple, ratio: float, label: str) -> ThetaAnsatz:
+    # the closed form's own (triple, ratio) pair; Theta is its first member
+    return ThetaAnsatz(theta=lambda x: triple(x)[0], label=label,
+                       closed=(triple, ratio))
 
 
-def _triple_ansatz(triple, label: str, theta_prime, r_prime) -> ThetaAnsatz:
-    # an ansatz whose phase integrals close: Theta, phi_int and r_int all
-    # read the closed-form triple tau -> (Theta, phi_int, r_int)
-    def member(i):
-        return lambda x: _as_float_or_array(x, lambda v: triple(v)[i])
-    return ThetaAnsatz(theta=member(0), label=label, theta_prime=theta_prime,
-                       phi_int_exact=member(1), r_int_exact=member(2),
-                       r_prime_exact=r_prime)
-
-
-def zero_ansatz(label: str = "zero") -> ThetaAnsatz:
+def zero_ansatz() -> ThetaAnsatz:
     """Theta identically 0: the generalized-resonance member."""
-    def zero(x):
-        return _as_float_or_array(x, np.zeros_like)
-    return _triple_ansatz(resonance_triple, label, zero, zero)
+    return _closed_ansatz(resonance_triple, 0.0, "zero")
 
 
 def case1_ansatz() -> ThetaAnsatz:
@@ -426,49 +402,30 @@ def case1_ansatz() -> ThetaAnsatz:
     generic quadrature on purpose: the closed elliptic form lives in the
     closed-forms module and the two routes cross-check each other.
     """
-    def theta_prime(x):
-        return _as_float_or_array(
-            x, lambda v: 4.0 / ((1.0 + 4.0 * v ** 2) * np.sqrt(2.0 + 4.0 * v ** 2)))
-
-    return ThetaAnsatz(theta=lambda x: _as_float_or_array(x, case1_theta),
-                       label="case1", theta_prime=theta_prime)
+    return ThetaAnsatz(
+        theta=case1_theta, label="case1",
+        theta_prime=lambda v: 4.0 / ((1.0 + 4.0 * v ** 2)
+                                     * np.sqrt(2.0 + 4.0 * v ** 2)))
 
 
 def case2_ansatz() -> ThetaAnsatz:
     """The full-inversion family: Theta = 2 atan(tau / sqrt(2 + tau^2))."""
-    def theta_prime(x):
-        return _as_float_or_array(
-            x, lambda v: 2.0 / ((1.0 + v ** 2) * np.sqrt(2.0 + v ** 2)))
-
-    return ThetaAnsatz(theta=lambda x: _as_float_or_array(x, case2_theta),
-                       label="case2", theta_prime=theta_prime)
+    return ThetaAnsatz(
+        theta=case2_theta, label="case2",
+        theta_prime=lambda v: 2.0 / ((1.0 + v ** 2) * np.sqrt(2.0 + v ** 2)))
 
 
 def beta0_ansatz(beta0: float) -> ThetaAnsatz:
     """The constant-ratio family: detuning locked to beta0 |omega|.
 
     Theta is the continuous branch of atan((beta0/E) tan(E tau)) with
-    E = sqrt(1 + beta0^2); all the phase quantities close analytically (the
-    closed-form beta0_triple), including dr/dtau = Theta'/2, so the induced
-    detuning evaluates without the cotangent and its removable zeros. Any
-    real beta0 is accepted; beta0 = 0 degenerates to the zero ansatz.
+    E = sqrt(1 + beta0^2). The phases close (the closed-form beta0_triple),
+    so the ansatz carries that triple with the ratio beta0 and induces
+    exactly beta0. Any real beta0 is accepted; beta0 = 0 is the resonance
+    triple.
     """
-    beta0 = float(beta0)
-    if beta0 == 0.0:
-        return zero_ansatz(label="beta0=0")
-    stretch = math.hypot(1.0, beta0)
-    slope = beta0 / stretch
-
-    def theta_prime(x):
-        def f(v):
-            big = stretch * v
-            return slope * stretch / (np.cos(big) ** 2
-                                      + (slope * np.sin(big)) ** 2)
-        return _as_float_or_array(x, f)
-
-    return _triple_ansatz(beta0_triple(beta0), f"beta0={beta0:g}",
-                          theta_prime,
-                          lambda x: 0.5 * np.asarray(theta_prime(x)))
+    beta0 = float(beta0) + 0.0  # maps -0.0 to 0.0, labelled beta0=0
+    return _closed_ansatz(beta0_triple(beta0), beta0, f"beta0={beta0:g}")
 
 
 _NAMED = {"zero": zero_ansatz, "case1": case1_ansatz, "case2": case2_ansatz}
@@ -503,10 +460,7 @@ def ansatz_from_table(taus, thetas, label: str = "table") -> ThetaAnsatz:
     if thetas[0] != 0.0:
         raise ConfigError("Theta must be 0 at tau = 0")
 
-    def theta(x):
-        return _as_float_or_array(x, lambda v: np.interp(v, taus, thetas))
-
-    return ThetaAnsatz(theta=theta, label=label)
+    return ThetaAnsatz(theta=lambda v: np.interp(v, taus, thetas), label=label)
 
 
 def load_ansatz_table(path) -> ThetaAnsatz:

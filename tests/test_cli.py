@@ -275,6 +275,18 @@ def _modes_delta(tmp_path, text):
     return ["modes", "--config", str(cfg), "--z-max", "1", "--samples", "5"]
 
 
+def _run_samples(tmp_path, text):
+    # samples spelled as raw JSON text, so Infinity and NaN reach the parser
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"family": "case2", "window": {"samples": %s}}' % text)
+    return ["run", "--config", str(cfg)]
+
+
+def _modes_initial(text):
+    return ["modes", "--coupling", "sech", "--delta", "0", "--z-max", "1",
+            "--initial", text]
+
+
 def _table(tmp_path, text):
     path = tmp_path / "k.csv"
     path.write_text(text)
@@ -344,6 +356,18 @@ BAD_INPUTS = {
     "modes_delta_1e300": lambda p: [
         "modes", "--coupling", "constant", "--delta", "1e300", "--z-max",
         "1", "--samples", "3"],
+    # a non-finite initial power once ran to an all-NaN CSV with exit 0, and
+    # one whose square overflows raised OverflowError (exit 1)
+    "modes_initial_nan": lambda p: _modes_initial("nan,0,0,0"),
+    "modes_initial_inf": lambda p: _modes_initial("inf,0,0,0"),
+    "modes_initial_1e200": lambda p: _modes_initial("1e200,0,1e200,0"),
+    # sample counts that once raised OverflowError, ValueError or a
+    # "Maximum allowed size exceeded" allocation error (exit 1)
+    "samples_json_infinity": lambda p: _run_samples(p, "Infinity"),
+    "samples_json_nan": lambda p: _run_samples(p, "NaN"),
+    "samples_json_1e300": lambda p: _run_samples(p, "1e300"),
+    "samples_1e20": lambda p: [
+        "run", "--scenario", "case2", "--samples", "100000000000000000000"],
 }
 
 

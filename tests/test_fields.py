@@ -57,16 +57,6 @@ def test_numeric_phase_derivative_handles_wrapped_phase():
     assert np.max(np.abs(out - 10.0)) < 1e-6
 
 
-def test_disabled_numeric_phase_derivative_raises():
-    prof = FieldProfile(
-        omega_z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        omega_mag=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        phi_omega=lambda t: np.asarray(t, dtype=float),
-        allow_numeric_phase_derivative=False)
-    with pytest.raises(ConfigError):
-        phase_derivative(prof, 1.0)
-
-
 def test_resonance_classifier_on_built_in_scenarios():
     sech = make_scenario("sech_resonant")
     assert is_generalized_resonant(sech, 6.0, tol=1e-12)

@@ -135,6 +135,15 @@ def test_initial_state_validation():
         propagate_modes(spec, (0.0, 0.0), 2.0)
 
 
+@pytest.mark.parametrize("initial", [
+    (1e200, 0.0), (float("nan"), 0.0), (0.0, complex(0.0, float("inf")))],
+    ids=["square_overflows", "nan", "inf"])
+def test_non_finite_initial_power_is_a_config_error(initial):
+    # each once ran: 1e200 raised OverflowError, nan and inf gave NaN amplitudes
+    with pytest.raises(ConfigError, match="initial power must be finite"):
+        propagate_modes(constant_spec(1.0, 0.0), initial, 1.0)
+
+
 def test_only_conservative_couplings_are_accepted():
     bad = CouplingSpec(k_ab=lambda z: 1.0 + 0.0j, delta=0.0,
                        k_ba=lambda z: 1.0 + 0.0j, label="gain")

@@ -7,8 +7,10 @@ both must be unitary. The unitary oracle at suggested_step must stay unitary
 under both schemes and, with CF4, track the closed-form flip probability.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
-tau. Coupled modes conserve power for random constant, sech and table
-couplings, and the launched-mode transfer equals the mapped flip curve.
+tau, and the locked-ratio ansatz is the closed form's own (triple, ratio)
+pair for any beta0. Coupled modes conserve power for random constant, sech
+and table couplings, and the launched-mode transfer equals the mapped flip
+curve.
 """
 
 import math
@@ -17,8 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from genrabi.closed_forms import beta0_triple, case2_detuning_ratio, case2_triple
+from genrabi.closed_forms import (beta0_series, beta0_triple,
+                                  case2_detuning_ratio, case2_triple)
 from genrabi.errors import NumericError
+from genrabi.fields import transverse_area_series
 from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
                                 suggested_step)
@@ -100,12 +104,11 @@ def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
 
 
 def _generic_beta0_phases(beta0, reach):
-    # beta0_ansatz without its closed phases: only Theta and Theta' remain,
-    # so (phi_int, r_int) come from the panel quadrature; below
+    # beta0_ansatz without its closed pair: only Theta remains, so
+    # (phi_int, r_int) come from the panel quadrature; below
     # 0.9 pi / sqrt(1 + beta0^2) sin(2 phi_int) stays clear of zero
-    exact = beta0_ansatz(beta0)
-    generic = ThetaAnsatz(theta=exact.theta, label="beta0 generic",
-                          theta_prime=exact.theta_prime)
+    generic = ThetaAnsatz(theta=beta0_ansatz(beta0).theta,
+                          label="beta0 generic")
     taus = np.linspace(0.0, reach * 0.9 * math.pi / math.hypot(1.0, beta0), 17)
     _, phi, r = ThetaEvaluator(generic).triple(taus)
     _, phi_ref, r_ref = beta0_triple(beta0)(taus)
@@ -133,6 +136,26 @@ def test_generic_quadrature_reproduces_resolvable_locked_ratio_phases(
         beta0, reach):
     # the property above where double precision resolves Theta's step
     _generic_beta0_phases(beta0, reach)
+
+
+LOCKED_RATIOS = st.one_of(
+    _span(-1e3, 1e3),
+    st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e300]))
+
+
+@given(beta0=LOCKED_RATIOS)
+def test_locked_ratio_ansatz_is_the_closed_form_pair(beta0):
+    # beta0_ansatz carries beta0_triple with the ratio beta0: it induces
+    # beta0 exactly, and its entries are the closed form's bit for bit
+    profile = make_scenario(ScenarioParams("rabi", {
+        "omega_z0": beta0, "omega_mag0": 1.0, "phi_dot0": 0.0}))
+    ts = np.linspace(0.0, WINDOW, SAMPLES)
+    ansatz = beta0_ansatz(beta0)
+    ratios = ThetaEvaluator(ansatz).ratios(transverse_area_series(profile, ts))
+    assert np.all(ratios == beta0)
+    a, b = general_entries_series(ansatz, profile, ts)
+    a_closed, b_closed = beta0_series(profile, beta0, ts)
+    assert np.array_equal(a, a_closed) and np.array_equal(b, b_closed)
 
 
 @given(first=st.floats(min_value=1e-12, max_value=1e-4),

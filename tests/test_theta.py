@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from genrabi import quadrature
+from genrabi import quadrature, theta
 from genrabi.closed_forms import (
     beta0_series,
     case1_detuning_ratio,
@@ -59,8 +59,6 @@ def test_ansatz_must_vanish_at_origin():
 def test_evaluator_rejects_bad_tolerances():
     with pytest.raises(ConfigError):
         ThetaEvaluator(case1_ansatz(), quad_tol=0.0)
-    with pytest.raises(ConfigError):
-        ThetaEvaluator(case1_ansatz(), eps_taylor=0.1)
 
 
 def test_induced_ratio_matches_closed_forms():
@@ -84,8 +82,8 @@ def test_induced_detuning_scales_with_envelope():
 
 
 def test_locked_ratio_ansatz_is_constant_across_branches():
-    # the exact dr/dtau path has no cotangent, so crossing the points where
-    # the stretched clock passes multiples of pi must be smooth
+    # the closed pair has no cotangent, so crossing the points where the
+    # stretched clock passes multiples of pi must be smooth
     for beta in (1.0, -0.7):
         ev = ThetaEvaluator(beta0_ansatz(beta))
         taus = np.linspace(0.0, 5.0, 101)
@@ -120,11 +118,12 @@ def test_zero_ansatz_phase_integrals():
     assert out.r_int == 0.0
 
 
-def test_taylor_split_point_is_immaterial():
-    a = ThetaEvaluator(case2_ansatz(), eps_taylor=1e-6)
-    b = ThetaEvaluator(case2_ansatz(), eps_taylor=1e-5)
-    assert abs(a.r_int(2.0) - b.r_int(2.0)) < 1e-9
-    assert abs(a.r_int(3e-6) - b.r_int(3e-6)) < 1e-12
+def test_taylor_split_point_is_immaterial(monkeypatch):
+    ev = ThetaEvaluator(case2_ansatz())
+    at_default = ev.r_int(2.0), ev.r_int(3e-6)
+    monkeypatch.setattr(theta, "EPS_TAYLOR", 1e-5)
+    assert abs(at_default[0] - ev.r_int(2.0)) < 1e-9
+    assert abs(at_default[1] - ev.r_int(3e-6)) < 1e-12
 
 
 def test_general_entries_identity_at_t_zero():
