@@ -23,15 +23,17 @@ import difflib
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, GenrabiError, NumericError
 from .fields import window_end
-from .modes import (COUPLING_FAMILIES, coupling_from_config, propagate_modes,
-                    to_su2_profile)
-from .propagator import (_MAX_SUBSTEPS, SCHEMES, PropagatorConfig, Trajectory,
-                         propagate, suggested_step)
+from .modes import COUPLING_FAMILIES, coupling_from_config, propagate_modes
+# unused here; benchmarks/gbench/tracer.py patches these two names on cli
+from .modes import to_su2_profile  # noqa: F401
+from .propagator import SCHEMES, PropagatorConfig, Trajectory, propagate
+from .propagator import suggested_step  # noqa: F401
 from .scenarios import (BUILT_IN, DEFAULT_SAMPLES, FAMILIES, ScenarioParams,
                         closed_form_series, default_ansatz, default_window,
                         family_summary, make_scenario, scenario_time_scale)
@@ -95,7 +97,7 @@ def _number_field(doc: dict, path: str, default=None):
     return val
 
 
-def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
+def _scenario_from_args(args) -> tuple[ScenarioParams, float, float]:
     """Returns (params, axis t_max, samples) honoring config and overrides."""
     if bool(args.scenario) == bool(args.config):
         raise ConfigError("give exactly one of --scenario or --config")
@@ -148,47 +150,39 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, int]:
     d_t_max, d_samples = default_window(family)
     if samples is None:
         samples = d_samples
-    # one sample interval takes at least one substep; the range test goes
-    # first so that int() never sees NaN, an infinity or a huge value
-    if not (2 <= samples <= _MAX_SUBSTEPS + 1 and samples == int(samples)):
-        raise ConfigError(
-            f"samples must be an integer in [2, {_MAX_SUBSTEPS + 1}]")
     t_max = window_end(d_t_max if t_max is None else t_max, "t-max")
-    return params, t_max, int(samples)
+    return params, t_max, samples
 
 
-def _oracle_config(args, profile, t_max_phys: float, samples: int,
-                   scale: float) -> PropagatorConfig:
-    # PropagatorConfig rejects a step <= 0
-    if args.step is not None:
-        step = args.step / scale  # axis units to physical time
-    else:
-        step = suggested_step(profile, t_max_phys)
+def _oracle_config(args, samples, scale: float) -> PropagatorConfig:
+    # PropagatorConfig checks the step and the sample count; without a
+    # step the propagator picks one from the profile
+    step = None if args.step is None else args.step / scale  # axis units
     return PropagatorConfig(scheme=args.scheme, step=step, samples=samples)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, lines) -> None:
+    """Write an iterable of text chunks to path, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _serialize(columns: dict, fmt: str, out: str | None) -> None:
-    """Write equal-length named arrays, in their order, as CSV or JSON."""
+    """Write equal-length named arrays in order: CSV row by row, or JSON."""
     names = list(columns)
     rows = zip(*columns.values())
     if fmt == "csv":
-        lines = [",".join(names)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _write_text(out, "\n".join(lines) + "\n")
+        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+        _write_text(out, chain([",".join(names) + "\n"], lines))
     else:
         records = [dict(zip(names, (float(v) for v in row))) for row in rows]
-        _write_text(out, json.dumps(records, indent=1) + "\n")
+        _write_text(out, [json.dumps(records, indent=1) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +193,8 @@ def _cmd_run(args) -> int:
     profile = make_scenario(params)
     scale = scenario_time_scale(params)
     t_max_phys = t_max_axis / scale
-    ts = np.linspace(0.0, t_max_phys, samples)
+    config = _oracle_config(args, samples, scale)
+    ts = np.linspace(0.0, t_max_phys, config.samples)
     axis_t = scale * ts
 
     closed = oracle = None
@@ -207,7 +202,6 @@ def _cmd_run(args) -> int:
         a, b = closed_form_series(params, profile, ts)
         closed = Trajectory.from_entries(profile, ts, a, b)
     if args.engine in ("oracle", "both"):
-        config = _oracle_config(args, profile, t_max_phys, samples, scale)
         oracle = propagate(profile, config, t_max_phys)
 
     tr = closed if closed is not None else oracle
@@ -232,7 +226,7 @@ def _cmd_run(args) -> int:
               file=sys.stdout if args.out else sys.stderr)
         if args.out:
             _write_text(args.out + ".deviation.json",
-                        json.dumps(dev, indent=1) + "\n")
+                        [json.dumps(dev, indent=1) + "\n"])
     return 0
 
 
@@ -273,14 +267,14 @@ def _cmd_verify(args) -> int:
     else:
         ansatz = default_ansatz(params)
 
-    config = _oracle_config(args, profile, t_max_phys, samples, scale)
+    config = _oracle_config(args, samples, scale)
     # inner quadrature only needs two decades beyond the strictest check;
     # loose tolerances admit kinky table ansatz interpolants
     quad_tol = max(1e-12, 1e-2 * min(args.residual_tol, args.entries_tol))
     report = verify_ansatz(ansatz, profile, t_max_phys,
                            tol=args.residual_tol,
                            entries_tol=args.entries_tol,
-                           samples=samples, config=config,
+                           samples=config.samples, config=config,
                            quad_tol=quad_tol)
 
     def flag(ok: bool) -> str:
@@ -329,8 +323,7 @@ def _cmd_modes(args) -> int:
     z_max = window_end(args.z_max, "--z-max")
 
     a0, b0 = _parse_initial(args.initial)
-    profile = to_su2_profile(spec, window=z_max)
-    config = _oracle_config(args, profile, z_max, args.samples, 1.0)
+    config = _oracle_config(args, args.samples, 1.0)
     traj = propagate_modes(spec, (a0, b0), z_max, config)
 
     _serialize({"z": traj.z, "re_A": traj.amp_a.real,

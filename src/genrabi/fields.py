@@ -133,15 +133,15 @@ def window_end(window, name: str = "window") -> float:
     return hi
 
 
-def is_generalized_resonant(profile: FieldProfile, window, tol: float = 1e-10,
-                            samples: int = 512) -> bool:
-    """True iff sup |detuning| <= tol over the sampled window.
+def is_generalized_resonant(profile: FieldProfile, window,
+                            tol: float = 1e-10) -> bool:
+    """True iff sup |detuning| <= tol over 512 samples of the window.
 
     ``window`` is t_max or a (0, t_max) pair (see window_end).
     """
     if not tol > 0:
         raise ConfigError("tol must be > 0")
-    grid = np.linspace(0.0, window_end(window, "evaluation window"), samples)
+    grid = np.linspace(0.0, window_end(window, "evaluation window"), 512)
     return bool(np.max(np.abs(detuning(profile, grid))) <= tol)
 
 

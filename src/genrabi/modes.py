@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FieldProfile, drive_phase
-from .propagator import PropagatorConfig, Trajectory, propagate, suggested_step
+from .propagator import PropagatorConfig, Trajectory, propagate
+# unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
+from .propagator import suggested_step  # noqa: F401
 from .scenarios import check_numbers
 
 __all__ = [
@@ -184,10 +186,8 @@ def propagate_modes(spec: CouplingSpec, initial, z_max: float,
     a0 = initial.amp_a / np.sqrt(p0)
     b0 = initial.amp_b / np.sqrt(p0)
 
-    profile = to_su2_profile(spec, window=z_max)
-    if config is None:
-        config = PropagatorConfig(step=suggested_step(profile, z_max))
-    traj = propagate(profile, config, z_max)
+    traj = propagate(to_su2_profile(spec, window=z_max),
+                     config or PropagatorConfig(), z_max)
 
     # tilded evolution, then detilde sample-wise
     at = traj.a * a0 + traj.b * b0

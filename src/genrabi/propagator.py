@@ -54,6 +54,8 @@ SCHEMES = tuple(_SCHEMES)
 
 # pre: effective step times the fastest profile scale stays below this.
 _RESOLUTION_BOUND = 0.1
+# post: | |a|^2 + |b|^2 - 1 | stays within this, else UnitarityDriftError.
+_MAX_DRIFT = 1e-10
 
 # suggested_step keeps step * fastest scale, probed at _SCALE_PROBES points,
 # at _STEP_MARGIN: closed-form-level accuracy for the second-order scheme
@@ -68,27 +70,29 @@ _MAX_SUBSTEPS = 1 << 24
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Integration knobs.
+    """Integration policy.
 
     step is an upper bound on the internal substep; the integrator divides
     each output interval evenly so the effective substep never exceeds it.
+    step=None takes suggested_step's step from the run's one scale probe.
+    samples is an integer in [2, _MAX_SUBSTEPS + 1], stored as an int.
     """
 
     scheme: str = "midpoint_exponential"
-    step: float = 1e-3
-    max_unitarity_drift: float = 1e-10
+    step: float | None = None
     samples: int = 1001
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
-        if not self.step > 0:
+        if self.step is not None and not self.step > 0:
             raise ConfigError("step must be > 0")
-        if not self.max_unitarity_drift >= 0:
-            raise ConfigError("max_unitarity_drift must be >= 0")
-        if self.samples < 2:
-            raise ConfigError("samples must be >= 2")
+        n = self.samples  # range first: int() never sees NaN or inf
+        if not (2 <= n <= _MAX_SUBSTEPS + 1 and n == int(n)):
+            raise ConfigError(
+                f"samples must be an integer in [2, {_MAX_SUBSTEPS + 1}]")
+        object.__setattr__(self, "samples", int(n))
 
 
 @dataclass(frozen=True)
@@ -165,12 +169,13 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     return scale
 
 
+def _step_for(scale: float, t_max: float) -> float:
+    return min(_STEP_MARGIN / scale, t_max / 10.0) if scale else t_max / 100.0
+
+
 def suggested_step(profile: FieldProfile, t_max: float) -> float:
-    """A step that keeps step * fastest-scale at _STEP_MARGIN."""
-    scale = profile_scale(profile, t_max)
-    if scale == 0.0:
-        return t_max / 100.0
-    return min(_STEP_MARGIN / scale, t_max / 10.0)
+    """The automatic step: step * fastest-scale stays at _STEP_MARGIN."""
+    return _step_for(profile_scale(profile, t_max), t_max)
 
 
 def _hamiltonian_arrays(profile: FieldProfile, grid: np.ndarray):
@@ -230,26 +235,30 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
 def _prepare(profile: FieldProfile, config: PropagatorConfig, window,
              refine: int = 1):
-    """(t_max, substeps per output interval, effective step) at config.step,
-    after checking that the run, refined refine times, stays within
-    _MAX_SUBSTEPS in all and that its step resolves the profile."""
+    """(t_max, substeps per output interval, effective step) at config.step
+    or the automatic step, after checking from one profile probe that the
+    run, refined refine times, stays within _MAX_SUBSTEPS in all and that
+    its step resolves the profile."""
     t_max = window_end(window, "integration window")
+    scale = profile_scale(profile, t_max)
+    step = _step_for(scale, t_max) if config.step is None else config.step
     dt = t_max / (config.samples - 1)
-    per_interval = dt / config.step
+    per_interval = dt / step
+    intervals = (config.samples - 1) * refine
     # compare before ceil: a tiny step overflows per_interval to inf
     fits = per_interval <= _MAX_SUBSTEPS
     if fits:
         substeps = max(1, math.ceil(per_interval - 1e-12))
-        fits = (config.samples - 1) * refine * substeps <= _MAX_SUBSTEPS
-    if not fits:
-        total = (config.samples - 1) * refine * per_interval
+        fits = intervals * substeps <= _MAX_SUBSTEPS
+    if not fits:  # each sample interval takes at least one substep
+        fix = (f"samples <= {_MAX_SUBSTEPS // refine + 1}"
+               if intervals > _MAX_SUBSTEPS else
+               f"step >= {refine * t_max / _MAX_SUBSTEPS:.3e}")
         raise ConfigError(
-            f"step {config.step:.3e} over a window of {t_max:g} needs "
-            f"{total:.3e} substeps, more than the {_MAX_SUBSTEPS} one run "
-            f"may take; use step >= "
-            f"{refine * t_max / _MAX_SUBSTEPS:.3e}")
+            f"{config.samples} samples at step {step:.3e} over {t_max:g} "
+            f"need {intervals * max(1.0, per_interval):.3e} substeps, more "
+            f"than the {_MAX_SUBSTEPS} one run may take; use {fix}")
     h = dt / substeps
-    scale = profile_scale(profile, t_max)
     if h * scale > _RESOLUTION_BOUND:
         raise StepResolutionError(
             f"effective step {h:.3e} does not resolve the fastest profile "
@@ -263,19 +272,19 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
     """Integrate U(t) from the identity over [0, t_max].
 
     window is t_max or a (0, t_max) pair. The per-step factors are exactly
-    unitary; the accumulated round-off drift is checked against
-    config.max_unitarity_drift and reported on the trajectory. A profile
-    that is not finite where the sweep samples it raises NumericError.
+    unitary; the accumulated round-off drift is checked against _MAX_DRIFT
+    and reported on the trajectory. A profile that is not finite where the
+    sweep samples it raises NumericError.
     """
     t_max, substeps, h = _prepare(profile, config, window)
     a, b = _integrate(profile, t_max, config.samples, substeps, config.scheme)
     traj = Trajectory.from_entries(profile,
                                    np.linspace(0.0, t_max, config.samples),
                                    a, b, scheme=config.scheme, step=h)
-    if traj.unitarity_drift > config.max_unitarity_drift:
+    if traj.unitarity_drift > _MAX_DRIFT:
         raise UnitarityDriftError(
             f"accumulated unitarity drift {traj.unitarity_drift:.3e} exceeds "
-            f"the configured bound {config.max_unitarity_drift:.1e}")
+            f"the bound {_MAX_DRIFT:.1e}")
     return traj
 
 

@@ -47,7 +47,9 @@ from .errors import ConfigError, NumericError, SingularAnsatzError
 from .fields import detuning  # noqa: F401
 from .fields import (FieldProfile, area_integral, transverse_area_series,
                      window_end)
-from .propagator import PropagatorConfig, propagate, suggested_step
+from .propagator import PropagatorConfig, propagate
+# unused here; benchmarks/gbench/tracer.py patches theta.suggested_step
+from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
 from .quadrature import edges_from_zero, gauss_legendre, panel_quad
@@ -279,30 +281,28 @@ def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
 
 
 def general_entries(ansatz: ThetaAnsatz, profile: FieldProfile, t: float, *,
-                    check: bool = True, check_tol: float = 1e-8,
+                    check: bool = True,
                     quad_tol: float = 1e-10) -> EvolutionEntries:
     """Entries of the general solvable representation at time t.
 
     By default the profile's detuning is checked against the induced one on
-    a grid over [0, t] (tolerance check_tol); a mismatch raises
+    a grid over [0, t] (tolerance 1e-8); a mismatch raises
     InconsistentProfileError, because evaluating the representation on a
     non-matching profile produces plausible-looking wrong answers.
     """
     return last_entries(general_entries_series(
-        ansatz, profile, check_grid(t), check=check, check_tol=check_tol,
-        quad_tol=quad_tol), t)
+        ansatz, profile, check_grid(t), check=check, quad_tol=quad_tol), t)
 
 
 def general_entries_series(ansatz: ThetaAnsatz, profile: FieldProfile, ts, *,
-                           check: bool = True, check_tol: float = 1e-8,
-                           quad_tol: float = 1e-10):
+                           check: bool = True, quad_tol: float = 1e-10):
     """Vectorized general entries over an ascending time grid."""
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts[0] < 0 or np.any(np.diff(ts) <= 0)):
         raise ConfigError("time grid must be ascending and start at t >= 0")
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     return entry_series(
-        profile, ts, ev.triple, ev.ratios, check=check, tol=check_tol,
+        profile, ts, ev.triple, ev.ratios, check=check, tol=1e-8,
         what=f"the detuning induced by ansatz {ansatz.label!r}")
 
 
@@ -357,12 +357,8 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     try:
         a_closed, b_closed = general_entries_series(
             ansatz, profile, grid, check=False, quad_tol=quad_tol)
-        if config is None:
-            config = PropagatorConfig(
-                scheme="commutator_free_4th",
-                step=suggested_step(profile, t_max), samples=samples)
-        else:
-            config = replace(config, samples=samples)
+        config = replace(config or PropagatorConfig(
+            scheme="commutator_free_4th"), samples=samples)
         traj = propagate(profile, config, t_max)
         deviation = float(max(np.max(np.abs(a_closed - traj.a)),
                               np.max(np.abs(b_closed - traj.b))))

@@ -46,6 +46,18 @@ def test_run_csv_to_stdout(capsys):
     assert out.endswith("\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "case2", "--samples", "41", "--engine", "both"],
+    ["modes", "--coupling", "sech", "--delta", "0.5", "--z-max", "2",
+     "--samples", "21"]])
+def test_stdout_and_out_file_are_the_same_bytes(argv, tmp_path, capsysbinary):
+    path = tmp_path / "series.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+
+
 def test_run_output_is_deterministic(tmp_path, capsys):
     argv = ["run", "--scenario", "modulated_resonant", "--samples", "101",
             "--engine", "both"]
@@ -368,7 +380,23 @@ BAD_INPUTS = {
     "samples_json_1e300": lambda p: _run_samples(p, "1e300"),
     "samples_1e20": lambda p: [
         "run", "--scenario", "case2", "--samples", "100000000000000000000"],
+    # modes once quoted a wrong substep count, or "samples must be >= 2"
+    "modes_samples_1e20": lambda p: [
+        "modes", "--coupling", "sech", "--delta", "0", "--z-max", "1",
+        "--samples", "100000000000000000000"],
+    "modes_samples_1": lambda p: [
+        "modes", "--coupling", "sech", "--delta", "0", "--z-max", "1",
+        "--samples", "1"],
+    # --step was once checked only when an oracle ran (exit 0)
+    "closed_form_negative_step": lambda p: [
+        "run", "--scenario", "case2", "--engine", "closed_form",
+        "--step", "-1"],
 }
+
+SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
+BAD_INPUT_MESSAGES = {"modes_samples_1e20": SAMPLES_RANGE,
+                      "modes_samples_1": SAMPLES_RANGE,
+                      "samples_1e20": SAMPLES_RANGE}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -378,6 +406,7 @@ def test_bad_input_is_a_config_error_without_traceback(case, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert BAD_INPUT_MESSAGES.get(case, "") in err
 
 
 def test_huge_locked_ratio_keeps_finite_entries(capsys):

@@ -22,7 +22,7 @@ from genrabi.modes import (
     tilde,
     to_su2_profile,
 )
-from genrabi.propagator import PropagatorConfig
+from genrabi.propagator import PropagatorConfig, suggested_step
 
 # k(z) = sech(z), delta = 0.8, initial (A, B) = (1, 0), read out at z = 3
 SECH_D08_Z3_A = 0.3455830552092476 + 0.4444825885226542j
@@ -233,6 +233,23 @@ def test_coupling_calls_do_not_grow_with_substeps():
     out = propagate_modes(spec, (1.0, 0.0), 6.0)
     assert round(6.0 / out.base.step) >= 4_000
     assert len(calls) <= 30
+
+
+def test_automatic_step_costs_no_extra_coupling_calls():
+    # the propagator picks the step from the scale probe it takes anyway
+    calls = []
+    base = _sech_builtin(0.5)
+    spec = CouplingSpec(k_ab=lambda z: calls.append(z) or base.k_ab(z),
+                        delta=0.5)
+    auto = propagate_modes(spec, (1.0, 0.0), 6.0)
+    n_auto = len(calls)
+    step = suggested_step(to_su2_profile(spec, window=6.0), 6.0)
+    calls.clear()
+    explicit = propagate_modes(spec, (1.0, 0.0), 6.0,
+                               PropagatorConfig(step=step))
+    assert n_auto <= len(calls)
+    assert np.array_equal(auto.amp_a, explicit.amp_a)
+    assert np.array_equal(auto.amp_b, explicit.amp_b)
 
 
 def test_scalar_only_coupling_is_called_per_point_with_the_same_result():

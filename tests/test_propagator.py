@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genrabi import propagator
 from genrabi.closed_forms import case2_series
 from genrabi.errors import (ConfigError, NumericError, StepResolutionError,
                             UnitarityDriftError)
@@ -16,7 +17,8 @@ from genrabi.propagator import (
     suggested_step,
 )
 from genrabi.propagator import _step_factors
-from genrabi.scenarios import ScenarioParams, make_scenario
+from genrabi.scenarios import (BUILT_IN, ScenarioParams, default_window,
+                               make_scenario, scenario_time_scale)
 
 
 def constant_drive():
@@ -40,8 +42,32 @@ def test_config_validation():
         PropagatorConfig(step=0.0)
     with pytest.raises(ConfigError):
         PropagatorConfig(samples=1)
-    with pytest.raises(ConfigError):
-        PropagatorConfig(max_unitarity_drift=-1.0)
+
+
+def test_config_checks_the_sample_range():
+    for bad in (1, 2 ** 24 + 2, 1e20, 10 ** 20, 2.5, math.nan, math.inf):
+        with pytest.raises(ConfigError,
+                           match=r"samples must be an integer in \[2, "
+                                 r"16777217\]"):
+            PropagatorConfig(samples=bad)
+    assert PropagatorConfig(samples=2 ** 24 + 1).samples == 2 ** 24 + 1
+    whole = PropagatorConfig(samples=11.0).samples
+    assert whole == 11 and type(whole) is int
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", BUILT_IN)
+def test_automatic_step_is_the_suggested_step(family, scheme):
+    # step=None integrates exactly as an explicit suggested_step does; a
+    # tenth of the default window keeps the slowest family fast
+    prof = make_scenario(family)
+    t_max = 0.1 * default_window(family)[0] / scenario_time_scale(family)
+    auto = propagate(prof, PropagatorConfig(scheme=scheme, samples=11), t_max)
+    explicit = propagate(prof, PropagatorConfig(
+        scheme=scheme, step=suggested_step(prof, t_max), samples=11), t_max)
+    assert auto.step == explicit.step
+    assert np.array_equal(auto.a, explicit.a)
+    assert np.array_equal(auto.b, explicit.b)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -192,11 +218,26 @@ def test_non_finite_profile_is_a_numeric_failure(scheme):
             suggested_step(profile, 1.0)
 
 
-def test_drift_guard_uses_configured_bound():
+def test_substep_ceiling_error_quotes_the_real_count():
+    prof = make_scenario("sech_resonant")
+    # one substep per interval: 4 (2^23 - 1) substeps, whatever the step
+    with pytest.raises(ConfigError) as err:
+        richardson_check(prof, PropagatorConfig(step=1.0, samples=2 ** 23),
+                         6.0)
+    assert "need 3.355e+07 substeps" in str(err.value)
+    assert str(err.value).endswith("use samples <= 4194305")
+    # here a larger step is the way out
+    with pytest.raises(ConfigError) as err:
+        propagate(prof, PropagatorConfig(step=1e-9, samples=3), 6.0)
+    assert "need 6.000e+09 substeps" in str(err.value)
+    assert str(err.value).endswith("use step >= 3.576e-07")
+
+
+def test_drift_guard_uses_configured_bound(monkeypatch):
+    monkeypatch.setattr(propagator, "_MAX_DRIFT", 0.0)
     prof = make_scenario("sech_resonant")
     with pytest.raises(UnitarityDriftError):
-        propagate(prof, PropagatorConfig(step=5e-3, samples=201,
-                                         max_unitarity_drift=0.0), 2.0)
+        propagate(prof, PropagatorConfig(step=5e-3, samples=201), 2.0)
 
 
 def test_window_validation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from genrabi import quadrature, theta
+from genrabi import propagator, quadrature, theta
 from genrabi.closed_forms import (
     beta0_series,
     case1_detuning_ratio,
@@ -271,6 +271,21 @@ def test_verify_matching_pairs_pass():
     report2 = verify_ansatz(case2_ansatz(), make_scenario("case2"), 5.0)
     assert report2.passed
     assert report2.residual_max <= 1e-9
+
+
+def test_verify_probes_the_profile_scale_once(monkeypatch):
+    prof = make_scenario("case2")
+    explicit = verify_ansatz(case2_ansatz(), prof, 5.0, samples=33,
+                             config=propagator.PropagatorConfig(
+                                 scheme="commutator_free_4th",
+                                 step=propagator.suggested_step(prof, 5.0)))
+    calls = []
+    probe = propagator.profile_scale
+    monkeypatch.setattr(propagator, "profile_scale",
+                        lambda *a: calls.append(a) or probe(*a))
+    # the default oracle is CF4 at the automatic step, from one probe
+    assert verify_ansatz(case2_ansatz(), prof, 5.0, samples=33) == explicit
+    assert len(calls) == 1
 
 
 def test_verify_reports_mismatch_without_raising():

@@ -5,13 +5,20 @@ attributes of genrabi by name. Installing and restoring it here makes the
 removal or renaming of a patched name fail in this suite within a second,
 not only in the slower benchmark tests. The tracer source is compiled from
 its file, so nothing is written under benchmarks/.
+
+The converse holds too: a module may import a name it neither uses nor
+exports only as a pin, that is a name the tracer patches on that module or
+reaches through it (theta.scipy.integrate.quad), on an import line marked
+"# noqa: F401". A stale or unmarked pin fails here.
 """
 
+import ast
 import types
 from pathlib import Path
 
-TRACER = (Path(__file__).resolve().parents[1] / "benchmarks" / "gbench"
-          / "tracer.py")
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "benchmarks" / "gbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "genrabi"
 
 
 def _tracer_module():
@@ -35,3 +42,59 @@ def test_tracer_installs_and_restores_every_patched_name():
     assert patches
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+def _touched(tracer, patches):
+    """module name -> names the tracer patches on it or reads through it."""
+    out = {}
+    for owner, attr, _ in patches:
+        if isinstance(owner, types.ModuleType):
+            out.setdefault(owner.__name__, set()).add(attr)
+    for node in ast.walk(ast.parse(TRACER.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                          ast.Name):
+            name = f"genrabi.{node.value.id}"
+            out.setdefault(name, set()).add(node.attr)
+    return out
+
+
+def _unused_imports(source):
+    """(name, import node) for each module-level import the module neither
+    uses nor lists in __all__."""
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        yield from ((name, node) for name in names if name not in used)
+
+
+def test_every_unused_import_is_a_marked_tracer_pin():
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        touched = _touched(tracer, tracer._patches)
+    finally:
+        tracer.restore()
+    pins = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ("genrabi" if path.stem == "__init__"
+                  else f"genrabi.{path.stem}")
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, node in _unused_imports(source):
+            where = f"{path.name}:{node.lineno} {name}"
+            assert name in touched.get(module, ()), \
+                f"{where} is unused and no tracer pin"
+            text = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            assert "# noqa: F401" in text, f"{where} is an unmarked pin"
+            pins.append(where)
+    assert pins  # the check sees the pins that exist today
