@@ -23,7 +23,7 @@ import difflib
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -181,8 +181,12 @@ def _serialize(columns: dict, fmt: str, out: str | None) -> None:
         lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
         _write_text(out, chain([",".join(names) + "\n"], lines))
     else:
-        records = [dict(zip(names, (float(v) for v in row))) for row in rows]
-        _write_text(out, [json.dumps(records, indent=1) + "\n"])
+        # json.dumps(records, indent=1), written 4096 records at a time
+        records = (dict(zip(names, map(float, row))) for row in rows)
+        blocks = iter(lambda: list(islice(records, 4096)), [])
+        chunks = ((",\n" if i else "[\n") + json.dumps(block, indent=1)[2:-2]
+                  for i, block in enumerate(blocks))
+        _write_text(out, chain(chunks, ["\n]\n"]))
 
 
 # ---------------------------------------------------------------------------

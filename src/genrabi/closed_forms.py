@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InconsistentProfileError, NumericError
-from .fields import (FieldProfile, area_integral, detuning,
-                     transverse_area_series)
-# benchmarks/gbench/tracer.py patches closed_forms.adaptive_quad
-from .quadrature import adaptive_quad, edges_from_zero, panel_quad
+from .fields import FieldProfile, detuning, transverse_area_series
+# unused here; benchmarks/gbench/tracer.py patches closed_forms.adaptive_quad
+from .quadrature import adaptive_quad  # noqa: F401
+from .quadrature import running_integral
 
 __all__ = [
     "EvolutionEntries",
@@ -174,7 +174,7 @@ def last_entries(pair, t: float) -> EvolutionEntries:
 def _area_entries(triple, omega_mag, phi_omega, t: float,
                   tau: float | None) -> EvolutionEntries:
     if tau is None:
-        tau = area_integral(omega_mag)(float(t))
+        tau = running_integral(omega_mag, float(t))
     pair = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
                      float(phi_omega(0.0)))
     return last_entries(pair, t)
@@ -323,18 +323,17 @@ def elliptic_phase(tau: float) -> float:
     """The real elliptic-integral term in the case1 entry phases.
 
     Equals -(1/sqrt(2)) integral of sqrt(1 + sinh(u)^2 / 2) for u from 0 to
-    asinh(2 tau), evaluated by real adaptive quadrature (no complex-argument
+    asinh(2 tau), evaluated by real panel quadrature (no complex-argument
     special functions). It is minus the generic phase quadrature of the case1
-    ansatz, which provides an independent cross-check.
+    ansatz; the variable and integrand differ from case1_triple's tau form,
+    so the two provide an independent cross-check.
     """
     if tau < 0:
         raise ConfigError("tau must be >= 0")
-    if tau == 0:
-        return 0.0
     upper = float(np.arcsinh(2.0 * tau))
-    integral = adaptive_quad(
-        lambda u: np.sqrt(1.0 + 0.5 * np.sinh(u) ** 2), 0.0, upper, tol=1e-12)
-    return -integral / np.sqrt(2.0)
+    integral = running_integral(
+        lambda u: np.sqrt(1.0 + 0.5 * np.sinh(u) ** 2), upper, tol=1e-12)
+    return -float(integral) / np.sqrt(2.0)
 
 
 def _case1_r_integrand(s):
@@ -346,10 +345,8 @@ def case1_triple(tau):
     """Theta = case1_theta and phi_int = atan(2 tau)/2 in closed form; r_int
     (= -elliptic_phase) by one panel quadrature over the tau array."""
     tau = np.asarray(tau, dtype=float)
-    edges, index = edges_from_zero(tau)
-    mesh, running = panel_quad(_case1_r_integrand, edges)
-    r_int = running[np.searchsorted(mesh, edges)][index]
-    return case1_theta(tau), 0.5 * np.arctan(2.0 * tau), r_int
+    return (case1_theta(tau), 0.5 * np.arctan(2.0 * tau),
+            running_integral(_case1_r_integrand, tau))
 
 
 def case1_entries(omega_mag, phi_omega, t: float, *,
@@ -358,7 +355,8 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
 
     The caller is responsible for pairing these with a profile whose detuning
     follows case1_detuning_ratio; use case1_series for a checked evaluation.
-    tau may be passed directly to skip the quadrature of omega_mag.
+    omega_mag is called on arrays, as a FieldProfile's is, for the panel
+    quadrature of tau; passing tau skips it.
     """
     return _area_entries(case1_triple, omega_mag, phi_omega, t, tau)
 
@@ -409,7 +407,7 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
 
     Flip probability tau^2 / (1 + tau^2): monotone inversion approaching 1.
     Pair with a profile following case2_detuning_ratio; use case2_series for
-    a checked evaluation.
+    a checked evaluation. omega_mag is called on arrays, as in case1_entries.
     """
     return _area_entries(case2_triple, omega_mag, phi_omega, t, tau)
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import CumulativeIntegral
+from .quadrature import running_integral
 
 __all__ = [
     "FieldProfile",
@@ -71,8 +71,8 @@ class FieldProfile:
         with step ``DIFF_STEP`` is used (see ``phase_derivative``).
     tau_of_t : callable, optional
         Analytic accumulated transverse area, integral of |omega| from 0 to t.
-        Consumers fall back to adaptive quadrature when absent; the numerical
-        propagator never uses it.
+        Consumers fall back to panel quadrature of omega_mag when absent;
+        the numerical propagator never uses it.
 
     Every callable takes a numpy array of t and returns an array of its
     shape.
@@ -148,24 +148,20 @@ def is_generalized_resonant(profile: FieldProfile, window,
 def transverse_area(profile: FieldProfile, t: float) -> float:
     """Accumulated transverse area tau(t) = integral of |omega| from 0 to t.
 
-    Uses the analytic ``tau_of_t`` when the profile carries one, adaptive
-    quadrature otherwise. tau is the natural clock of every solvable family.
+    Uses the analytic ``tau_of_t`` when the profile carries one, one panel
+    quadrature of omega_mag otherwise. tau is the natural clock of every
+    solvable family.
     """
     return float(transverse_area_series(profile, np.array([float(t)]))[0])
 
 
-def area_integral(omega_mag: Callable) -> CumulativeIntegral:
-    """Cached t -> integral of |omega| from 0 to t, by adaptive quadrature."""
-    return CumulativeIntegral(lambda u: float(omega_mag(u)))
-
-
 def transverse_area_series(profile: FieldProfile, ts) -> np.ndarray:
-    """tau evaluated on an ascending grid, sharing one quadrature frontier."""
+    """tau at every t >= 0 of ts: tau_of_t, else one running_integral of
+    omega_mag over all of them."""
     ts = np.asarray(ts, dtype=float)
     if profile.tau_of_t is not None:
         return np.asarray(profile.tau_of_t(ts), dtype=float)
-    area = area_integral(profile.omega_mag)
-    return np.array([area(float(x)) for x in ts])
+    return running_integral(profile.omega_mag, ts)
 
 
 @dataclass(frozen=True)

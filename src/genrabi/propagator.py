@@ -121,7 +121,7 @@ class Trajectory:
 
     @classmethod
     def from_entries(cls, profile: FieldProfile, ts, a, b, *,
-                     label: str | None = None, scheme: str | None = None,
+                     scheme: str | None = None,
                      step: float | None = None) -> "Trajectory":
         """Assemble the derived columns from entry arrays on a time grid."""
         ts = np.asarray(ts, dtype=float)
@@ -139,7 +139,7 @@ class Trajectory:
             a=a, b=b,
             p_flip=np.abs(b) ** 2,
             sigma_x=sx, sigma_y=sy, sigma_z=sz,
-            label=label if label is not None else profile.label,
+            label=profile.label,
             scheme=scheme, step=step,
             unitarity_drift=drift,
         )

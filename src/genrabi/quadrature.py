@@ -1,17 +1,16 @@
-"""Quadrature helpers: a vectorized panel integrator and a scalar fallback.
+"""Quadrature helpers: a vectorized panel integrator and its running form.
 
 ``panel_quad`` integrates a numpy-vectorized integrand over many panels at
 once with a composite Gauss-Legendre rule, bisecting only the panels whose
 error estimate misses their share of the tolerance. One call over the
 panels between N ascending sample points yields the running integral at all
-of them, so the Theta phase integrals and the case1 phase never call a
-scalar integrator.
+of them; ``running_integral`` packages that for integrals from 0. Every
+transverse area, Theta phase integral and elliptic phase of the package goes
+through it, so no scalar integrator runs.
 
-``adaptive_quad`` (QUADPACK) and ``CumulativeIntegral`` remain for scalar
-integrands: the transverse area of a profile without an analytic clock and
-the elliptic reference phase. ``CumulativeIntegral`` caches values at
-previously visited endpoints and integrates only the increment beyond the
-cached frontier, so N ascending queries cost N short integrations.
+``adaptive_quad`` (QUADPACK) and ``CumulativeIntegral`` are tracer pins:
+no genrabi code calls them, and they stay only because the benchmark tracer
+patches them by name. They go with the scipy import once it no longer does.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from scipy.integrate import quad
 from .errors import ConfigError, NumericError, QuadratureError
 
 __all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
-           "gauss_legendre", "panel_quad"]
+           "gauss_legendre", "panel_quad", "running_integral"]
 
 # QUADPACK cannot do much better than ~1e-13 relative; keep a floor so a
 # caller-supplied absolute tolerance of 0 does not make quad error out. The
@@ -90,10 +89,7 @@ def gauss_legendre(fn: Callable, lo, hi) -> np.ndarray:
 
 def edges_from_zero(points):
     """Panel edges from 0 through the distinct points, and the index of each
-    point among them: running integrals from 0 at the points are
-    running[np.searchsorted(mesh, edges)][index] for (mesh, running) from
-    panel_quad over the edges.
-    """
+    point among them, as running_integral uses them."""
     points = np.asarray(points, dtype=float)
     if np.any(points < 0):
         raise ConfigError("tau must be >= 0")
@@ -175,15 +171,17 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     return mesh, running
 
 
-class CumulativeIntegral:
-    """Cached x -> integral of fn from 0 to x, for x >= 0.
+def running_integral(fn: Callable, points, tol: float = 1e-10):
+    """Integral of fn from 0 to each point >= 0 (in any order) by one
+    panel_quad to tol over all of them; fn must accept a 1-d array."""
+    edges, index = edges_from_zero(points)
+    mesh, running = panel_quad(fn, edges, tol)
+    return running[np.searchsorted(mesh, edges)][index]
 
-    Ascending queries extend a frontier node list, so sweeping N trajectory
-    samples costs N short adaptive integrations. Queries behind the frontier
-    integrate from the nearest cached node below without adding nodes, which
-    keeps the cache small when an outer adaptive integrator samples
-    non-monotonically.
-    """
+
+class CumulativeIntegral:
+    """Cached x -> integral of fn from 0 to x >= 0 (a tracer pin): ascending
+    queries integrate only the increment beyond the last cached node."""
 
     def __init__(self, fn: Callable[[float], float], tol: float = 1e-10):
         self._fn = fn

@@ -45,14 +45,14 @@ from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
 from .errors import ConfigError, NumericError, SingularAnsatzError
 # unused here; benchmarks/gbench/tracer.py patches theta.detuning
 from .fields import detuning  # noqa: F401
-from .fields import (FieldProfile, area_integral, transverse_area_series,
-                     window_end)
+from .fields import FieldProfile, transverse_area_series, window_end
 from .propagator import PropagatorConfig, propagate
 # unused here; benchmarks/gbench/tracer.py patches theta.suggested_step
 from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
-from .quadrature import edges_from_zero, gauss_legendre, panel_quad
+from .quadrature import (edges_from_zero, gauss_legendre, panel_quad,
+                         running_integral)
 
 __all__ = [
     "ThetaAnsatz",
@@ -265,17 +265,19 @@ def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
 
     Returns |omega(t)| times the dimensionless ratio at tau(t). A profile is
     exactly solvable by this ansatz iff its own detuning matches this value
-    at all times in the window.
+    at all times in the window. profile_omega_mag is called on arrays, as a
+    FieldProfile's is, for the panel quadrature of tau(t).
     """
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    tau = area_integral(profile_omega_mag)(float(t))
+    tau = running_integral(profile_omega_mag, float(t))
     return float(profile_omega_mag(float(t))) * ev.detuning_ratio(tau)
 
 
 def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
                     quad_tol: float = 1e-10) -> PhaseIntegrals:
-    """Both accumulated phases at time t, by adaptive quadrature."""
-    tau = area_integral(omega_mag)(float(t))
+    """Both accumulated phases at time t. omega_mag is called on arrays, as
+    a FieldProfile's is, for the panel quadrature of tau(t)."""
+    tau = running_integral(omega_mag, float(t))
     _, phi, r = ThetaEvaluator(ansatz, quad_tol=quad_tol).triple(tau)
     return PhaseIntegrals(phi_int=float(phi), r_int=float(r))
 

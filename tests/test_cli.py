@@ -92,6 +92,19 @@ def test_run_json_format(capsys):
     assert records[-1]["t"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "case2", "--samples", "5", "--engine", "both"],
+    ["run", "--scenario", "case2", "--samples", "8200"],  # three blocks
+    ["modes", "--coupling", "sech", "--delta", "0.5", "--z-max", "2",
+     "--samples", "4"]])
+def test_streamed_json_is_the_indent_1_dump_of_its_records(argv, capsys):
+    # JSON is written in blocks of records; the bytes must still be those
+    # of one json.dumps(records, indent=1) call
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
 def test_run_time_column_uses_dimensionless_axis(capsys):
     # gamma t axis: t-max 2 means physical time 2/gamma
     assert main(["run", "--scenario", "exp_resonant", "--t-max", "2",

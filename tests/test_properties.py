@@ -25,7 +25,7 @@ from genrabi.errors import NumericError
 from genrabi.fields import transverse_area_series
 from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
-                                suggested_step)
+                                richardson_check, suggested_step)
 from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
                                closed_form_series, default_ansatz,
                                make_scenario, scenario_time_scale)
@@ -204,3 +204,55 @@ def test_modes_conserve_power_and_transfer_the_flip_curve(data,
     out = propagate_modes(coupling_from_config(cfg), (1.0, 0.0), MODES_Z_MAX)
     assert np.max(np.abs(out.total_power - 1.0)) <= 1e-10
     assert np.max(np.abs(out.power_b - out.base.p_flip)) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ("case1", "case2"))
+@settings(max_examples=10)
+@given(omega_mag0=DOMAINS["case1"]["omega_mag0"], split=_span(0.0, 1.0))
+def test_split_fraction_leaves_moduli_and_flip_unchanged(family, omega_mag0,
+                                                         split):
+    # split_fraction moves part of the detuning into the drive phase; the
+    # moduli of the entries and the flip probability must not notice
+    split_params, base_params = (
+        ScenarioParams(family, {"omega_mag0": omega_mag0}, split_fraction=f)
+        for f in (split, 0.0))
+    profile, base = make_scenario(split_params), make_scenario(base_params)
+    t_max = WINDOW / scenario_time_scale(base_params)
+    ts = np.linspace(0.0, t_max, SAMPLES)
+    a, b = closed_form_series(split_params, profile, ts)
+    a0, b0 = closed_form_series(base_params, base, ts)
+    assert np.max(np.abs(np.abs(a) - np.abs(a0))) <= 1e-12
+    assert np.max(np.abs(np.abs(b) - np.abs(b0))) <= 1e-12
+    assert np.max(np.abs(np.abs(b) ** 2 - np.abs(b0) ** 2)) <= 1e-12
+
+    step = suggested_step(profile, t_max)
+    assume(t_max / step <= 2 ** 18)
+    for scheme in SCHEMES:
+        traj = propagate(profile, PropagatorConfig(
+            scheme=scheme, step=step, samples=SAMPLES), t_max)
+        assert np.max(np.abs(traj.p_flip - np.abs(b0) ** 2)) <= 1e-6, scheme
+
+
+# the benchmark's Richardson set-up: 11 samples, and a step this many times
+# suggested_step, which keeps the differences well above round-off
+RICHARDSON_SAMPLES = 11
+RICHARDSON_STEP = {"midpoint_exponential": 10.0, "commutator_free_4th": 40.0}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", BUILT_IN)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_richardson_observes_the_nominal_order(family, scheme, data):
+    values = data.draw(st.fixed_dictionaries(DOMAINS[family]), label="params")
+    split = data.draw(_span(0.0, 1.0), label="split_fraction") \
+        if _CATALOG[family].split else 0.0
+    params = ScenarioParams(family, values, split_fraction=split)
+    profile = make_scenario(params)
+    t_max = WINDOW / scenario_time_scale(params)
+    step = RICHARDSON_STEP[scheme] * suggested_step(profile, t_max)
+    # bounds the cost: the finest of the three runs takes 4x the substeps
+    assume(4 * t_max / step <= 2 ** 18)
+    report = richardson_check(profile, PropagatorConfig(
+        scheme=scheme, step=step, samples=RICHARDSON_SAMPLES), t_max)
+    assert report.within_tolerance, report

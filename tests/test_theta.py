@@ -4,24 +4,28 @@ The scalar phase-integral references were frozen from 30-digit
 arbitrary-precision quadrature of the defining integrands.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from genrabi import propagator, quadrature, theta
+from genrabi import closed_forms, propagator, quadrature, theta
 from genrabi.closed_forms import (
     beta0_series,
     case1_detuning_ratio,
+    case1_entries,
     case1_series,
     case2_detuning_ratio,
+    case2_entries,
     case2_series,
     elliptic_phase,
     resonance_series,
 )
 from genrabi.errors import ConfigError, InconsistentProfileError, NumericError, SingularAnsatzError
-from genrabi.fields import transverse_area_series
+from genrabi.fields import transverse_area, transverse_area_series
+from genrabi.modes import CouplingSpec, to_su2_profile
 from genrabi.scenarios import ScenarioParams, closed_form_series, make_scenario
 from genrabi.theta import (
     ThetaAnsatz,
@@ -326,6 +330,9 @@ def test_theta_route_makes_no_scalar_quadrature_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.integrate, "quad", forbidden)
     monkeypatch.setattr(quadrature, "quad", forbidden)
+    for module in (quadrature, closed_forms, theta):
+        monkeypatch.setattr(module, "adaptive_quad", forbidden)
+    monkeypatch.setattr(quadrature.CumulativeIntegral, "__call__", forbidden)
     for name, window in (("case1", 3.0), ("case2", 5.0)):
         prof = make_scenario(name)
         ansatz = named_ansatz(name)
@@ -334,6 +341,32 @@ def test_theta_route_makes_no_scalar_quadrature_calls(monkeypatch):
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
         assert verify_ansatz(ansatz, prof, window, samples=65).passed
     case1_series(make_scenario("case1"), np.linspace(0.0, 3.0, 65))
+
+    # every former scalar-quadrature caller, on profiles without tau_of_t
+    exp = make_scenario("exp_resonant")
+    bare = dataclasses.replace(exp, tau_of_t=None)
+    ts = np.linspace(0.0, 4.0, 33)
+    assert np.allclose(transverse_area_series(bare, ts), exp.tau_of_t(ts),
+                       rtol=0, atol=1e-12)
+    assert transverse_area(bare, 4.0) == pytest.approx(
+        float(exp.tau_of_t(4.0)), abs=1e-12)
+    assert elliptic_phase(2.0) == pytest.approx(
+        -ThetaEvaluator(case1_ansatz()).r_int(2.0), abs=1e-9)
+    for name, entries in (("case1", case1_entries), ("case2", case2_entries)):
+        prof = make_scenario(name)
+        got = entries(prof.omega_mag, prof.phi_omega, 1.5)
+        want = entries(prof.omega_mag, prof.phi_omega, 1.5,
+                       tau=float(prof.tau_of_t(1.5)))
+        assert abs(got.b - want.b) < 1e-12
+    case2 = make_scenario("case2")
+    assert induced_detuning(case2_ansatz(), case2.omega_mag, 0.5) \
+        == pytest.approx(case2_detuning_ratio(0.5), abs=1e-9)
+    assert phase_integrals(case2_ansatz(), case2.omega_mag, 0.9).phi_int \
+        == pytest.approx(PHI2_AT_0_9, abs=1e-10)
+    modes = to_su2_profile(CouplingSpec(
+        k_ab=lambda z: 1.0 / np.cosh(np.asarray(z, dtype=float)), delta=0.0))
+    assert modes.tau_of_t is None
+    assert verify_ansatz(zero_ansatz(), modes, 3.0, samples=33).passed
 
 
 def test_interior_singularity_surfaces_through_series_and_verify():
