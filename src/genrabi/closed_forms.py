@@ -174,7 +174,7 @@ def last_entries(pair, t: float) -> EvolutionEntries:
 def _area_entries(triple, omega_mag, phi_omega, t: float,
                   tau: float | None) -> EvolutionEntries:
     if tau is None:
-        tau = running_integral(omega_mag, float(t))
+        tau = running_integral(omega_mag, float(t), name="t")
     pair = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
                      float(phi_omega(0.0)))
     return last_entries(pair, t)
@@ -356,7 +356,8 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
     The caller is responsible for pairing these with a profile whose detuning
     follows case1_detuning_ratio; use case1_series for a checked evaluation.
     omega_mag is called on arrays, as a FieldProfile's is, for the panel
-    quadrature of tau; passing tau skips it.
+    quadrature of tau (a constant or a scalar-only callable serves too, see
+    quadrature.on_arrays); passing tau skips it.
     """
     return _area_entries(case1_triple, omega_mag, phi_omega, t, tau)
 
@@ -407,7 +408,7 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
 
     Flip probability tau^2 / (1 + tau^2): monotone inversion approaching 1.
     Pair with a profile following case2_detuning_ratio; use case2_series for
-    a checked evaluation. omega_mag is called on arrays, as in case1_entries.
+    a checked evaluation. omega_mag is taken as in case1_entries.
     """
     return _area_entries(case2_triple, omega_mag, phi_omega, t, tau)
 

@@ -161,7 +161,7 @@ def transverse_area_series(profile: FieldProfile, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if profile.tau_of_t is not None:
         return np.asarray(profile.tau_of_t(ts), dtype=float)
-    return running_integral(profile.omega_mag, ts)
+    return running_integral(profile.omega_mag, ts, name="t")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .fields import FieldProfile, drive_phase
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
 from .propagator import suggested_step  # noqa: F401
+from .quadrature import on_arrays
 from .scenarios import check_numbers
 
 __all__ = [
@@ -88,23 +89,11 @@ class ModeTrajectory:
     base: Trajectory
 
 
-def _on_arrays(k: Callable) -> Callable:
-    # k on a float array of z, on the CouplingSpec contract
-    def call(z):
-        z = np.asarray(z, dtype=float)
-        try:
-            out = np.asarray(k(z), dtype=complex)
-        except (TypeError, ValueError):  # scalar-only: once per point
-            out = np.vectorize(k, otypes=[complex])(z)
-        return np.broadcast_to(out, z.shape)
-    return call
-
-
 def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
     if spec.k_ba is None:
         return
     grid = np.linspace(0.0, z_max, 33)
-    kab, kba = (_on_arrays(k)(grid) for k in (spec.k_ab, spec.k_ba))
+    kab, kba = (on_arrays(k, complex)(grid) for k in (spec.k_ab, spec.k_ba))
     dev = float(np.max(np.abs(kba + np.conj(kab))))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(kab))))
     if dev > bound:
@@ -122,7 +111,7 @@ def to_su2_profile(spec: CouplingSpec, *, window: float = 1.0) -> FieldProfile:
     """
     _check_conservative(spec, float(window))
     half = -0.5 * float(spec.delta)
-    k = _on_arrays(spec.k_ab)
+    k = on_arrays(spec.k_ab, complex)
 
     def omega_z(z):
         return np.full_like(np.asarray(z, dtype=float), half)

@@ -12,6 +12,14 @@ one weight row per step exponential, in acting order; exponential j is
 exp(-i h sum_k w_jk H(t + x_k h)). Adding a scheme means adding one row.
 midpoint_exponential: one exponential at the interval midpoint, O(step^2);
 commutator_free_4th: two from the two Gauss nodes, O(step^4), no commutators.
+
+The sweep evaluates the Hamiltonian at every node at once and builds every
+step factor as an array. The product is accumulated in numpy as well: the
+exponentials of each output interval are split into lanes of about
+sqrt(total) in acting order, every lane is multiplied sequentially with one
+array update per position, vectorized across all lanes, and a short scalar
+loop folds the lane products into the running operator. A sequential order
+inside each lane drifts less from unitarity than a pairwise product tree.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -62,9 +69,10 @@ _MAX_DRIFT = 1e-10
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
-# Most substeps one integration may take. The sweep holds roughly 200
-# (midpoint) to 400 (CF4) bytes per substep, so this caps one run at a few
-# GB; the largest runs of the test suite and the benchmark take under 3e5.
+# Most substeps one integration may take. The sweep peaks at about 130
+# (midpoint) to 220 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
+# so this caps one run at 2-4 GB; the largest runs of the test suite and the
+# benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
 
 
@@ -195,13 +203,23 @@ def _step_factors(om: np.ndarray, ow: np.ndarray, h: float):
     return alpha, beta
 
 
+def _check_resolution(h: float, scale: float, what: str) -> None:
+    if h * scale > _RESOLUTION_BOUND:
+        raise StepResolutionError(
+            f"effective step {h:.3e} does not resolve {what} {scale:.3e} "
+            f"(step*scale = {h * scale:.3f} > {_RESOLUTION_BOUND}); use "
+            f"step <= {0.05 / scale:.3e}")
+
+
 def _integrate(profile: FieldProfile, t_max: float, samples: int,
                substeps: int, scheme: str):
     """Core fixed-step sweep. Returns the entries (a, b) at the samples."""
     _, nodes, rows = _SCHEMES[scheme]
-    h = t_max / (samples - 1) / substeps
-    base = np.arange((samples - 1) * substeps) * h
+    intervals = samples - 1
+    h = t_max / intervals / substeps
+    base = np.arange(intervals * substeps) * h
     hams = [_hamiltonian_arrays(profile, base + x * h) for x in nodes]
+    scale = max(float(np.max(np.abs(om) + np.abs(ow))) for om, ow in hams)
     mixed = [[reduce(np.add, map(mul, row, part)) for part in zip(*hams)]
              for row in rows]
     del hams  # freed before the step factors' temporaries peak
@@ -210,26 +228,46 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         raise NumericError(
             f"Hamiltonian of profile {profile.label!r} is not finite in the "
             f"substep from t={base[np.argmin(ok)]:g}")
-    factors = [_step_factors(om, ow, h) for om, ow in mixed]
-    # exponential j of substep k sits at k * m + j: acting order
-    m = len(rows)
-    al, be = [None] * (m * base.size), [None] * (m * base.size)
-    for j, (alpha, beta) in enumerate(factors):
-        al[j::m] = alpha.tolist()
-        be[j::m] = beta.tolist()
-    steps = zip(al, be)
+    # the probe in _prepare can miss a pulse narrower than its spacing
+    _check_resolution(h, scale, "max |Omega| + |omega| over the sweep nodes")
 
+    # interval i's exponentials in acting order, split into `chunks` lanes
+    # of `width`: exponential j of substep s sits at s * m + j, and the
+    # last lane is padded with identities (f, g) = (1, 0)
+    m = len(rows)
+    per = substeps * m
+    chunks = -(-per // min(per, math.isqrt(intervals * per)))
+    width = -(-per // chunks)
+    lanes = intervals * chunks
+    f = np.zeros((intervals, chunks * width), dtype=complex)
+    g = np.zeros_like(f)
+    f[:, per:] = 1.0
+    for j, (om, ow) in enumerate(mixed):
+        alpha, beta = _step_factors(om, ow, h)
+        f[:, j:per:m] = alpha.reshape(intervals, substeps)
+        g[:, j:per:m] = beta.reshape(intervals, substeps)
+    del mixed, alpha, beta
+    # one row per position in a lane, so each update reads contiguous rows
+    f, g = (np.ascontiguousarray(x.reshape(lanes, width).T) for x in (f, g))
+
+    # product of each lane, later factors on the left: [[F, G], [-G*, F*]]
+    fl, gl = f[0], g[0]
+    for fk, gk in zip(f[1:], g[1:]):
+        fl, gl = fk * fl - gk * gl.conj(), fk * gl + gk * fl.conj()
+    del f, g
+
+    # fold the lanes in order into the first column (a, c) of U; each
+    # interval's last lane gives the sample at its end, where b = -conj(c)
+    a_run = np.empty(lanes, dtype=complex)
+    c_run = np.empty(lanes, dtype=complex)
+    a, c = 1.0 + 0.0j, 0.0j
+    for i, (fi, gi) in enumerate(zip(fl.tolist(), gl.tolist())):
+        a, c = fi * a + gi * c, fi.conjugate() * c - gi.conjugate() * a
+        a_run[i], c_run[i] = a, c
     a_out = np.ones(samples, dtype=complex)
     b_out = np.zeros(samples, dtype=complex)
-
-    # evolve the first column (a, c) of U; b = -conj(c)
-    a = 1.0 + 0.0j
-    c = 0.0j
-    for i in range(1, samples):
-        for f, g in islice(steps, substeps * m):
-            a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
-        a_out[i] = a
-        b_out[i] = -c.conjugate()
+    a_out[1:] = a_run[chunks - 1::chunks]
+    b_out[1:] = -np.conj(c_run[chunks - 1::chunks])
     return a_out, b_out
 
 
@@ -259,11 +297,7 @@ def _prepare(profile: FieldProfile, config: PropagatorConfig, window,
             f"need {intervals * max(1.0, per_interval):.3e} substeps, more "
             f"than the {_MAX_SUBSTEPS} one run may take; use {fix}")
     h = dt / substeps
-    if h * scale > _RESOLUTION_BOUND:
-        raise StepResolutionError(
-            f"effective step {h:.3e} does not resolve the fastest profile "
-            f"scale {scale:.3e} (step*scale = {h * scale:.3f} > "
-            f"{_RESOLUTION_BOUND}); use step <= {0.05 / scale:.3e}")
+    _check_resolution(h, scale, "the fastest profile scale")
     return t_max, substeps, h
 
 

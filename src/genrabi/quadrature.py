@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from .errors import ConfigError, NumericError, QuadratureError
 
 __all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
-           "gauss_legendre", "panel_quad", "running_integral"]
+           "gauss_legendre", "on_arrays", "panel_quad", "running_integral"]
 
 # QUADPACK cannot do much better than ~1e-13 relative; keep a floor so a
 # caller-supplied absolute tolerance of 0 does not make quad error out. The
@@ -75,6 +75,24 @@ def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
     return value
 
 
+def on_arrays(fn: Callable, dtype=float) -> Callable:
+    """fn as a function of a float array, with results of the given dtype.
+
+    An array result is used as it is, a 0-d result (a constant such as
+    ``lambda t: 1.0``) is broadcast, and a callable that works on scalars
+    only (one that raises TypeError or ValueError on an array, such as
+    ``lambda t: math.exp(-t)``) is called once per point.
+    """
+    def call(x):
+        x = np.asarray(x, dtype=float)
+        try:
+            out = np.asarray(fn(x), dtype=dtype)
+        except (TypeError, ValueError):  # scalar-only: once per point
+            out = np.vectorize(fn, otypes=[dtype])(x)
+        return np.broadcast_to(out, x.shape)
+    return call
+
+
 def gauss_legendre(fn: Callable, lo, hi) -> np.ndarray:
     """One 8-point Gauss-Legendre rule on each panel [lo[i], hi[i]].
 
@@ -87,14 +105,15 @@ def gauss_legendre(fn: Callable, lo, hi) -> np.ndarray:
     return (values @ _GL_W) * width
 
 
-def edges_from_zero(points):
+def edges_from_zero(points, name: str = "tau"):
     """Panel edges from 0 through the distinct points, and the index of each
-    point among them, as running_integral uses them."""
+    point among them, as running_integral uses them. name is the variable
+    the points are values of, as a bad point's error message calls it."""
     points = np.asarray(points, dtype=float)
     if np.any(points < 0):
-        raise ConfigError("tau must be >= 0")
+        raise ConfigError(f"{name} must be >= 0")
     if not np.all(np.isfinite(points)):
-        raise NumericError("tau must be finite")
+        raise NumericError(f"{name} must be finite")
     edges = np.unique(np.append(points, 0.0))
     return edges, np.searchsorted(edges, points)
 
@@ -171,11 +190,14 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     return mesh, running
 
 
-def running_integral(fn: Callable, points, tol: float = 1e-10):
+def running_integral(fn: Callable, points, tol: float = 1e-10,
+                     name: str = "tau"):
     """Integral of fn from 0 to each point >= 0 (in any order) by one
-    panel_quad to tol over all of them; fn must accept a 1-d array."""
-    edges, index = edges_from_zero(points)
-    mesh, running = panel_quad(fn, edges, tol)
+    panel_quad to tol over all of them. fn is taken through on_arrays, so a
+    constant or a scalar-only callable serves too; name is as in
+    edges_from_zero."""
+    edges, index = edges_from_zero(points, name)
+    mesh, running = panel_quad(on_arrays(fn), edges, tol)
     return running[np.searchsorted(mesh, edges)][index]
 
 

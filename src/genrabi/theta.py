@@ -266,18 +266,19 @@ def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
     Returns |omega(t)| times the dimensionless ratio at tau(t). A profile is
     exactly solvable by this ansatz iff its own detuning matches this value
     at all times in the window. profile_omega_mag is called on arrays, as a
-    FieldProfile's is, for the panel quadrature of tau(t).
+    FieldProfile's is, for the panel quadrature of tau(t); a constant or a
+    scalar-only callable serves too (see quadrature.on_arrays).
     """
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    tau = running_integral(profile_omega_mag, float(t))
+    tau = running_integral(profile_omega_mag, float(t), name="t")
     return float(profile_omega_mag(float(t))) * ev.detuning_ratio(tau)
 
 
 def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
                     quad_tol: float = 1e-10) -> PhaseIntegrals:
-    """Both accumulated phases at time t. omega_mag is called on arrays, as
-    a FieldProfile's is, for the panel quadrature of tau(t)."""
-    tau = running_integral(omega_mag, float(t))
+    """Both accumulated phases at time t. omega_mag is taken as in
+    induced_detuning."""
+    tau = running_integral(omega_mag, float(t), name="t")
     _, phi, r = ThetaEvaluator(ansatz, quad_tol=quad_tol).triple(tau)
     return PhaseIntegrals(phi_int=float(phi), r_int=float(r))
 

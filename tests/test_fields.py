@@ -134,3 +134,6 @@ def test_transverse_area_analytic_and_quadrature_agree():
     assert np.max(np.abs(numeric - analytic)) < 1e-9
     assert transverse_area(stripped, 2.0) == pytest.approx(
         math.atan(math.sinh(2.0)), abs=1e-10)
+    # the argument is a time, and the error says so
+    with pytest.raises(ConfigError, match="^t must be >= 0$"):
+        transverse_area(stripped, -1.0)

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from genrabi import propagator
 from genrabi.closed_forms import case2_series
@@ -33,6 +35,108 @@ def diagonal_profile(omega_z0):
         omega_z=lambda t: np.full_like(np.asarray(t, dtype=float), omega_z0),
         omega_mag=zero, phi_omega=zero, phi_omega_dot=zero,
         label="diagonal")
+
+
+def wobbly_profile():
+    # bounded, with every Hamiltonian entry moving: max |Omega| + |omega|
+    # stays below 2.2, so a substep of 0.02 resolves it anywhere
+    return FieldProfile(
+        omega_z=lambda t: 0.7 * np.cos(3.0 * np.asarray(t, dtype=float)),
+        omega_mag=lambda t: 1.0 + 0.5 * np.sin(2.0 * np.asarray(t, float)),
+        phi_omega=lambda t: np.sin(np.asarray(t, dtype=float)),
+        phi_omega_dot=lambda t: np.cos(np.asarray(t, dtype=float)),
+        label="wobbly")
+
+
+def reference_integrate(profile, t_max, samples, substeps, scheme):
+    # the scalar accumulation loop the lane sweep replaced: one complex
+    # update of the first column (a, c) of U per step exponential
+    _, nodes, rows = propagator._SCHEMES[scheme]
+    h = t_max / (samples - 1) / substeps
+    base = np.arange((samples - 1) * substeps) * h
+    hams = [propagator._hamiltonian_arrays(profile, base + x * h)
+            for x in nodes]
+    factors = [_step_factors(sum(w * om for w, (om, _) in zip(row, hams)),
+                             sum(w * ow for w, (_, ow) in zip(row, hams)), h)
+               for row in rows]
+    a, c = 1.0 + 0.0j, 0.0j
+    a_out, b_out = [a], [0.0j]
+    for k in range(base.size):
+        for alpha, beta in factors:
+            f, g = complex(alpha[k]), complex(beta[k])
+            a, c = f * a + g * c, -g.conjugate() * a + f.conjugate() * c
+        if (k + 1) % substeps == 0:
+            a_out.append(a)
+            b_out.append(-c.conjugate())
+    return np.array(a_out), np.array(b_out)
+
+
+def _drift(a, b):
+    return float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)))
+
+
+def check_accumulation(samples, substeps, scheme):
+    # the lane sweep against the scalar loop at substep 0.02: entries within
+    # 1e-12, drift within 2x of the loop's plus eps (4 + sqrt(N)): the loop's
+    # drift over N exponentials can happen to be 0, while a random walk of N
+    # roundings, and the drift's own evaluation, reach that size
+    t_max = 0.02 * (samples - 1) * substeps
+    rows = propagator._SCHEMES[scheme][2]
+    exponentials = (samples - 1) * substeps * len(rows)
+    profile = wobbly_profile()
+    a, b = propagator._integrate(profile, t_max, samples, substeps, scheme)
+    ref_a, ref_b = reference_integrate(profile, t_max, samples, substeps,
+                                       scheme)
+    assert a.shape == b.shape == (samples,)
+    assert np.max(np.abs(a - ref_a)) <= 1e-12
+    assert np.max(np.abs(b - ref_b)) <= 1e-12
+    assert _drift(a, b) <= 2.0 * _drift(ref_a, ref_b) \
+        + np.finfo(float).eps * (4.0 + math.sqrt(exponentials))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("samples, substeps", [
+    (2, 400),     # one interval: its lanes alone make the product
+    (11, 997),    # several lanes per interval, the last padded
+    (2001, 1),    # one exponential (or two) per interval
+])
+def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
+    check_accumulation(samples, substeps, scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@given(samples=st.integers(2, 30), substeps=st.integers(1, 100))
+def test_lane_sweep_matches_the_scalar_loop_on_any_grid(scheme, samples,
+                                                         substeps):
+    check_accumulation(samples, substeps, scheme)
+
+
+def test_accumulation_makes_no_python_loop_per_substep():
+    # Python lines run in _integrate's own frame: about 2 sqrt(total) + samples
+    # loop iterations of at most 3 lines each, where a loop over the
+    # 200,000 exponentials would run at least one line for each
+    samples, substeps = 11, 20000
+    code = propagator._integrate.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    t_max = 0.02 * (samples - 1) * substeps
+    outer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        propagator._integrate(wobbly_profile(), t_max, samples, substeps,
+                              "midpoint_exponential")
+    finally:
+        sys.settrace(outer)
+    total = (samples - 1) * substeps
+    assert 0 < lines <= 3 * (2 * math.isqrt(total) + samples) + 100
 
 
 def test_config_validation():
@@ -189,6 +293,26 @@ def test_resolution_guard():
     assert "use step <=" in str(err.value)
     # a compliant step passes
     propagate(fast, PropagatorConfig(step=4e-4, samples=11), 1.0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_narrow_pulse_between_scale_probes_is_a_resolution_failure(scheme):
+    # a Gaussian pi pulse (area pi/2, so the exact p_flip is 1) of width
+    # 2e-4 centred between two of the 257 scale probes on [0, 1]: the probe
+    # reads almost 0 and the default config once returned a wrong p_flip
+    # (0.10 midpoint, 0.95 CF4) without raising; the sweep nodes see it
+    sigma, centre = 2e-4, 0.5 + 0.5 / 256
+    peak = 0.5 * math.pi / (sigma * math.sqrt(2.0 * math.pi))
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    pulse = FieldProfile(
+        omega_z=zero, phi_omega=zero, phi_omega_dot=zero, label="pulse",
+        omega_mag=lambda t: peak * np.exp(
+            -0.5 * ((np.asarray(t, dtype=float) - centre) / sigma) ** 2))
+    with pytest.raises(StepResolutionError, match="over the sweep nodes"):
+        propagate(pulse, PropagatorConfig(scheme=scheme), 1.0)
+    # a step that resolves the pulse passes and flips the spin
+    traj = propagate(pulse, PropagatorConfig(scheme=scheme, step=2e-5), 1.0)
+    assert traj.p_flip[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def _nan_profile(centre, *, rate=False):

@@ -84,7 +84,9 @@ def test_edges_from_zero_maps_points_back():
     edges, index = edges_from_zero(points)
     assert edges.tolist() == [0.0, 0.5, 2.0]
     assert np.array_equal(edges[index], points)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^tau must be >= 0$"):
         edges_from_zero([1.0, -0.1])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="^tau must be finite$"):
         edges_from_zero([1.0, math.nan])
+    with pytest.raises(ConfigError, match="^t must be >= 0$"):
+        edges_from_zero([1.0, -0.1], "t")

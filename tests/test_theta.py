@@ -369,6 +369,24 @@ def test_theta_route_makes_no_scalar_quadrature_calls(monkeypatch):
     assert verify_ansatz(zero_ansatz(), modes, 3.0, samples=33).passed
 
 
+@pytest.mark.parametrize("omega_mag, tau_of", [
+    (lambda t: 1.0, lambda t: t),
+    (lambda t: math.exp(-t), lambda t: 1.0 - math.exp(-t)),
+], ids=["constant", "scalar_only"])
+def test_bare_omega_mag_may_be_a_constant_or_scalar_only(omega_mag, tau_of):
+    # both once failed inside gauss_legendre with a bare ValueError or
+    # TypeError; they are taken through quadrature.on_arrays
+    phi = lambda t: 0.3 * t
+    for entries in (case1_entries, case2_entries):
+        got = entries(omega_mag, phi, 1.5)
+        want = entries(omega_mag, phi, 1.5, tau=tau_of(1.5))
+        assert abs(got.a - want.a) < 1e-12 and abs(got.b - want.b) < 1e-12
+    assert induced_detuning(case2_ansatz(), omega_mag, 0.5) == pytest.approx(
+        omega_mag(0.5) * case2_detuning_ratio(tau_of(0.5)), abs=1e-9)
+    assert phase_integrals(case2_ansatz(), omega_mag, 0.9).phi_int \
+        == pytest.approx(math.atan(tau_of(0.9)), abs=1e-10)
+
+
 def test_interior_singularity_surfaces_through_series_and_verify():
     # the slope ansatz of test_interior_singularity_is_reported, on a clock
     # tau = t that passes its crossing near tau = 1.64
