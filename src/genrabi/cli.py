@@ -362,9 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "split_fraction is accepted here for case1/case2")
         p.add_argument("--step", type=float, default=None,
                        help="oracle substep bound, dimensionless axis units "
-                            "(default: auto from the profile's fastest scale)")
+                            "(default: automatic, from the profile's fastest "
+                            "scale and the scheme's order)")
         p.add_argument("--scheme", choices=list(SCHEMES),
-                       default="midpoint_exponential", help="integrator")
+                       default="midpoint_exponential",
+                       help="oracle integrator (default: %(default)s)")
         if with_engine:
             p.add_argument("--engine", choices=list(ENGINE_CHOICES),
                            default="closed_form")
@@ -387,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "CSV table (default: the family's own ansatz)")
     p_ver.add_argument("--residual-tol", type=float, default=1e-8)
     p_ver.add_argument("--entries-tol", type=float, default=1e-6)
-    p_ver.set_defaults(handler=_cmd_verify)
+    # the oracle verify_ansatz defaults to
+    p_ver.set_defaults(handler=_cmd_verify, scheme="commutator_free_4th")
 
     p_modes = sub.add_parser("modes", help="coupled-waveguide propagation")
     p_modes.add_argument("--config", help="mode JSON config "

@@ -13,6 +13,19 @@ exp(-i h sum_k w_jk H(t + x_k h)). Adding a scheme means adding one row.
 midpoint_exponential: one exponential at the interval midpoint, O(step^2);
 commutator_free_4th: two from the two Gauss nodes, O(step^4), no commutators.
 
+With step=None each scheme takes its own automatic step from one error
+target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
+from _SCHEMES (Hairer, Norsett & Wanner, Solving ODEs I, II.4); CF4's step is
+25.8x the midpoint one.
+
+The scale is probed at _SCALE_PROBES points, which a narrow feature can slip
+between, so the sweep also bounds step * (|Omega| + |omega|) at its own
+nodes, about a step apart: at CF4's automatic step it only catches features
+wider than a 25.8x coarser spacing than at midpoint's. On failure the advised
+step comes from the peak read on a fine grid around the node that saw most,
+so following it once resolves a feature wider than about a hundredth of the
+failing step.
+
 The sweep evaluates the Hamiltonian at every node at once and builds every
 step factor as an array. The product is accumulated in numpy as well: the
 exponentials of each output interval are split into lanes of about
@@ -64,8 +77,11 @@ _RESOLUTION_BOUND = 0.1
 # post: | |a|^2 + |b|^2 - 1 | stays within this, else UnitarityDriftError.
 _MAX_DRIFT = 1e-10
 
-# suggested_step keeps step * fastest scale, probed at _SCALE_PROBES points,
-# at _STEP_MARGIN: closed-form-level accuracy for the second-order scheme
+# One error target for every scheme: the automatic step h keeps
+# (h * fastest scale)^order, the scale probed at _SCALE_PROBES points, at
+# _STEP_MARGIN^2. The midpoint scheme keeps h * scale at _STEP_MARGIN, CF4
+# at sqrt(_STEP_MARGIN); on the catalog both stay within 1e-6 of the closed
+# forms (midpoint up to about 7e-7, CF4 mostly below 1e-8).
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
@@ -82,7 +98,8 @@ class PropagatorConfig:
 
     step is an upper bound on the internal substep; the integrator divides
     each output interval evenly so the effective substep never exceeds it.
-    step=None takes suggested_step's step from the run's one scale probe.
+    step=None takes suggested_step(profile, t_max, scheme)'s step from the
+    run's one scale probe.
     samples is an integer in [2, _MAX_SUBSTEPS + 1], stored as an int.
     """
 
@@ -177,13 +194,18 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     return scale
 
 
-def _step_for(scale: float, t_max: float) -> float:
-    return min(_STEP_MARGIN / scale, t_max / 10.0) if scale else t_max / 100.0
+def _step_for(scale: float, t_max: float, scheme: str) -> float:
+    order = _SCHEMES[scheme][0]
+    margin = _STEP_MARGIN ** (2 / order)  # exactly _STEP_MARGIN at order 2
+    return min(margin / scale, t_max / 10.0) if scale else t_max / 100.0
 
 
-def suggested_step(profile: FieldProfile, t_max: float) -> float:
-    """The automatic step: step * fastest-scale stays at _STEP_MARGIN."""
-    return _step_for(profile_scale(profile, t_max), t_max)
+def suggested_step(profile: FieldProfile, t_max: float,
+                   scheme: str = "midpoint_exponential") -> float:
+    """The scheme's automatic step: (step * fastest scale)^order stays at
+    _STEP_MARGIN^2, so step * scale is _STEP_MARGIN for the midpoint scheme
+    and sqrt(_STEP_MARGIN) for CF4."""
+    return _step_for(profile_scale(profile, t_max), t_max, scheme)
 
 
 def _hamiltonian_arrays(profile: FieldProfile, grid: np.ndarray):
@@ -219,7 +241,18 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     h = t_max / intervals / substeps
     base = np.arange(intervals * substeps) * h
     hams = [_hamiltonian_arrays(profile, base + x * h) for x in nodes]
-    scale = max(float(np.max(np.abs(om) + np.abs(ow))) for om, ow in hams)
+    peaks = [float(np.max(np.abs(om) + np.abs(ow))) for om, ow in hams]
+    scale = max(peaks)
+    if h * scale > _RESOLUTION_BOUND:
+        # nodes that catch a feature narrower than their spacing on its
+        # flank under-read its peak, and the advice with it; read the peak
+        # on a fine grid between the neighbours of the node that saw most
+        k = peaks.index(scale)
+        om, ow = hams[k]
+        t = base[np.argmax(np.abs(om) + np.abs(ow))] + nodes[k] * h
+        om, ow = _hamiltonian_arrays(profile, np.linspace(
+            max(t - h, 0.0), min(t + h, t_max), _SCALE_PROBES))
+        scale = max(scale, float(np.max(np.abs(om) + np.abs(ow))))
     mixed = [[reduce(np.add, map(mul, row, part)) for part in zip(*hams)]
              for row in rows]
     del hams  # freed before the step factors' temporaries peak
@@ -279,7 +312,8 @@ def _prepare(profile: FieldProfile, config: PropagatorConfig, window,
     its step resolves the profile."""
     t_max = window_end(window, "integration window")
     scale = profile_scale(profile, t_max)
-    step = _step_for(scale, t_max) if config.step is None else config.step
+    step = _step_for(scale, t_max, config.scheme) if config.step is None \
+        else config.step
     dt = t_max / (config.samples - 1)
     per_interval = dt / step
     intervals = (config.samples - 1) * refine

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from genrabi.cli import main
-from genrabi.theta import case2_ansatz
+from genrabi.scenarios import (ScenarioParams, default_ansatz,
+                               default_window, make_scenario,
+                               scenario_time_scale)
+from genrabi.theta import case2_ansatz, verify_ansatz
 
 RUN_HEADER = ("t,omega_z,omega_mag,phi_omega,detuning,re_a,im_a,re_b,im_b,"
               "p_flip,sigma_x,sigma_y,sigma_z")
@@ -216,6 +219,21 @@ def test_verify_pass_and_fail_paths(capsys):
     capsys.readouterr()
     assert main(["verify", "--scenario", "case1", "--ansatz", "missing"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["exp_resonant", "rabi"])
+def test_verify_defaults_to_the_oracle_of_verify_ansatz(family, capsys):
+    # the CLI once defaulted to midpoint (deviation 3.7e-7 on exp_resonant
+    # at 1001 samples) while verify_ansatz defaults to CF4 (about 1e-9 at
+    # its own automatic step)
+    assert main(["verify", "--scenario", family, "--samples", "65"]) == 0
+    out = capsys.readouterr().out
+    params = ScenarioParams(family, {})
+    t_max = default_window(family)[0] / scenario_time_scale(params)
+    report = verify_ansatz(default_ansatz(params), make_scenario(params),
+                           t_max, samples=65)
+    assert f"entries_deviation_max={report.entries_deviation_max:.3e} " in out
+    assert report.entries_deviation_max < 1e-7
 
 
 def test_verify_accepts_table_ansatz(tmp_path, capsys):

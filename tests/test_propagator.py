@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -168,7 +169,8 @@ def test_automatic_step_is_the_suggested_step(family, scheme):
     t_max = 0.1 * default_window(family)[0] / scenario_time_scale(family)
     auto = propagate(prof, PropagatorConfig(scheme=scheme, samples=11), t_max)
     explicit = propagate(prof, PropagatorConfig(
-        scheme=scheme, step=suggested_step(prof, t_max), samples=11), t_max)
+        scheme=scheme, step=suggested_step(prof, t_max, scheme), samples=11),
+        t_max)
     assert auto.step == explicit.step
     assert np.array_equal(auto.a, explicit.a)
     assert np.array_equal(auto.b, explicit.b)
@@ -308,11 +310,18 @@ def test_narrow_pulse_between_scale_probes_is_a_resolution_failure(scheme):
         omega_z=zero, phi_omega=zero, phi_omega_dot=zero, label="pulse",
         omega_mag=lambda t: peak * np.exp(
             -0.5 * ((np.asarray(t, dtype=float) - centre) / sigma) ** 2))
-    with pytest.raises(StepResolutionError, match="over the sweep nodes"):
+    with pytest.raises(StepResolutionError,
+                       match="over the sweep nodes") as failure:
         propagate(pulse, PropagatorConfig(scheme=scheme), 1.0)
+    # the advice comes from the pulse's peak, not from the flank the nodes
+    # saw (once "use step <= 2.078e-04" for midpoint, which raised again),
+    # so following it once resolves the pulse
+    advice = float(re.search(r"use step <= (\S+)$", str(failure.value))[1])
+    assert advice == pytest.approx(0.05 / peak, rel=1e-3)
     # a step that resolves the pulse passes and flips the spin
-    traj = propagate(pulse, PropagatorConfig(scheme=scheme, step=2e-5), 1.0)
-    assert traj.p_flip[-1] == pytest.approx(1.0, abs=1e-12)
+    for step in (advice, 2e-5):
+        traj = propagate(pulse, PropagatorConfig(scheme=scheme, step=step), 1.0)
+        assert traj.p_flip[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def _nan_profile(centre, *, rate=False):
@@ -400,6 +409,11 @@ def test_trajectory_from_entries_matches_closed_form_columns():
 def test_suggested_step_scales():
     prof = make_scenario("sech_resonant")
     assert suggested_step(prof, 6.0) == pytest.approx(0.0015 / 10.0)
+    # one error target: (step * scale)^order stays at 0.0015^2
+    assert suggested_step(prof, 6.0) \
+        == suggested_step(prof, 6.0, "midpoint_exponential")
+    assert suggested_step(prof, 6.0, "commutator_free_4th") \
+        == pytest.approx(math.sqrt(0.0015) / 10.0)
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     silent = FieldProfile(omega_z=zero, omega_mag=zero, phi_omega=zero,
                           phi_omega_dot=zero, label="silent")

@@ -4,7 +4,8 @@ For every catalog family, the closed form (closed_form_series) and the
 general Theta route with the family's own ansatz (default_ansatz) evaluate
 the same (Theta, phi_int, r_int) representation, so they must agree, and
 both must be unitary. The unitary oracle at suggested_step must stay unitary
-under both schemes and, with CF4, track the closed-form flip probability.
+under both schemes and, with CF4, track the closed-form flip probability;
+CF4 at its own automatic step must track the closed-form entries.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
 tau, and the locked-ratio ansatz is the closed form's own (triple, ratio)
@@ -93,7 +94,7 @@ def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
     assume(t_max / step <= 2 ** 18)
 
     ts = np.linspace(0.0, t_max, SAMPLES)
-    _, b = closed_form_series(params, profile, ts)
+    a, b = closed_form_series(params, profile, ts)
     runs = {scheme: propagate(profile, PropagatorConfig(
         scheme=scheme, step=step, samples=SAMPLES), t_max)
         for scheme in SCHEMES}
@@ -101,6 +102,12 @@ def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
         assert traj.unitarity_drift <= 1e-10
     p_flip = runs["commutator_free_4th"].p_flip
     assert np.max(np.abs(p_flip - np.abs(b) ** 2)) <= 1e-6
+    # CF4 at its own automatic step, 25.8x the midpoint one, still tracks
+    # the entries themselves
+    auto = propagate(profile, PropagatorConfig(
+        scheme="commutator_free_4th", samples=SAMPLES), t_max)
+    assert auto.unitarity_drift <= 1e-10
+    assert max(np.max(np.abs(auto.a - a)), np.max(np.abs(auto.b - b))) <= 1e-6
 
 
 def _generic_beta0_phases(beta0, reach):

@@ -282,7 +282,8 @@ def test_verify_probes_the_profile_scale_once(monkeypatch):
     explicit = verify_ansatz(case2_ansatz(), prof, 5.0, samples=33,
                              config=propagator.PropagatorConfig(
                                  scheme="commutator_free_4th",
-                                 step=propagator.suggested_step(prof, 5.0)))
+                                 step=propagator.suggested_step(
+                                     prof, 5.0, "commutator_free_4th")))
     calls = []
     probe = propagator.profile_scale
     monkeypatch.setattr(propagator, "profile_scale",
