@@ -26,21 +26,26 @@ step comes from the peak read on a fine grid around the node that saw most,
 so following it once resolves a feature wider than about a hundredth of the
 failing step.
 
-The sweep evaluates the Hamiltonian at every node at once and builds every
-step factor as an array. The product is accumulated in numpy as well: the
-exponentials of each output interval are split into lanes of about
-sqrt(total) in acting order, every lane is multiplied sequentially with one
-array update per position, vectorized across all lanes, and a short scalar
-loop folds the lane products into the running operator. A sequential order
-inside each lane drifts less from unitarity than a pairwise product tree.
+The sweep evaluates each profile callable once per Gauss node over the
+whole grid. The exponentials of each output interval are split into lanes of
+about sqrt(total) in acting order, and the run is walked in blocks of whole
+lanes, about _BLOCK substeps each: a block takes the drive in real form
+(Omega, |omega| cos phi, |omega| sin phi), records its peak of |Omega| +
+|omega|, mixes the scheme rows with the step folded into the weights, checks
+that the result is finite and writes the Euler-form factors straight into
+the lane layout, so every temporary is block-sized. Every lane is then
+multiplied sequentially with one array update per position, vectorized
+across all lanes, and the lane products are folded into the running
+operator two levels deep: running products inside groups of about
+sqrt(lanes) lanes, vectorized across groups, then a short scalar fold of
+the group totals. A sequential order inside each lane drifts less from
+unitarity than a pairwise product tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -85,11 +90,16 @@ _MAX_DRIFT = 1e-10
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
-# Most substeps one integration may take. The sweep peaks at about 130
-# (midpoint) to 220 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
-# so this caps one run at 2-4 GB; the largest runs of the test suite and the
-# benchmark take under 3e5.
+# Most substeps one integration may take. The sweep peaks at about 64
+# (midpoint) to 121 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
+# so a run at this cap takes about 1.1 (midpoint) to 2.0 GB (CF4); the
+# largest runs of the test suite and the benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
+
+# Substeps per block of the sweep's factor pass: a block's dozen scratch
+# arrays stay in cache between its elementwise passes.
+_BLOCK = 1 << 14
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -208,21 +218,52 @@ def suggested_step(profile: FieldProfile, t_max: float,
     return _step_for(profile_scale(profile, t_max), t_max, scheme)
 
 
-def _hamiltonian_arrays(profile: FieldProfile, grid: np.ndarray):
-    om = np.asarray(profile.omega_z(grid), dtype=float)
-    mg = np.asarray(profile.omega_mag(grid), dtype=float)
-    ph = np.asarray(profile.phi_omega(grid), dtype=float)
-    return om, mg * np.exp(1j * ph)
+def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
+    """Write exp(i u.sigma) = [[f, g], [-conj(g), conj(f)]] into f and g.
+
+    f = cos|u| + i uz sinc|u| and g = (uy + i ux) sinc|u|, where
+    sinc x = sin(x) / x is 1 at u = 0; u's components and f, g share one
+    shape and work holds two float arrays of it. Returns whether every |u|
+    is finite.
+    """
+    angle, sinc = work
+    np.multiply(ux, ux, out=angle)
+    np.multiply(uy, uy, out=sinc)
+    angle += sinc
+    np.multiply(uz, uz, out=sinc)
+    angle += sinc
+    np.sqrt(angle, out=angle)
+    finite = math.isfinite(angle.sum())
+    np.maximum(angle, _TINY, out=angle)  # sin(_TINY) / _TINY == 1
+    np.cos(angle, out=f.real)
+    np.sin(angle, out=sinc)
+    sinc /= angle
+    np.multiply(uz, sinc, out=f.imag)
+    np.multiply(uy, sinc, out=g.real)
+    np.multiply(ux, sinc, out=g.imag)
+    return finite
 
 
-def _step_factors(om: np.ndarray, ow: np.ndarray, h: float):
-    # exp(-i h H) for H = [[om, ow], [conj(ow), -om]] in Euler form
-    energy = np.hypot(om, np.abs(ow))
-    angle = energy * h
-    sinc = np.where(energy > 0.0, np.sin(angle) / np.where(energy > 0.0, energy, 1.0), h)
-    alpha = np.cos(angle) - 1j * om * sinc
-    beta = -1j * ow * sinc
-    return alpha, beta
+def _blocks(intervals: int, substeps: int, chunks: int, run: int):
+    """The sweep in blocks of whole lanes of about _BLOCK substeps: runs of
+    whole intervals while one fits, else runs of lanes of one interval.
+    Yields (first substep, rows, real, padded, first lane, end lane): the
+    block holds rows x real substeps in time order, each row padded with
+    identities to padded substeps, and covers lanes [first, end)."""
+    span = chunks * run
+    if span <= _BLOCK:
+        step = _BLOCK // span
+        for i in range(0, intervals, step):
+            n = min(step, intervals - i)
+            yield i * substeps, n, substeps, span, i * chunks, (i + n) * chunks
+    else:
+        step = max(1, _BLOCK // run)
+        for i in range(intervals):
+            for c in range(0, chunks, step):
+                e = min(chunks, c + step)
+                yield (i * substeps + c * run, 1,
+                       min(substeps, e * run) - c * run, (e - c) * run,
+                       i * chunks + c, i * chunks + e)
 
 
 def _check_resolution(h: float, scale: float, what: str) -> None:
@@ -237,71 +278,141 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                substeps: int, scheme: str):
     """Core fixed-step sweep. Returns the entries (a, b) at the samples."""
     _, nodes, rows = _SCHEMES[scheme]
+    m = len(rows)
     intervals = samples - 1
+    total = intervals * substeps
     h = t_max / intervals / substeps
-    base = np.arange(intervals * substeps) * h
-    hams = [_hamiltonian_arrays(profile, base + x * h) for x in nodes]
-    peaks = [float(np.max(np.abs(om) + np.abs(ow))) for om, ow in hams]
-    scale = max(peaks)
+    # (Omega, |omega|, phi) at node x of every substep s, t = s h + x h
+    drive = []
+    for x in nodes:
+        grid = np.arange(total, dtype=float)
+        grid *= h
+        grid += x * h
+        drive.append([np.broadcast_to(np.asarray(fn(grid), dtype=float),
+                                      grid.shape)
+                      for fn in (profile.omega_z, profile.omega_mag,
+                                 profile.phi_omega)])
+    del grid
+
+    # interval i's exponentials in acting order, split into `chunks` lanes
+    # of `run` whole substeps, the last lane padded with identity substeps;
+    # f[p, j, l], g[p, j, l] is exponential j of substep p of lane l
+    run = min(substeps, max(1, math.isqrt(total * m) // m))
+    chunks = -(-substeps // run)
+    run = -(-substeps // chunks)
+    lanes = intervals * chunks
+    f = np.empty((run, m, lanes), dtype=complex)
+    g = np.empty_like(f)
+    blocks = list(_blocks(intervals, substeps, chunks, run))
+    size = max(rows_ * padded for _, rows_, _, padded, _, _ in blocks)
+    nodal = np.empty((len(nodes), 2, size))  # (Re omega, Im omega) per node
+    u = np.empty((3, size))
+    work = np.empty((3, size))
+    fb = np.empty(size, dtype=complex)
+    gb = np.empty_like(fb)
+    # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
+    # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k)
+    signs = (-h, h, -h)
+    best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, block start, size
+    for r0, rows_, real, padded, l0, l1 in blocks:
+        n, span = rows_ * real, rows_ * padded
+        term = work[2, :n].reshape(rows_, real)
+        parts = []  # per node: (Re omega, Im omega, Omega), u up to -h w
+        for k, (om, mg, ph) in enumerate(drive):
+            om, mg, ph = om[r0:r0 + n], mg[r0:r0 + n], ph[r0:r0 + n]
+            peak = np.abs(om, out=work[0, :n])
+            peak += np.abs(mg, out=work[1, :n])
+            top = float(peak.max())
+            if top > best[0]:
+                best = (top, k, r0, n)
+            re, im = nodal[k, :, :n]
+            np.cos(ph, out=re)
+            re *= mg
+            np.sin(ph, out=im)
+            im *= mg
+            parts.append((re, im, om))
+        for j, row in enumerate(rows):
+            for c, sign in enumerate(signs):
+                out = u[c, :span].reshape(rows_, padded)
+                out[:, real:] = 0.0
+                out = out[:, :real]
+                np.multiply(parts[0][c].reshape(rows_, real), sign * row[0],
+                            out=out)
+                for w, part in zip(row[1:], parts[1:]):
+                    out += np.multiply(part[c].reshape(rows_, real),
+                                       sign * w, out=term)
+            if not _rotation_factors(*u[:, :span], fb[:span], gb[:span],
+                                     work[:2, :span]):
+                _raise_non_finite(profile, drive, r0, n, h)
+            np.copyto(f[:, j, l0:l1], fb[:span].reshape(l1 - l0, run).T)
+            np.copyto(g[:, j, l0:l1], gb[:span].reshape(l1 - l0, run).T)
+    del nodal, u, work, fb, gb
+
+    # every block was finite; now the step must resolve the peak
+    scale, k, r0, n = best
     if h * scale > _RESOLUTION_BOUND:
         # nodes that catch a feature narrower than their spacing on its
         # flank under-read its peak, and the advice with it; read the peak
         # on a fine grid between the neighbours of the node that saw most
-        k = peaks.index(scale)
-        om, ow = hams[k]
-        t = base[np.argmax(np.abs(om) + np.abs(ow))] + nodes[k] * h
-        om, ow = _hamiltonian_arrays(profile, np.linspace(
-            max(t - h, 0.0), min(t + h, t_max), _SCALE_PROBES))
-        scale = max(scale, float(np.max(np.abs(om) + np.abs(ow))))
-    mixed = [[reduce(np.add, map(mul, row, part)) for part in zip(*hams)]
-             for row in rows]
-    del hams  # freed before the step factors' temporaries peak
-    ok = np.logical_and.reduce([np.isfinite(x) for ham in mixed for x in ham])
-    if not ok.all():
-        raise NumericError(
-            f"Hamiltonian of profile {profile.label!r} is not finite in the "
-            f"substep from t={base[np.argmin(ok)]:g}")
+        om, mg, _ = drive[k]
+        peak = np.abs(om[r0:r0 + n]) + np.abs(mg[r0:r0 + n])
+        t = (r0 + int(np.argmax(peak))) * h + nodes[k] * h
+        fine = np.linspace(max(t - h, 0.0), min(t + h, t_max), _SCALE_PROBES)
+        scale = max(scale, float(np.max(
+            np.abs(np.asarray(profile.omega_z(fine), dtype=float))
+            + np.abs(np.asarray(profile.omega_mag(fine), dtype=float)))))
+    del drive
     # the probe in _prepare can miss a pulse narrower than its spacing
     _check_resolution(h, scale, "max |Omega| + |omega| over the sweep nodes")
 
-    # interval i's exponentials in acting order, split into `chunks` lanes
-    # of `width`: exponential j of substep s sits at s * m + j, and the
-    # last lane is padded with identities (f, g) = (1, 0)
-    m = len(rows)
-    per = substeps * m
-    chunks = -(-per // min(per, math.isqrt(intervals * per)))
-    width = -(-per // chunks)
-    lanes = intervals * chunks
-    f = np.zeros((intervals, chunks * width), dtype=complex)
-    g = np.zeros_like(f)
-    f[:, per:] = 1.0
-    for j, (om, ow) in enumerate(mixed):
-        alpha, beta = _step_factors(om, ow, h)
-        f[:, j:per:m] = alpha.reshape(intervals, substeps)
-        g[:, j:per:m] = beta.reshape(intervals, substeps)
-    del mixed, alpha, beta
-    # one row per position in a lane, so each update reads contiguous rows
-    f, g = (np.ascontiguousarray(x.reshape(lanes, width).T) for x in (f, g))
-
     # product of each lane, later factors on the left: [[F, G], [-G*, F*]]
+    f, g = f.reshape(run * m, lanes), g.reshape(run * m, lanes)
     fl, gl = f[0], g[0]
     for fk, gk in zip(f[1:], g[1:]):
         fl, gl = fk * fl - gk * gl.conj(), fk * gl + gk * fl.conj()
     del f, g
 
-    # fold the lanes in order into the first column (a, c) of U; each
-    # interval's last lane gives the sample at its end, where b = -conj(c)
-    a_run = np.empty(lanes, dtype=complex)
-    c_run = np.empty(lanes, dtype=complex)
+    # fold the lanes in order into the first column (a, c) of U, two
+    # levels deep: running products inside groups of about sqrt(lanes)
+    # lanes, vectorized across groups; a scalar fold of the group totals;
+    # then each group's start column applied to its running products at once
+    group = math.isqrt(lanes - 1) + 1
+    groups = -(-lanes // group)
+    pf = np.ones(groups * group, dtype=complex)
+    pg = np.zeros_like(pf)
+    pf[:lanes], pg[:lanes] = fl, gl
+    pf, pg = (x.reshape(groups, group).T.copy() for x in (pf, pg))
+    for i in range(1, group):
+        pf[i], pg[i] = (pf[i] * pf[i - 1] - pg[i] * pg[i - 1].conj(),
+                        pf[i] * pg[i - 1] + pg[i] * pf[i - 1].conj())
+    a0 = np.empty(groups, dtype=complex)
+    c0 = np.empty_like(a0)
     a, c = 1.0 + 0.0j, 0.0j
-    for i, (fi, gi) in enumerate(zip(fl.tolist(), gl.tolist())):
+    for i, (fi, gi) in enumerate(zip(pf[-1].tolist(), pg[-1].tolist())):
+        a0[i], c0[i] = a, c
         a, c = fi * a + gi * c, fi.conjugate() * c - gi.conjugate() * a
-        a_run[i], c_run[i] = a, c
+    # each interval's last lane gives the sample at its end, b = -conj(c)
+    a_run = (pf * a0 + pg * c0).T.reshape(-1)[chunks - 1:lanes:chunks]
+    c_run = (pf.conj() * c0 - pg.conj() * a0).T.reshape(-1)[
+        chunks - 1:lanes:chunks]
     a_out = np.ones(samples, dtype=complex)
     b_out = np.zeros(samples, dtype=complex)
-    a_out[1:] = a_run[chunks - 1::chunks]
-    b_out[1:] = -np.conj(c_run[chunks - 1::chunks])
+    a_out[1:] = a_run
+    b_out[1:] = -np.conj(c_run)
     return a_out, b_out
+
+
+def _raise_non_finite(profile: FieldProfile, drive, r0: int, n: int,
+                      h: float) -> None:
+    """Raise NumericError at the first substep of [r0, r0 + n) whose drive
+    is not finite at some node; return if there is none (then only the
+    rotation angle overflowed, which the resolution check rejects)."""
+    ok = np.logical_and.reduce([np.isfinite(x[r0:r0 + n])
+                                for node in drive for x in node])
+    if not ok.all():
+        raise NumericError(
+            f"Hamiltonian of profile {profile.label!r} is not finite in the "
+            f"substep from t={(r0 + int(np.argmin(ok))) * h:g}")
 
 
 def _prepare(profile: FieldProfile, config: PropagatorConfig, window,

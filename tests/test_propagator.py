@@ -1,9 +1,11 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from genrabi import propagator
@@ -19,7 +21,6 @@ from genrabi.propagator import (
     richardson_check,
     suggested_step,
 )
-from genrabi.propagator import _step_factors
 from genrabi.scenarios import (BUILT_IN, ScenarioParams, default_window,
                                make_scenario, scenario_time_scale)
 
@@ -50,16 +51,26 @@ def wobbly_profile():
 
 
 def reference_integrate(profile, t_max, samples, substeps, scheme):
-    # the scalar accumulation loop the lane sweep replaced: one complex
-    # update of the first column (a, c) of U per step exponential
+    # the scalar accumulation loop the lane sweep replaced, with its own
+    # complex Hamiltonian [[om, ow], [conj(ow), -om]] and Euler-form step
+    # factors: one complex update of the first column (a, c) of U per step
+    # exponential
     _, nodes, rows = propagator._SCHEMES[scheme]
     h = t_max / (samples - 1) / substeps
     base = np.arange((samples - 1) * substeps) * h
-    hams = [propagator._hamiltonian_arrays(profile, base + x * h)
+    hams = [(np.asarray(profile.omega_z(base + x * h), dtype=float),
+             profile.omega_mag(base + x * h)
+             * np.exp(1j * np.asarray(profile.phi_omega(base + x * h))))
             for x in nodes]
-    factors = [_step_factors(sum(w * om for w, (om, _) in zip(row, hams)),
-                             sum(w * ow for w, (_, ow) in zip(row, hams)), h)
-               for row in rows]
+    factors = []
+    for row in rows:
+        om = sum(w * om for w, (om, _) in zip(row, hams))
+        ow = sum(w * ow for w, (_, ow) in zip(row, hams))
+        energy = np.hypot(om, np.abs(ow))
+        sinc = np.where(energy > 0.0, np.sin(energy * h)
+                        / np.where(energy > 0.0, energy, 1.0), h)
+        factors.append((np.cos(energy * h) - 1j * om * sinc,
+                        -1j * ow * sinc))
     a, c = 1.0 + 0.0j, 0.0j
     a_out, b_out = [a], [0.0j]
     for k in range(base.size):
@@ -100,6 +111,10 @@ def check_accumulation(samples, substeps, scheme):
     (2, 400),     # one interval: its lanes alone make the product
     (11, 997),    # several lanes per interval, the last padded
     (2001, 1),    # one exponential (or two) per interval
+    (2, 40000),   # one interval longer than a block: blocks of its lanes
+    (3, 20011),   # long intervals whose padded last lane ends a block
+    (101, 300),   # blocks of whole intervals, the last one partial
+    (41, 997),    # padded last lanes on both sides of the block edges
 ])
 def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
     check_accumulation(samples, substeps, scheme)
@@ -112,13 +127,18 @@ def test_lane_sweep_matches_the_scalar_loop_on_any_grid(scheme, samples,
     check_accumulation(samples, substeps, scheme)
 
 
-def test_accumulation_makes_no_python_loop_per_substep():
-    # Python lines run in _integrate's own frame: about 2 sqrt(total) + samples
-    # loop iterations of at most 3 lines each, where a loop over the
-    # 200,000 exponentials would run at least one line for each
-    samples, substeps = 11, 20000
+def count_sweep_lines(monkeypatch, samples, substeps):
+    # Python lines run in _integrate's own frame, with the lane count, the
+    # substeps per lane and the number of blocks of the run
     code = propagator._integrate.__code__
     lines = 0
+    geometry = []
+    blocks = propagator._blocks
+
+    def counted(intervals, substeps, chunks, run):
+        out = list(blocks(intervals, substeps, chunks, run))
+        geometry.append((intervals * chunks, run, len(out)))
+        return out
 
     def local(frame, event, arg):
         nonlocal lines
@@ -128,6 +148,7 @@ def test_accumulation_makes_no_python_loop_per_substep():
     def calls(frame, event, arg):
         return local if frame.f_code is code else None
 
+    monkeypatch.setattr(propagator, "_blocks", counted)
     t_max = 0.02 * (samples - 1) * substeps
     outer = sys.gettrace()
     sys.settrace(calls)
@@ -136,8 +157,46 @@ def test_accumulation_makes_no_python_loop_per_substep():
                               "midpoint_exponential")
     finally:
         sys.settrace(outer)
-    total = (samples - 1) * substeps
-    assert 0 < lines <= 3 * (2 * math.isqrt(total) + samples) + 100
+    [(lanes, width, count)] = geometry
+    # the lane loop runs once per exponential of a lane and the fold about
+    # 2 sqrt(lanes) times, at most 3 lines each; the factor pass runs at
+    # most 50 lines per block, the rest of the sweep about 250
+    return lines, 3 * (width + 2 * math.isqrt(lanes) + 4) + 50 * count + 250
+
+
+def test_accumulation_makes_no_python_loop_per_substep(monkeypatch):
+    # a loop over the 200,000 exponentials would run at least one line each
+    lines, bound = count_sweep_lines(monkeypatch, 11, 20000)
+    assert 0 < lines <= bound
+
+
+def test_fold_makes_no_python_loop_per_lane(monkeypatch):
+    # one lane per interval: a scalar fold would run a line per each of the
+    # 20,000 lanes
+    lines, bound = count_sweep_lines(monkeypatch, 20001, 1)
+    assert 0 < lines <= bound
+
+
+@pytest.mark.parametrize("scheme, full_array_peak", [
+    ("midpoint_exponential", 130.0), ("commutator_free_4th", 220.0)])
+def test_sweep_peak_memory_per_substep(scheme, full_array_peak):
+    # the blocked factor pass holds only the drive at the nodes and the lane
+    # arrays in full; building every factor as a full array peaked at about
+    # 130 (midpoint) and 220 (CF4) bytes per substep
+    substeps = 20000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        propagator._integrate(make_scenario("exp_resonant"), 10.0, 11,
+                              substeps, scheme)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (10 * substeps) <= 0.6 * full_array_peak
 
 
 def test_config_validation():
@@ -206,16 +265,25 @@ def test_oracle_tracks_sech_closed_form():
 
 def test_step_factors_are_unitary():
     rng = np.random.default_rng(7)
-    om = rng.normal(size=64)
-    ow = rng.normal(size=64) + 1j * rng.normal(size=64)
-    alpha, beta = _step_factors(om, ow, 0.37)
-    # the operator [[alpha, beta], [-conj(beta), conj(alpha)]] has
-    # determinant |alpha|^2 + |beta|^2
-    det = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    assert np.max(np.abs(det - 1.0)) < 1e-14
-    # zero-energy entries degenerate cleanly
-    a0, b0 = _step_factors(np.zeros(3), np.zeros(3, dtype=complex), 0.5)
-    assert np.all(a0 == 1.0) and np.all(b0 == 0.0)
+    u = rng.normal(size=(3, 64))
+    f = np.empty(64, dtype=complex)
+    g = np.empty_like(f)
+    assert propagator._rotation_factors(*u, f, g, np.empty((2, 64)))
+    # the operator [[f, g], [-conj(g), conj(f)]] has determinant
+    # |f|^2 + |g|^2
+    assert np.max(np.abs(np.abs(f) ** 2 + np.abs(g) ** 2 - 1.0)) < 1e-14
+    # and is exp(i u.sigma)
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for k in range(8):
+        exact = scipy.linalg.expm(1j * np.einsum("i,ijk->jk", u[:, k], sigma))
+        assert abs(exact[0, 0] - f[k]) < 1e-14
+        assert abs(exact[0, 1] - g[k]) < 1e-14
+    # zero rotations (a zero Hamiltonian) give the identity exactly
+    assert propagator._rotation_factors(*np.zeros((3, 3)), f[:3], g[:3],
+                                        np.empty((2, 3)))
+    assert np.all(f[:3] == 1.0) and np.all(g[:3] == 0.0)
+    u[1, 5] = np.nan
+    assert not propagator._rotation_factors(*u, f, g, np.empty((2, 64)))
 
 
 def test_time_reversed_profile_inverts_the_evolution():
@@ -349,6 +417,30 @@ def test_non_finite_profile_is_a_numeric_failure(scheme):
             propagate(profile, config, 1.0)
         with pytest.raises(NumericError, match="no finite scale"):
             suggested_step(profile, 1.0)
+
+
+def test_non_finite_drive_outranks_an_earlier_unresolved_pulse():
+    # a run of four blocks with a narrow pulse the step cannot resolve at
+    # t ~ 0.1 and a NaN |omega| at t ~ 0.9, both between the scale probes:
+    # every block is checked for finiteness before the resolution failure
+    sigma, pulse, spike = 1e-4, 0.1 + 0.5 / 256, 0.9 + 0.5 / 256
+    peak = 0.5 * math.pi / (sigma * math.sqrt(2.0 * math.pi))
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+
+    def profile(nan):
+        def omega_mag(t):
+            t = np.asarray(t, dtype=float)
+            mag = peak * np.exp(-0.5 * ((t - pulse) / sigma) ** 2)
+            return np.where(nan & (np.abs(t - spike) < 1e-4), np.nan, mag)
+        return FieldProfile(omega_z=zero, omega_mag=omega_mag, phi_omega=zero,
+                            phi_omega_dot=zero, label="pulse")
+
+    config = PropagatorConfig(step=2e-5, samples=11)
+    assert 1.0 / config.step > 2 * propagator._BLOCK
+    with pytest.raises(NumericError, match=r"substep from t=0\.9018"):
+        propagate(profile(True), config, 1.0)
+    with pytest.raises(StepResolutionError, match="over the sweep nodes"):
+        propagate(profile(False), config, 1.0)
 
 
 def test_substep_ceiling_error_quotes_the_real_count():
