@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import (ConfigError, NumericError, StepResolutionError,
                      UnitarityDriftError)
-from .fields import FieldProfile, detuning, phase_derivative, window_end
+from .fields import (DIFF_STEP, FieldProfile, detuning, phase_derivative,
+                     window_end)
 from .observables import pauli_series
 
 __all__ = [
@@ -193,11 +194,23 @@ class ConvergenceReport:
 
 def profile_scale(profile: FieldProfile, t_max: float) -> float:
     """max over the window of max(|Omega| + |omega|, |phase rate|); a scale
-    that is not finite raises NumericError."""
+    that is not finite raises NumericError.
+
+    A stencil phase rate is left out at a probe where |omega| is no larger
+    than its own change across the stencil: there the drive passes through
+    or next to zero, so its phase jumps inside the stencil, while the sweep
+    only sees the smooth |omega| e^{i phi}.
+    """
     grid = np.linspace(0.0, t_max, _SCALE_PROBES)
     om = np.abs(np.asarray(profile.omega_z(grid), dtype=float))
     mg = np.abs(np.asarray(profile.omega_mag(grid), dtype=float))
     rate = np.abs(np.asarray(phase_derivative(profile, grid), dtype=float))
+    if profile.phi_omega_dot is None:
+        near = grid + DIFF_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        ring = np.abs(np.asarray(profile.omega_mag(near.ravel()),
+                                 dtype=float)).reshape(near.shape)
+        # a NaN spread keeps the rate
+        rate[np.max(np.abs(ring - mg), axis=0) >= mg] = 0.0
     scale = float(np.max(np.maximum(om + mg, rate)))
     if not math.isfinite(scale):
         raise NumericError(f"profile {profile.label!r} has no finite scale")

@@ -24,7 +24,8 @@ from scipy.integrate import quad
 from .errors import ConfigError, NumericError, QuadratureError
 
 __all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
-           "gauss_legendre", "on_arrays", "panel_quad", "running_integral"]
+           "gauss_legendre", "gauss_panels", "node_integrals", "on_arrays",
+           "panel_quad", "running_integral"]
 
 # QUADPACK cannot do much better than ~1e-13 relative; keep a floor so a
 # caller-supplied absolute tolerance of 0 does not make quad error out. The
@@ -43,6 +44,53 @@ _GL_W = 0.5 * np.array([
     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
     0.22238103445337443, 0.10122853629037706])
 
+# The 16-point Gauss-Legendre rule on [0, 1] (correctly rounded; numpy's
+# leggauss(16) agrees to 3e-16), written out by symmetry, and its spectral
+# integration matrix (Greengard, SIAM J. Numer. Anal. 28, 1991):
+# _GL16_INT[j, m] is the integral from 0 to _GL_X[j] of the degree-15
+# Lagrange polynomial that is 1 at node m and 0 at the other nodes, so
+# values at the 16 nodes times its transpose integrate every polynomial of
+# degree <= 15 from 0 to each 8-point node exactly. Only the rows of the
+# first four nodes are written out: by symmetry, row 7 - j is the weights
+# minus row j, reversed.
+_GL16_HALF_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_GL16_HALF_W = np.array([
+    0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+    0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+    0.062253523938647894, 0.027152459411754096])
+_GL16_X = 0.5 * (np.concatenate((-_GL16_HALF_X[::-1], _GL16_HALF_X)) + 1.0)
+_GL16_W = 0.5 * np.concatenate((_GL16_HALF_W[::-1], _GL16_HALF_W))
+_GL16_INT_HEAD = np.array([
+    [0.014134629937099918, 0.007418625590023964, -0.0027816817644685655,
+     0.001905369671058386, -0.001484548566539193, 0.0012093190985531022,
+     -0.0009997940983419522, 0.0008265383197218653, -0.0006764976566949934,
+     0.0005433074153061423, -0.00042380970112370584, 0.00031660583660881697,
+     -0.0002214186341378747, 0.00013886481822491023, -7.057944349031263e-05,
+     2.0140929431377063e-05],
+    [0.013710840177623074, 0.030611572191992207, 0.04846982220234419,
+     0.011055434717787825, -0.0033823994395071836, 0.002027826417795739,
+     -0.0014452135433927198, 0.001097959692260609, -0.0008524048850252873,
+     0.0006610006372875885, -0.0005033164875973789, 0.00036967665795110033,
+     -0.00025546584884508566, 0.0001589080885743366, -8.034221878379232e-05,
+     2.2862932721406914e-05],
+    [0.013615518974303168, 0.03098624261486689, 0.047860715226489076,
+     0.061918082439824315, 0.07399754735228642, 0.010807132305577446,
+     -0.0029100433152500654, 0.0015590065470826421, -0.0010143926690197003,
+     0.0007093942795039799, -0.0005058705667336295, 0.00035570050286457195,
+     -0.00023865557328927995, 0.0001455450643073704, -7.267410281797458e-05,
+     2.0545961840277598e-05],
+    [0.013579777562600136, 0.03111575432123852, 0.04759440344547605,
+     0.062313312011826216, 0.07471722959207751, 0.08505903403185411,
+     0.08720362009938086, 0.007943784791848442, -0.001759718956840294,
+     0.0007947958426046727, -0.0004478659102602436, 0.0002731589092426768,
+     -0.00016738702913012728, 9.6293379820806e-05, -4.6386226243811066e-05,
+     1.2872886679568777e-05]])
+_GL16_INT = np.vstack((_GL16_INT_HEAD,
+                       (_GL16_W - _GL16_INT_HEAD)[::-1, ::-1]))
+
 # Bisection levels below a starting panel; 2^-40 of a panel is at the
 # round-off of its endpoints.
 _MAX_DEPTH = 40
@@ -51,7 +99,8 @@ _MAX_DEPTH = 40
 # QUADPACK 200 subintervals too), and in all unless the starting panels
 # alone need more: beyond this the integrand is too rough for the
 # tolerance. At the cap one level of the r integral of the Theta route
-# (8 nested nodes per node) holds about 4e6 floats.
+# (8 nodes and 16 or 24 cos(Theta) values per panel, see theta) holds
+# about 1e6 floats.
 _PANELS_PER_EDGE = 200
 _MAX_PANELS = 1 << 15
 
@@ -97,12 +146,37 @@ def gauss_legendre(fn: Callable, lo, hi) -> np.ndarray:
     """One 8-point Gauss-Legendre rule on each panel [lo[i], hi[i]].
 
     fn must accept a 1-d array of nodes; it is called once for all panels.
+    The nodes are laid out panel by panel: entries 8i to 8i + 7 of fn's
+    argument are the ascending nodes of panel i, so fn may reshape it to
+    (panels, 8) rows and recover each panel with gauss_panels.
     """
     lo = np.asarray(lo, dtype=float)
     width = np.asarray(hi, dtype=float) - lo
     nodes = lo[:, None] + width[:, None] * _GL_X
     values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
     return (values @ _GL_W) * width
+
+
+def gauss_panels(rows: np.ndarray):
+    """(lo, hi) of the panels whose gauss_legendre nodes are the rows of
+    an (n, 8) array, to the round-off of the nodes."""
+    width = (rows[:, -1] - rows[:, 0]) / (_GL_X[-1] - _GL_X[0])
+    lo = rows[:, 0] - width * _GL_X[0]
+    return lo, lo + width
+
+
+def node_integrals(fn: Callable, lo, hi) -> np.ndarray:
+    """The integral of fn from lo[i] to each of the 8 gauss_legendre nodes
+    of the panel [lo[i], hi[i]], as an (n, 8) array.
+
+    fn is called once, on the 16-point Gauss-Legendre nodes of every panel;
+    the spectral integration matrix _GL16_INT maps those values to the 8
+    integrals, exactly for fn a polynomial of degree <= 15 on the panel.
+    """
+    width = hi - lo
+    nodes = lo[:, None] + width[:, None] * _GL16_X
+    values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return (values @ _GL16_INT.T) * width[:, None]
 
 
 def edges_from_zero(points, name: str = "tau"):

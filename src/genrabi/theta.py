@@ -51,8 +51,8 @@ from .propagator import PropagatorConfig, propagate
 from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
-from .quadrature import (edges_from_zero, gauss_legendre, panel_quad,
-                         running_integral)
+from .quadrature import (edges_from_zero, gauss_legendre, gauss_panels,
+                         node_integrals, panel_quad, running_integral)
 
 __all__ = [
     "ThetaAnsatz",
@@ -145,10 +145,13 @@ class ThetaEvaluator:
     panel_quad refines the panels between the sorted tau for cos(Theta);
     the running sum is phi_int on that mesh. r_int is a second panel_quad
     over the same mesh, split at EPS_TAYLOR: below it the integrand is the
-    Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2 phi_int), where
-    phi_int at each node is the mesh value below the node plus one
-    Gauss-Legendre rule up to it. Nothing is cached between calls; the
-    scalar methods are one-point calls of the same path.
+    Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2 phi_int). Each r
+    panel lies inside one mesh panel, and phi_int at its 8 Gauss nodes is
+    phi_int at the panel start (the mesh value, plus one 8-point rule when
+    the panel starts at a bisection midpoint) plus quadrature.node_integrals
+    of cos(Theta): 16 values and a fixed integration matrix, exact to
+    degree 15 on the panel. Nothing is cached between calls; the scalar
+    methods are one-point calls of the same path.
     """
 
     def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10):
@@ -170,36 +173,53 @@ class ThetaEvaluator:
 
     def _phi(self, edges: np.ndarray):
         """phi_int at the edges from edges_from_zero, plus the mesh it was
-        integrated on and a function giving phi_int at nodes inside it."""
+        integrated on and phi_int at every mesh edge."""
         mesh, running = panel_quad(self._cos_theta, edges, self.quad_tol)
-
-        def phi_at(s):
-            k = np.searchsorted(mesh, s, side="right") - 1
-            return running[k] + gauss_legendre(self._cos_theta, mesh[k], s)
-        return running[np.searchsorted(mesh, edges)], mesh, phi_at
+        return running[np.searchsorted(mesh, edges)], mesh, running
 
     def _phases(self, edges: np.ndarray):
         """(phi_int, r_int) at the edges from edges_from_zero."""
-        phi, mesh, phi_at = self._phi(edges)
+        phi, mesh, running = self._phi(edges)
         eps = EPS_TAYLOR
         r_edges = np.union1d(mesh, [eps]) if mesh[-1] > eps else mesh
 
         def integrand(s):
-            out = np.empty_like(s)
-            head = s <= eps
+            # gauss_legendre hands over the nodes panel by panel, and every
+            # panel lies on one side of eps
+            rows = s.reshape(-1, 8)
+            out = np.empty_like(rows)
+            head = rows[:, -1] <= eps
             if np.any(head):
-                out[head] = self.ansatz.theta(s[head]) / (2.0 * s[head])
+                h = rows[head].ravel()
+                out[head] = (self.ansatz.theta(h) / (2.0 * h)).reshape(-1, 8)
             tail = ~head
             if np.any(tail):
-                out[tail] = self._r_tail(s[tail], phi_at)
-            return out
+                out[tail] = self._r_tail(rows[tail], mesh, running)
+            return out.ravel()
 
         r_mesh, r_running = panel_quad(integrand, r_edges, self.quad_tol)
         return phi, r_running[np.searchsorted(r_mesh, edges)]
 
-    def _r_tail(self, s: np.ndarray, phi_at) -> np.ndarray:
+    def _r_tail(self, rows: np.ndarray, mesh: np.ndarray,
+                running: np.ndarray) -> np.ndarray:
+        """The r integrand at rows of gauss_legendre nodes above EPS_TAYLOR,
+        with phi_int at the nodes of each r panel from phi_int at its start
+        and one node_integrals call."""
+        lo, hi = gauss_panels(rows)
+        # every r panel lies inside one phi mesh panel; it starts on the
+        # mesh edge (to the round-off of gauss_panels) or, after bisection,
+        # one 8-point rule beyond it
+        slack = 8.0 * np.finfo(float).eps * hi
+        k = np.searchsorted(mesh, lo + slack, side="right") - 1
+        start = running[k]
+        inside = lo - mesh[k] > slack
+        if np.any(inside):
+            start[inside] += gauss_legendre(self._cos_theta, mesh[k][inside],
+                                            lo[inside])
+        phi = start[:, None] + node_integrals(self._cos_theta, lo, hi)
+        s = rows.ravel()
         th = np.asarray(self.ansatz.theta(s), dtype=float)
-        denom = np.sin(2.0 * phi_at(s))
+        denom = np.sin(2.0 * phi.ravel())
         bad = np.abs(denom) <= _SIN_FLOOR
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -208,7 +228,7 @@ class ThetaEvaluator:
                 f"sin(Theta)={math.sin(th[i]):g}; the ansatz "
                 f"{self.ansatz.label!r} does not induce an integrable "
                 "detuning there")
-        return np.sin(th) / denom
+        return (np.sin(th) / denom).reshape(rows.shape)
 
     # -- array path ----------------------------------------------------------
 

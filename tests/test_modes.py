@@ -285,15 +285,22 @@ def test_constant_returning_coupling_is_broadcast():
     assert np.array_equal(lam.amp_b, builtin.amp_b)
 
 
-@pytest.mark.xfail(strict=True, raises=ConfigError, reason=(
-    "defect: where k(z) changes sign at one of profile_scale's probes, the "
-    "phase of i k jumps by pi inside the 5-point stencil, the probed phase "
-    "rate reads about 1e5, and suggested_step asks for more substeps than "
-    "one run may take, although the sweep only ever sees the smooth i k"))
 def test_sign_changing_coupling_propagates():
-    # k = 1 - z vanishes at z = 1, the middle probe of [0, 2]
+    # k = 1 - z vanishes at z = 1, the middle probe of [0, 2], where the
+    # phase of i k jumps by pi inside the 5-point stencil; the sweep only
+    # ever sees the smooth i k, and profile_scale leaves that rate out
     out = propagate_modes(CouplingSpec(k_ab=lambda z: 1.0 - z, delta=0.0),
                           (1.0, 0.0), 2.0)
     # real k at zero mismatch: P_B = sin^2 of the area z - z^2/2
     assert np.max(np.abs(out.power_b - np.sin(out.z - out.z ** 2 / 2) ** 2)) \
         <= 1e-6
+
+
+def test_coupling_that_starts_next_to_zero_propagates():
+    # |k(0)| = 1.2e-7 while the phase of k turns by pi/2 within about 1e-6:
+    # a real phase rate at the first probe that the sweep does not need
+    out = propagate_modes(CouplingSpec(
+        k_ab=lambda z: 0.5 * z + 1.2e-7j * (1.0 - 0.5 * z), delta=0.0),
+        (1.0, 0.0), 2.0)
+    assert np.max(np.abs(out.total_power - 1.0)) <= 1e-10
+    assert np.max(np.abs(out.power_b - np.sin(out.z ** 2 / 4) ** 2)) <= 1e-6

@@ -8,7 +8,7 @@ under both schemes and, with CF4, track the closed-form flip probability;
 CF4 at its own automatic step must track the closed-form entries.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
-tau, and the locked-ratio ansatz is the closed form's own (triple, ratio)
+tau and within its own quad_tol, and the locked-ratio ansatz is the closed form's own (triple, ratio)
 pair for any beta0. Coupled modes conserve power for random constant, sech
 and table couplings, and the launched-mode transfer equals the mapped flip
 curve.
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from genrabi.closed_forms import (beta0_series, beta0_triple,
+from genrabi.closed_forms import (beta0_series, beta0_triple, case1_triple,
                                   case2_detuning_ratio, case2_triple)
 from genrabi.errors import NumericError
 from genrabi.fields import transverse_area_series
@@ -31,7 +31,7 @@ from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
                                closed_form_series, default_ansatz,
                                make_scenario, scenario_time_scale)
 from genrabi.theta import (ThetaAnsatz, ThetaEvaluator, beta0_ansatz,
-                           case2_ansatz, general_entries_series)
+                           case1_ansatz, case2_ansatz, general_entries_series)
 
 
 def _span(lo, hi):
@@ -178,6 +178,30 @@ def test_generic_quadrature_matches_case2_on_nonuniform_grids(first, gaps,
         assert np.max(np.abs(got - ref)) <= 1e-9
     # the cotangent needs phi_int to relative accuracy at the smallest tau
     assert np.max(np.abs(ev.ratios(taus) - case2_detuning_ratio(taus))) <= 1e-9
+
+
+@st.composite
+def _tau_grids(draw):
+    # 2 to 1,001 points up to tau_max <= 8, uniform or sorted random
+    size = draw(st.integers(min_value=2, max_value=1001))
+    tau_max = draw(_span(1e-3, 8.0))
+    if draw(st.booleans()):
+        return np.linspace(0.0, tau_max, size)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.sort(rng.uniform(0.0, tau_max, size))
+
+
+@settings(max_examples=25)
+@given(family=st.sampled_from(("case1", "case2")), taus=_tau_grids(),
+       quad_tol=st.sampled_from((1e-8, 1e-10, 1e-12)))
+def test_generic_phases_stay_within_quad_tol_of_closed_forms(family, taus,
+                                                             quad_tol):
+    ansatz, triple = {"case1": (case1_ansatz, case1_triple),
+                      "case2": (case2_ansatz, case2_triple)}[family]
+    _, phi, r = ThetaEvaluator(ansatz(), quad_tol=quad_tol).triple(taus)
+    _, phi_ref, r_ref = triple(taus)
+    assert np.max(np.abs(phi - phi_ref)) <= quad_tol
+    assert np.max(np.abs(r - r_ref)) <= quad_tol
 
 
 MODES_Z_MAX = 2.0

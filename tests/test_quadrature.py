@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from genrabi.errors import ConfigError, NumericError, QuadratureError
+from genrabi import quadrature
 from genrabi.quadrature import (CumulativeIntegral, adaptive_quad,
-                                edges_from_zero, panel_quad)
+                                edges_from_zero, gauss_legendre, gauss_panels,
+                                node_integrals, panel_quad)
 
 
 def test_adaptive_quad_matches_analytic():
@@ -90,3 +92,34 @@ def test_edges_from_zero_maps_points_back():
         edges_from_zero([1.0, math.nan])
     with pytest.raises(ConfigError, match="^t must be >= 0$"):
         edges_from_zero([1.0, -0.1], "t")
+
+
+def test_written_out_rules_are_leggauss_and_the_matrix_is_exact():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(quadrature._GL_X - 0.5 * (x + 1.0))) <= 1e-16
+    assert np.max(np.abs(quadrature._GL_W - 0.5 * w)) <= 1e-16
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.max(np.abs(quadrature._GL16_X - 0.5 * (x + 1.0))) <= 1e-16
+    assert np.max(np.abs(quadrature._GL16_W - 0.5 * w)) <= 3e-16
+    # from 0 to each 8-point node, y^p integrates exactly for p <= 15
+    for p in range(16):
+        got = quadrature._GL16_INT @ quadrature._GL16_X ** p
+        assert np.max(np.abs(got - quadrature._GL_X ** (p + 1) / (p + 1))) \
+            <= 1e-14
+
+
+def test_node_integrals_run_from_each_panel_start_to_its_nodes():
+    lo, hi = np.array([0.0, 0.3, 2.0]), np.array([0.3, 0.31, 5.0])
+    seen = []
+
+    def spy(s):
+        seen.append(s.reshape(-1, 8))
+        return np.cos(s)
+
+    gauss_legendre(spy, lo, hi)
+    got_lo, got_hi = gauss_panels(seen[0])
+    assert np.max(np.abs(got_lo - lo)) <= 1e-15
+    assert np.max(np.abs(got_hi - hi)) <= 1e-15
+    got = node_integrals(np.cos, lo, hi)
+    want = np.sin(seen[0]) - np.sin(lo)[:, None]
+    assert np.max(np.abs(got - want)) <= 1e-13

@@ -17,9 +17,11 @@ from genrabi.closed_forms import (
     case1_detuning_ratio,
     case1_entries,
     case1_series,
+    case1_theta,
     case2_detuning_ratio,
     case2_entries,
     case2_series,
+    case2_theta,
     elliptic_phase,
     resonance_series,
 )
@@ -248,6 +250,40 @@ def test_tabulated_ansatz_tracks_its_source():
     ref = case2_series(prof, np.array([2.0]))
     assert abs(e.b - complex(ref[1][0])) < 1e-4
     assert abs(e.a - complex(ref[0][0])) < 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="defect: panel_quad accepts a phi "
+                   "panel that straddles a knot of the table (such as "
+                   "[0.6268, 0.7521]), so phi_int misses the exact piecewise "
+                   "integral by 6.2e-7 at quad_tol 1e-12 and raises nothing")
+def test_tabulated_phi_int_meets_quad_tol_across_knots():
+    x = np.linspace(0.0, 6.0, 25)
+    th = case2_theta(x)
+    taus = np.array([2.0057301731716124, 4.011460346343225])
+    _, phi, _ = ThetaEvaluator(ansatz_from_table(x, th),
+                               quad_tol=1e-12).triple(taus)
+    # cos(Theta) on a linear piece integrates to the difference of
+    # sin(Theta) over the slope
+    slope = np.diff(th) / np.diff(x)
+    exact = [np.sum(((np.sin(np.interp(np.minimum(x[1:], t), x, th))
+                      - np.sin(th[:-1])) / slope)[x[:-1] < t]) for t in taus]
+    assert np.max(np.abs(phi - exact)) <= 1e-12
+
+
+def test_phase_integrals_take_no_rule_per_node():
+    # phi_int at the r nodes comes from 16 cos(Theta) values per r panel
+    # (24 when it starts at a bisection midpoint); one 8-point rule from
+    # the mesh to every node took 457,025 Theta points here
+    points = []
+
+    def theta_counted(v):
+        points.append(np.size(v))
+        return case1_theta(v)
+
+    ansatz = dataclasses.replace(case1_ansatz(), theta=theta_counted)
+    points.clear()
+    ThetaEvaluator(ansatz).triple(np.linspace(0.0, 5.0, 1001))
+    assert sum(points) <= 230_000
 
 
 def test_table_loading_round_trip(tmp_path):
