@@ -38,6 +38,7 @@ __all__ = [
     "transverse_area",
     "transverse_area_series",
     "window_end",
+    "read_table",
     "drive_phase",
 ]
 
@@ -131,6 +132,38 @@ def window_end(window, name: str = "window") -> float:
     if not (hi > 0.0 and math.isfinite(hi)):
         raise ConfigError(f"{name} end must be finite and > 0, got {hi:g}")
     return hi
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def read_table(path, what: str) -> np.ndarray:
+    """The columns of a file of comma-separated numbers, one per result row.
+    '#' starts a comment, and a first row with no number is a header. Any
+    file but >= 2 rows of as many (>= 2) finite numbers each, the first
+    column strictly ascending, is a ConfigError naming ``what``."""
+    try:
+        with open(path) as fh:
+            lines = [s for s in (x.partition("#")[0].strip() for x in fh) if s]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    if lines and all(_number(c) is None for c in lines[0].split(",")):
+        lines = lines[1:]  # header
+    if len(lines) >= 2:
+        try:
+            table = np.loadtxt(lines, delimiter=",", ndmin=2).T.copy()
+        except ValueError:  # a ragged row or a cell that is not a number
+            table = None
+        if table is not None and len(table) >= 2 and np.all(
+                np.isfinite(table)) and np.all(np.diff(table[0]) > 0):
+            return table
+    raise ConfigError(f"{what} {path} needs >= 2 rows of the same number "
+                      "(>= 2) of finite numbers, the first column strictly "
+                      "ascending")
 
 
 def is_generalized_resonant(profile: FieldProfile, window,

@@ -22,12 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldProfile, drive_phase
+from .fields import FieldProfile, drive_phase, read_table
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
 from .propagator import suggested_step  # noqa: F401
 from .quadrature import on_arrays
-from .scenarios import check_numbers
+from .scenarios import _resolver as resolver, check_keys, check_numbers
 
 __all__ = [
     "ModeState",
@@ -193,21 +193,19 @@ def propagate_modes(spec: CouplingSpec, initial, z_max: float,
 # ---------------------------------------------------------------------------
 # coupling catalog for config-driven use
 
+_CONSTANT = resolver("constant", {"k0": 1.0, "phase": 0.0},
+                     nonnegative=("k0",))
+_SECH = resolver("sech", {"k0": 1.0}, positive=("k0",))
+
+
 def _constant_coupling(params: dict) -> tuple[Callable, str]:
-    k0 = params.get("k0", 1.0)
-    phase = params.get("phase", 0.0)
-    check_numbers({"k0": k0, "phase": phase})
-    if not k0 >= 0:
-        raise ConfigError("coupling.params.k0 must be >= 0")
+    k0, phase = _CONSTANT(params).values()
     value = complex(k0 * np.exp(1j * phase))
     return (lambda z: np.full(np.shape(z), value)), f"constant(k0={k0:g})"
 
 
 def _sech_coupling(params: dict) -> tuple[Callable, str]:
-    k0 = params.get("k0", 1.0)
-    check_numbers({"k0": k0})
-    if not k0 > 0:
-        raise ConfigError("coupling.params.k0 must be > 0")
+    k0 = _SECH(params)["k0"]
 
     def fn(z):
         return k0 / np.cosh(k0 * z)
@@ -216,32 +214,12 @@ def _sech_coupling(params: dict) -> tuple[Callable, str]:
 
 
 def _table_coupling(params: dict) -> tuple[Callable, str]:
+    check_keys("family 'custom_table'", params, ("path",))
     path = params.get("path")
     if not (path and isinstance(path, str)):
-        raise ConfigError("coupling.params.path (a file path) is required "
-                          "for custom_table")
-    try:
-        rows = np.genfromtxt(path, delimiter=",", comments="#",
-                             skip_header=0, dtype=float)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read coupling table {path}: {exc}")
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    # tolerate a header line by dropping leading rows with no numeric cell
-    while rows.size and np.isnan(rows[0]).all():
-        rows = rows[1:]
-    if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] < 2:
-        raise ConfigError(
-            f"coupling table {path} needs >= 2 numeric rows of "
-            "z, re_k[, im_k]")
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError(f"coupling table {path} has a cell that is not a "
-                          "finite number")
-    zs = rows[:, 0]
-    if np.any(np.diff(zs) <= 0):
-        raise ConfigError("coupling table z column must be strictly ascending")
-    re = rows[:, 1]
-    im = rows[:, 2] if rows.shape[1] > 2 else np.zeros_like(re)
+        raise ConfigError("custom_table needs a file name in params.path")
+    zs, re, *im = read_table(path, "coupling table")
+    im = im[0] if im else np.zeros_like(re)
 
     def fn(z):
         return np.interp(z, zs, re) + 1j * np.interp(z, zs, im)
@@ -263,6 +241,7 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
     """
     if not isinstance(cfg, dict):
         raise ConfigError("mode config must be a JSON object")
+    check_keys("the mode config", cfg, ("delta", "coupling"))
     if "delta" not in cfg:
         raise ConfigError("missing field: delta")
     check_numbers({"delta": cfg["delta"]})
@@ -270,6 +249,7 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
     coupling = cfg.get("coupling")
     if not isinstance(coupling, dict) or "family" not in coupling:
         raise ConfigError("missing field: coupling.family")
+    check_keys("the mode config's coupling", coupling, ("family", "params"))
     family = coupling["family"]
     params = coupling.get("params", {})
     if not isinstance(params, dict):

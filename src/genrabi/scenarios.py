@@ -74,9 +74,8 @@ class ScenarioParams:
                 f"{', '.join(FAMILIES)}")
         object.__setattr__(self, "params", dict(self.params))
         f = self.split_fraction
-        if not (isinstance(f, (int, float)) and math.isfinite(f)
-                and 0.0 <= f <= 1.0):
-            raise ConfigError("split_fraction must be in [0, 1]")
+        check_numbers({"split_fraction": f})
+        _require(0.0 <= f <= 1.0, "split_fraction", "must be in [0, 1]")
         if f != 0.0 and not _CATALOG[self.family].split:
             splits = ", ".join(n for n, fam in _CATALOG.items() if fam.split)
             raise ConfigError(
@@ -97,11 +96,12 @@ def check_numbers(values: dict) -> None:
                  and math.isfinite(v), k, "must be a finite number")
 
 
-def _check_keys(family: str, params: dict, allowed: tuple) -> None:
-    for k in params:
+def check_keys(owner: str, mapping: dict, allowed: tuple) -> None:
+    # owner names a family or a config document
+    for k in mapping:
         if k not in allowed:
             raise ConfigError(
-                f"unknown parameter {k!r} for family {family!r}; "
+                f"unknown key {k!r} for {owner}; "
                 f"valid: {', '.join(allowed)}")
 
 
@@ -109,8 +109,9 @@ def _check_keys(family: str, params: dict, allowed: tuple) -> None:
 
 def _resolver(family: str, defaults: dict, positive: tuple = (),
               nonnegative: tuple = ()):
+    # also checks the coupling families of modes
     def resolver(p: dict) -> dict:
-        _check_keys(family, p, tuple(defaults))
+        check_keys(f"family {family!r}", p, tuple(defaults))
         r = {k: p.get(k, v) for k, v in defaults.items()}
         check_numbers(r)
         for k in nonnegative:
@@ -122,7 +123,8 @@ def _resolver(family: str, defaults: dict, positive: tuple = (),
 
 
 def _resolve_exp(p: dict) -> dict:
-    _check_keys("exp_resonant", p, ("omega_mag0", "gamma", "alpha", "phi_dot0"))
+    check_keys("family 'exp_resonant'", p,
+               ("omega_mag0", "gamma", "alpha", "phi_dot0"))
     if "gamma" in p and "alpha" in p:
         raise ConfigError(
             "give either 'gamma' or 'alpha' (= omega_mag0/gamma), not both")

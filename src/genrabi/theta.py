@@ -29,7 +29,6 @@ carries the closed form's own (triple, ratio) pair and nothing is integrated.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, replace
@@ -45,7 +44,8 @@ from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
 from .errors import ConfigError, NumericError, SingularAnsatzError
 # unused here; benchmarks/gbench/tracer.py patches theta.detuning
 from .fields import detuning  # noqa: F401
-from .fields import FieldProfile, transverse_area_series, window_end
+from .fields import (FieldProfile, read_table, transverse_area_series,
+                     window_end)
 from .propagator import PropagatorConfig, propagate
 # unused here; benchmarks/gbench/tracer.py patches theta.suggested_step
 from .propagator import suggested_step  # noqa: F401
@@ -356,14 +356,18 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
                   tol: float = 1e-8, *, entries_tol: float = 1e-6,
                   samples: int = 257,
                   config: PropagatorConfig | None = None,
-                  quad_tol: float = 1e-10) -> AnsatzVerification:
+                  quad_tol: float | None = None) -> AnsatzVerification:
     """Report how well the ansatz solves the profile over the window.
 
     Two independent figures: the detuning residual (does the profile's
     detuning equal the induced one?) and the deviation of the closed
     representation from the numerical oracle. Numeric failures inside either
-    figure are captured in the note rather than raised.
+    figure are captured in the note rather than raised. quad_tol defaults
+    to two decades below the stricter tolerance, floored at 1e-12: loose
+    tolerances then admit the kinks of a table ansatz's interpolant.
     """
+    if quad_tol is None:
+        quad_tol = max(1e-12, 1e-2 * min(tol, entries_tol))
     t_max = window_end(window, "verification window")
     grid = np.linspace(0.0, t_max, samples)
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
@@ -483,25 +487,7 @@ def ansatz_from_table(taus, thetas, label: str = "table") -> ThetaAnsatz:
 
 
 def load_ansatz_table(path) -> ThetaAnsatz:
-    """Read a two-column CSV (tau, theta); header row optional."""
-    taus, thetas = [], []
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read ansatz table {path}: {exc}")
-    for row in rows:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        try:
-            x, y = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
-            if not taus:
-                continue  # header row
-            raise ConfigError(f"malformed table row: {row!r}")
-        taus.append(x)
-        thetas.append(y)
-    if len(taus) < 2:
-        raise ConfigError(f"no usable (tau, theta) rows in {path}")
+    """tau, theta from the first two columns of a fields.read_table file."""
+    taus, thetas = read_table(path, "ansatz table")[:2]
     return ansatz_from_table(taus, thetas,
                              label=os.path.splitext(os.path.basename(str(path)))[0])

@@ -170,7 +170,8 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"family": "case2", "tmax": 4.0}))
     assert main(["run", "--config", str(cfg)]) == 2
-    assert "unknown config field: tmax" in capsys.readouterr().err
+    assert "unknown key 'tmax' for the scenario config" in \
+        capsys.readouterr().err
 
 
 def test_unknown_scenario_suggests_candidates(capsys):
@@ -240,8 +241,9 @@ def test_verify_accepts_table_ansatz(tmp_path, capsys):
     taus = np.linspace(0.0, 3.0, 1201)
     thetas = case2_ansatz().theta(taus)
     path = tmp_path / "case2_sampled.csv"
-    path.write_text("tau,theta\n" + "".join(
-        f"{x:.17g},{y:.17g}\n" for x, y in zip(taus, thetas)))
+    # an inline comment was once read as part of a cell
+    path.write_text("tau,theta\n0,0 # start\n" + "".join(
+        f"{x:.17g},{y:.17g}\n" for x, y in zip(taus[1:], thetas[1:])))
     assert main(["verify", "--scenario", "case2", "--ansatz", str(path),
                  "--t-max", "2", "--samples", "17",
                  "--residual-tol", "1e-2", "--entries-tol", "1e-3"]) == 0
@@ -363,6 +365,17 @@ BAD_INPUTS = {
     "nan_first_row": lambda p: _modes_config(p, {
         "family": "custom_table",
         "params": {"path": _table(p, "0,nan\n1,1\n2,1\n")}}),
+    # ragged rows and parameter typos were accepted by one reader or
+    # parameter rule and refused by the other
+    "ansatz_ragged_row": lambda p: [
+        "verify", "--scenario", "case2", "--ansatz",
+        _table(p, "tau,theta\n0,0\n1,0.2,9\n")],
+    "modes_param_typo": lambda p: [
+        "modes", "--coupling", "sech", "--params", "kO=3", "--delta", "0",
+        "--z-max", "1", "--samples", "3"],
+    "modes_config_unknown_field": lambda p: _modes_delta(p, '0, "z_max": 3'),
+    "run_config_unknown_window_field": lambda p: _run_samples(
+        p, '5, "t_mx": 4'),
     "string_k0": lambda p: _modes_config(p, {
         "family": "sech", "params": {"k0": "fast"}}),
     "ansatz_directory": lambda p: [
@@ -449,6 +462,8 @@ def test_huge_locked_ratio_keeps_finite_entries(capsys):
     assert np.max(column(out, "p_flip")) <= 1e-300
 
 
+# a numpy warning would print to stderr outside pytest
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_entries_are_a_numeric_failure(capsys):
     # the stretched clock overflows: entries must not come out as NaN
     assert main(["run", "--scenario", "rabi", "--params", "phi_dot0=1e308",
@@ -456,3 +471,5 @@ def test_non_finite_entries_are_a_numeric_failure(capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ")
     assert "not finite" in err
+    # one line: numpy's overflow warnings would only repeat the failure
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from genrabi.fields import (
     transverse_area,
     transverse_area_series,
 )
+from genrabi.modes import coupling_from_config
 from genrabi.scenarios import ScenarioParams, make_scenario
+from genrabi.theta import load_ansatz_table
 
 
 def constant_profile(omega_z0, omega_mag0, phi_dot0):
@@ -137,3 +140,68 @@ def test_transverse_area_analytic_and_quadrature_agree():
     # the argument is a time, and the error says so
     with pytest.raises(ConfigError, match="^t must be >= 0$"):
         transverse_area(stripped, -1.0)
+
+
+# both tables go through fields.read_table; each loader is queried on and
+# between the knots of the plain table below
+TABLE_LOADERS = {
+    "ansatz": lambda path: load_ansatz_table(path).theta,
+    "coupling": lambda path: coupling_from_config({
+        "delta": 0.0, "coupling": {"family": "custom_table",
+                                   "params": {"path": str(path)}}}).k_ab,
+}
+PLAIN_TABLE = "0,0\n0.5,0.125\n1.5,0.375\n"
+SAME_TABLES = {
+    "header": "x,y\n" + PLAIN_TABLE,
+    "comment_line": "# sampled\n" + PLAIN_TABLE,
+    "inline_comment": "0,0 # start\n0.5,0.125\n1.5,0.375 # end\n",
+    "blank_lines": "\n0,0\n\n0.5,0.125\n  \n1.5,0.375\n",
+    "spaced_cells": "0 , 0\n0.5,\t0.125\n 1.5,0.375 \n",
+}
+BAD_TABLES = {
+    "ragged_row": "0,0\n0.5,0.125,9\n1.5,0.375\n",
+    "empty_cell": "0,0\n0.5,\n1.5,0.375\n",
+    "nan": "0,0\n0.5,nan\n1.5,0.375\n",
+    "inf": "0,0\n0.5,inf\n1.5,0.375\n",
+    "nan_first_row": "0,nan\n0.5,0.125\n1.5,0.375\n",
+    "mixed_first_row": "0,theta\n0,0\n1.5,0.375\n",
+    "one_data_row": "x,y\n0,0\n",
+    "one_column": "0\n0.5\n1.5\n",
+    "not_ascending": "0,0\n1.5,0.375\n0.5,0.125\n",
+    "repeated_first_cell": "0,0\n0.5,0.125\n0.5,0.375\n",
+    "comments_only": "# nothing\n\n",
+}
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("loader", sorted(TABLE_LOADERS))
+def test_one_table_format_for_ansatz_and_coupling(loader, tmp_path):
+    load = TABLE_LOADERS[loader]
+    query = np.linspace(0.0, 2.0, 17)
+    plain = load(_write(tmp_path, "plain", PLAIN_TABLE))(query)
+    assert np.array_equal(plain, np.interp(query, [0.0, 0.5, 1.5],
+                                           [0.0, 0.125, 0.375]))
+    for name, text in SAME_TABLES.items():
+        assert np.array_equal(load(_write(tmp_path, name, text))(query),
+                              plain), name
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES) + [
+    "directory", "binary", "missing"])
+@pytest.mark.parametrize("loader", sorted(TABLE_LOADERS))
+def test_table_format_violations_are_config_errors(loader, case, tmp_path):
+    if case in BAD_TABLES:
+        path = _write(tmp_path, case, BAD_TABLES[case])
+    elif case == "binary":
+        path = tmp_path / "table.bin"
+        path.write_bytes(bytes(range(128, 256)) * 4)
+    else:
+        path = tmp_path if case == "directory" else tmp_path / "no.csv"
+    # the error names the table kind and its path
+    with pytest.raises(ConfigError, match=re.escape(f"{loader} table {path}")):
+        TABLE_LOADERS[loader](path)

@@ -186,6 +186,16 @@ def test_coupling_config_catalog(tmp_path):
                                  "params": {"k0": -1.0}}}, "k0"),
     ({"delta": 0.0, "coupling": {"family": "custom_table", "params": {}}},
      "path"),
+    # the drive families' parameter rule: unknown keys are refused
+    ({"delta": 0.0, "coupling": {"family": "sech", "params": {"kO": 3.0}}},
+     "'kO'"),
+    ({"delta": 0.0, "coupling": {"family": "custom_table",
+                                 "params": {"path": "k.csv", "k0": 1.0}}},
+     "'k0'"),
+    # so are unknown fields of the document
+    ({"delta": 0.0, "z_max": 3.0, "coupling": {"family": "constant"}},
+     "'z_max'"),
+    ({"delta": 0.0, "coupling": {"family": "constant", "k0": 1.0}}, "'k0'"),
 ])
 def test_coupling_config_errors(cfg, needle):
     with pytest.raises(ConfigError) as err:

@@ -84,6 +84,8 @@ def test_split_fraction_validation():
         ScenarioParams("sech_resonant", split_fraction=0.5)
     with pytest.raises(ConfigError):
         ScenarioParams("case1", split_fraction=1.5)
+    with pytest.raises(ConfigError):  # a bool is not a number
+        ScenarioParams("case1", split_fraction=True)
     # valid on the detuned arctangent families
     ScenarioParams("case1", split_fraction=1.0)
     ScenarioParams("case2", split_fraction=0.25)

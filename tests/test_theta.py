@@ -313,6 +313,20 @@ def test_verify_matching_pairs_pass():
     assert report2.residual_max <= 1e-9
 
 
+@pytest.mark.parametrize("tols,quad_tol", [
+    ({}, 1e-10), ({"tol": 1e-4, "entries_tol": 1e-3}, 1e-6),
+    ({"tol": 1e-13}, 1e-12)])
+def test_verify_derives_quad_tol_from_its_tolerances(tols, quad_tol,
+                                                     monkeypatch):
+    seen = []
+    evaluator = theta.ThetaEvaluator
+    monkeypatch.setattr(theta, "ThetaEvaluator", lambda a, *, quad_tol: (
+        seen.append(quad_tol) or evaluator(a, quad_tol=quad_tol)))
+    verify_ansatz(case2_ansatz(), make_scenario("case2"), 2.0, samples=9,
+                  **tols)
+    assert seen and seen == pytest.approx([quad_tol] * len(seen))
+
+
 def test_verify_probes_the_profile_scale_once(monkeypatch):
     prof = make_scenario("case2")
     explicit = verify_ansatz(case2_ansatz(), prof, 5.0, samples=33,
