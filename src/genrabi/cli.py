@@ -416,7 +416,14 @@ def main(argv=None) -> int:
         # every numeric failure is caught by an explicit finiteness check,
         # so numpy's own warnings would only repeat it
         with np.errstate(all="ignore"):
-            return args.handler(args)
+            code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`genrabi run | head`): as the signal docs'
+        # "Note on SIGPIPE" say, let the flush at exit go to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -26,26 +26,28 @@ step comes from the peak read on a fine grid around the node that saw most,
 so following it once resolves a feature wider than about a hundredth of the
 failing step.
 
-The sweep evaluates each profile callable once per Gauss node over the
-whole grid. The exponentials of each output interval are split into lanes of
-about sqrt(total) in acting order, and the run is walked in blocks of whole
-lanes, about _BLOCK substeps each: a block takes the drive in real form
-(Omega, |omega| cos phi, |omega| sin phi), records its peak of |Omega| +
-|omega|, mixes the scheme rows with the step folded into the weights, checks
-that the result is finite and writes the Euler-form factors straight into
-the lane layout, so every temporary is block-sized. Every lane is then
-multiplied sequentially with one array update per position, vectorized
-across all lanes, and the lane products are folded into the running
-operator two levels deep: running products inside groups of about
-sqrt(lanes) lanes, vectorized across groups, then a short scalar fold of
-the group totals. A sequential order inside each lane drifts less from
-unitarity than a pairwise product tree.
+The exponentials of each output interval are split into lanes of about
+sqrt(total) in acting order, the last lane padded by repeating its last
+substep. The sweep evaluates each profile callable once per Gauss node over
+this whole lane grid, passing the times in order, and builds the factors in
+tiles of about _BLOCK (position, lane) cells: a tile takes the drive in real
+form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
+|Omega| + |omega|, mixes the scheme rows with the step folded into the
+weights, checks that the result is finite and writes the Euler-form factors
+straight into the lane arrays, so every temporary is tile-sized; padded
+cells then become identities. Every lane is multiplied sequentially with one
+array update per position, vectorized across all lanes, and the lane
+products are folded into the running operator two levels deep: running
+products inside groups of about sqrt(lanes) lanes, vectorized across groups,
+then a short scalar fold of the group totals. A sequential order inside each
+lane drifts less from unitarity than a pairwise product tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -91,14 +93,14 @@ _MAX_DRIFT = 1e-10
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
-# Most substeps one integration may take. The sweep peaks at about 64
-# (midpoint) to 121 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
-# so a run at this cap takes about 1.1 (midpoint) to 2.0 GB (CF4); the
+# Most substeps one integration may take. The sweep peaks at about 62
+# (midpoint) to 119 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
+# so a run at this cap takes about 1.0 (midpoint) to 2.0 GB (CF4); the
 # largest runs of the test suite and the benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
 
-# Substeps per block of the sweep's factor pass: a block's dozen scratch
-# arrays stay in cache between its elementwise passes.
+# Cells per tile of the sweep's factor pass: a tile's dozen scratch arrays
+# stay in cache between its elementwise passes.
 _BLOCK = 1 << 14
 _TINY = np.finfo(float).tiny
 
@@ -257,28 +259,6 @@ def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
     return finite
 
 
-def _blocks(intervals: int, substeps: int, chunks: int, run: int):
-    """The sweep in blocks of whole lanes of about _BLOCK substeps: runs of
-    whole intervals while one fits, else runs of lanes of one interval.
-    Yields (first substep, rows, real, padded, first lane, end lane): the
-    block holds rows x real substeps in time order, each row padded with
-    identities to padded substeps, and covers lanes [first, end)."""
-    span = chunks * run
-    if span <= _BLOCK:
-        step = _BLOCK // span
-        for i in range(0, intervals, step):
-            n = min(step, intervals - i)
-            yield i * substeps, n, substeps, span, i * chunks, (i + n) * chunks
-    else:
-        step = max(1, _BLOCK // run)
-        for i in range(intervals):
-            for c in range(0, chunks, step):
-                e = min(chunks, c + step)
-                yield (i * substeps + c * run, 1,
-                       min(substeps, e * run) - c * run, (e - c) * run,
-                       i * chunks + c, i * chunks + e)
-
-
 def _check_resolution(h: float, scale: float, what: str) -> None:
     if h * scale > _RESOLUTION_BOUND:
         raise StepResolutionError(
@@ -295,86 +275,85 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     intervals = samples - 1
     total = intervals * substeps
     h = t_max / intervals / substeps
-    # (Omega, |omega|, phi) at node x of every substep s, t = s h + x h
-    drive = []
-    for x in nodes:
-        grid = np.arange(total, dtype=float)
-        grid *= h
-        grid += x * h
-        drive.append([np.broadcast_to(np.asarray(fn(grid), dtype=float),
-                                      grid.shape)
-                      for fn in (profile.omega_z, profile.omega_mag,
-                                 profile.phi_omega)])
-    del grid
 
     # interval i's exponentials in acting order, split into `chunks` lanes
-    # of `run` whole substeps, the last lane padded with identity substeps;
-    # f[p, j, l], g[p, j, l] is exponential j of substep p of lane l
+    # of `run` whole substeps, the last lane padded by repeating its last
+    # substep; f[p, j, l], g[p, j, l] is exponential j of position p of lane l
     run = min(substeps, max(1, math.isqrt(total * m) // m))
     chunks = -(-substeps // run)
     run = -(-substeps // chunks)
     lanes = intervals * chunks
+
+    def substep(p, l):  # the substep at position p of lane l
+        return (l // chunks) * substeps + np.minimum(
+            (l % chunks) * run + p, substeps - 1)
+
+    # drive[k] is (Omega, |omega|, phi) at t = substep * h + x_k h for every
+    # (p, l); callables get the times lane by lane, one non-decreasing 1-d
+    # array, so a phase unwrapped along it stays continuous
+    times = substep(np.arange(run), np.arange(lanes)[:, None]).ravel() * h
+    drive = np.empty((len(nodes), 3, run, lanes))
+    for node, x in zip(drive, nodes):
+        grid = times + x * h
+        for out, fn in zip(node, (profile.omega_z, profile.omega_mag,
+                                  profile.phi_omega)):
+            out.T[...] = np.broadcast_to(np.asarray(fn(grid), dtype=float),
+                                         grid.shape).reshape(lanes, run)
+    del times, grid
+
     f = np.empty((run, m, lanes), dtype=complex)
     g = np.empty_like(f)
-    blocks = list(_blocks(intervals, substeps, chunks, run))
-    size = max(rows_ * padded for _, rows_, _, padded, _, _ in blocks)
-    nodal = np.empty((len(nodes), 2, size))  # (Re omega, Im omega) per node
-    u = np.empty((3, size))
-    work = np.empty((3, size))
-    fb = np.empty(size, dtype=complex)
-    gb = np.empty_like(fb)
+    # tiles of about _BLOCK cells, `depth` positions by `cols` lanes; scratch
+    # rows: (Re omega, Im omega) per node, u, two for the factors, one term
+    cols = min(lanes, _BLOCK)
+    depth = max(1, _BLOCK // cols)
+    scratch = np.empty((2 * len(nodes) + 6, depth * cols))
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k)
     signs = (-h, h, -h)
-    best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, block start, size
-    for r0, rows_, real, padded, l0, l1 in blocks:
-        n, span = rows_ * real, rows_ * padded
-        term = work[2, :n].reshape(rows_, real)
+    best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
+    for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
+        tile = np.s_[p0:p0 + depth, l0:l0 + cols]
+        shape = f[:, 0][tile].shape
+        *nodal, ux, uy, uz, w0, w1, term = scratch[:, :math.prod(shape)] \
+            .reshape(-1, *shape)
         parts = []  # per node: (Re omega, Im omega, Omega), u up to -h w
         for k, (om, mg, ph) in enumerate(drive):
-            om, mg, ph = om[r0:r0 + n], mg[r0:r0 + n], ph[r0:r0 + n]
-            peak = np.abs(om, out=work[0, :n])
-            peak += np.abs(mg, out=work[1, :n])
-            top = float(peak.max())
-            if top > best[0]:
-                best = (top, k, r0, n)
-            re, im = nodal[k, :, :n]
+            om, mg, ph = om[tile], mg[tile], ph[tile]
+            peak = np.abs(om, out=w0)
+            peak += np.abs(mg, out=w1)
+            p, l = np.unravel_index(peak.argmax(), shape)
+            if peak[p, l] > best[0]:
+                best = (float(peak[p, l]), k, p0 + p, l0 + l)
+            re, im = nodal[2 * k:2 * k + 2]
             np.cos(ph, out=re)
             re *= mg
             np.sin(ph, out=im)
             im *= mg
             parts.append((re, im, om))
         for j, row in enumerate(rows):
-            for c, sign in enumerate(signs):
-                out = u[c, :span].reshape(rows_, padded)
-                out[:, real:] = 0.0
-                out = out[:, :real]
-                np.multiply(parts[0][c].reshape(rows_, real), sign * row[0],
-                            out=out)
+            for c, (out, sign) in enumerate(zip((ux, uy, uz), signs)):
+                np.multiply(parts[0][c], sign * row[0], out=out)
                 for w, part in zip(row[1:], parts[1:]):
-                    out += np.multiply(part[c].reshape(rows_, real),
-                                       sign * w, out=term)
-            if not _rotation_factors(*u[:, :span], fb[:span], gb[:span],
-                                     work[:2, :span]):
-                _raise_non_finite(profile, drive, r0, n, h)
-            np.copyto(f[:, j, l0:l1], fb[:span].reshape(l1 - l0, run).T)
-            np.copyto(g[:, j, l0:l1], gb[:span].reshape(l1 - l0, run).T)
-    del nodal, u, work, fb, gb
+                    out += np.multiply(part[c], sign * w, out=term)
+            if not _rotation_factors(ux, uy, uz, f[:, j][tile], g[:, j][tile],
+                                     (w0, w1)):
+                _raise_non_finite(profile, drive, substep, h)
+    # the padded positions of every interval's last lane are identities
+    f[substeps - (chunks - 1) * run:, :, chunks - 1::chunks] = 1.0
+    g[substeps - (chunks - 1) * run:, :, chunks - 1::chunks] = 0.0
 
-    # every block was finite; now the step must resolve the peak
-    scale, k, r0, n = best
+    # every tile was finite; now the step must resolve the peak
+    scale, k, p, l = best
     if h * scale > _RESOLUTION_BOUND:
         # nodes that catch a feature narrower than their spacing on its
         # flank under-read its peak, and the advice with it; read the peak
         # on a fine grid between the neighbours of the node that saw most
-        om, mg, _ = drive[k]
-        peak = np.abs(om[r0:r0 + n]) + np.abs(mg[r0:r0 + n])
-        t = (r0 + int(np.argmax(peak))) * h + nodes[k] * h
+        t = int(substep(p, l)) * h + nodes[k] * h
         fine = np.linspace(max(t - h, 0.0), min(t + h, t_max), _SCALE_PROBES)
         scale = max(scale, float(np.max(
             np.abs(np.asarray(profile.omega_z(fine), dtype=float))
             + np.abs(np.asarray(profile.omega_mag(fine), dtype=float)))))
-    del drive
     # the probe in _prepare can miss a pulse narrower than its spacing
     _check_resolution(h, scale, "max |Omega| + |omega| over the sweep nodes")
 
@@ -415,17 +394,16 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     return a_out, b_out
 
 
-def _raise_non_finite(profile: FieldProfile, drive, r0: int, n: int,
-                      h: float) -> None:
-    """Raise NumericError at the first substep of [r0, r0 + n) whose drive
-    is not finite at some node; return if there is none (then only the
-    rotation angle overflowed, which the resolution check rejects)."""
-    ok = np.logical_and.reduce([np.isfinite(x[r0:r0 + n])
-                                for node in drive for x in node])
-    if not ok.all():
+def _raise_non_finite(profile: FieldProfile, drive, substep, h: float) -> None:
+    """Raise NumericError at the first substep whose drive (the sweep's
+    [node, component, position, lane] array) is not finite, substep(p, l)
+    naming the substep at position p of lane l; return if there is none
+    (then only the rotation angle overflowed; the resolution check fails)."""
+    bad = ~np.isfinite(drive).all(axis=(0, 1))
+    if bad.any():
         raise NumericError(
             f"Hamiltonian of profile {profile.label!r} is not finite in the "
-            f"substep from t={(r0 + int(np.argmin(ok))) * h:g}")
+            f"substep from t={int(substep(*np.nonzero(bad)).min()) * h:g}")
 
 
 def _prepare(profile: FieldProfile, config: PropagatorConfig, window,

@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -473,3 +476,43 @@ def test_non_finite_entries_are_a_numeric_failure(capsys):
     assert "not finite" in err
     # one line: numpy's overflow warnings would only repeat the failure
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError,
+    or with buffered=True only the flush does."""
+
+    def __init__(self, fd, buffered):
+        self.fd, self.buffered = fd, buffered
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, buffered", [
+    (["run", "--scenario", "case2"], False),
+    (["modes", "--coupling", "sech", "--delta", "0.5", "--z-max", "6"], False),
+    (["list-scenarios"], True),  # all of it fits the buffer: the flush fails
+])
+def test_closed_stdout_exits_quietly(argv, buffered, tmp_path, monkeypatch,
+                                     capsys):
+    # `genrabi run --scenario case2 | head -1` once printed a
+    # BrokenPipeError traceback and exited 1
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fh.fileno(), buffered))
+        assert main(argv) == 141
+        # stdout's descriptor now leads to os.devnull, so the interpreter's
+        # flush at exit cannot fail again
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

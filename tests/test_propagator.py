@@ -111,10 +111,11 @@ def check_accumulation(samples, substeps, scheme):
     (2, 400),     # one interval: its lanes alone make the product
     (11, 997),    # several lanes per interval, the last padded
     (2001, 1),    # one exponential (or two) per interval
-    (2, 40000),   # one interval longer than a block: blocks of its lanes
-    (3, 20011),   # long intervals whose padded last lane ends a block
-    (101, 300),   # blocks of whole intervals, the last one partial
-    (41, 997),    # padded last lanes on both sides of the block edges
+    (2, 40000),   # one long interval: several tiles across all its lanes
+    (3, 20011),   # long intervals whose padded last lanes share tiles
+    (101, 300),   # many short intervals, the last tile partial
+    (41, 997),    # padded last lanes among many intervals
+    (20001, 1),   # 20,000 lanes, more than a tile holds: tiles of some lanes
 ])
 def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
     check_accumulation(samples, substeps, scheme)
@@ -127,28 +128,27 @@ def test_lane_sweep_matches_the_scalar_loop_on_any_grid(scheme, samples,
     check_accumulation(samples, substeps, scheme)
 
 
-def count_sweep_lines(monkeypatch, samples, substeps):
+def count_sweep_lines(samples, substeps):
     # Python lines run in _integrate's own frame, with the lane count, the
-    # substeps per lane and the number of blocks of the run
+    # substeps per lane and the number of tiles of the run, read from the
+    # frame's locals as it returns
     code = propagator._integrate.__code__
     lines = 0
     geometry = []
-    blocks = propagator._blocks
-
-    def counted(intervals, substeps, chunks, run):
-        out = list(blocks(intervals, substeps, chunks, run))
-        geometry.append((intervals * chunks, run, len(out)))
-        return out
 
     def local(frame, event, arg):
         nonlocal lines
         lines += event == "line"
+        if event == "return":
+            v = frame.f_locals
+            geometry.append((v["lanes"], v["run"],
+                             -(-v["run"] // v["depth"])
+                             * -(-v["lanes"] // v["cols"])))
         return local
 
     def calls(frame, event, arg):
         return local if frame.f_code is code else None
 
-    monkeypatch.setattr(propagator, "_blocks", counted)
     t_max = 0.02 * (samples - 1) * substeps
     outer = sys.gettrace()
     sys.settrace(calls)
@@ -160,27 +160,27 @@ def count_sweep_lines(monkeypatch, samples, substeps):
     [(lanes, width, count)] = geometry
     # the lane loop runs once per exponential of a lane and the fold about
     # 2 sqrt(lanes) times, at most 3 lines each; the factor pass runs at
-    # most 50 lines per block, the rest of the sweep about 250
+    # most 50 lines per tile, the rest of the sweep about 250
     return lines, 3 * (width + 2 * math.isqrt(lanes) + 4) + 50 * count + 250
 
 
-def test_accumulation_makes_no_python_loop_per_substep(monkeypatch):
+def test_accumulation_makes_no_python_loop_per_substep():
     # a loop over the 200,000 exponentials would run at least one line each
-    lines, bound = count_sweep_lines(monkeypatch, 11, 20000)
+    lines, bound = count_sweep_lines(11, 20000)
     assert 0 < lines <= bound
 
 
-def test_fold_makes_no_python_loop_per_lane(monkeypatch):
+def test_fold_makes_no_python_loop_per_lane():
     # one lane per interval: a scalar fold would run a line per each of the
     # 20,000 lanes
-    lines, bound = count_sweep_lines(monkeypatch, 20001, 1)
+    lines, bound = count_sweep_lines(20001, 1)
     assert 0 < lines <= bound
 
 
 @pytest.mark.parametrize("scheme, full_array_peak", [
     ("midpoint_exponential", 130.0), ("commutator_free_4th", 220.0)])
 def test_sweep_peak_memory_per_substep(scheme, full_array_peak):
-    # the blocked factor pass holds only the drive at the nodes and the lane
+    # the tiled factor pass holds only the drive at the nodes and the lane
     # arrays in full; building every factor as a full array peaked at about
     # 130 (midpoint) and 220 (CF4) bytes per substep
     substeps = 20000
@@ -420,9 +420,10 @@ def test_non_finite_profile_is_a_numeric_failure(scheme):
 
 
 def test_non_finite_drive_outranks_an_earlier_unresolved_pulse():
-    # a run of four blocks with a narrow pulse the step cannot resolve at
-    # t ~ 0.1 and a NaN |omega| at t ~ 0.9, both between the scale probes:
-    # every block is checked for finiteness before the resolution failure
+    # a run of more than two tiles with a narrow pulse the step cannot
+    # resolve at t ~ 0.1 and a NaN |omega| at t ~ 0.9, both between the scale
+    # probes: every tile is checked for finiteness before the resolution
+    # failure
     sigma, pulse, spike = 1e-4, 0.1 + 0.5 / 256, 0.9 + 0.5 / 256
     peak = 0.5 * math.pi / (sigma * math.sqrt(2.0 * math.pi))
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -441,6 +442,53 @@ def test_non_finite_drive_outranks_an_earlier_unresolved_pulse():
         propagate(profile(True), config, 1.0)
     with pytest.raises(StepResolutionError, match="over the sweep nodes"):
         propagate(profile(False), config, 1.0)
+
+
+def test_non_finite_drive_names_the_earliest_substep_of_the_run():
+    # step 2e-5 on [0, 1] with 11 samples: 230 lanes of 218 positions, tiles
+    # of 71 positions; NaN spikes between the scale probes at substep 100
+    # (lane 0, position 100, the second tile) and substep 228 (lane 1,
+    # position 10, the first tile): the earlier substep is named although a
+    # later tile holds it
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    h = 2e-5
+    spikes = np.array([[100.5 * h], [228.5 * h]])
+
+    def omega_mag(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.any(np.abs(t - spikes) < 0.5 * h, axis=0),
+                        np.nan, 1.0)
+
+    profile = FieldProfile(omega_z=zero, omega_mag=omega_mag, phi_omega=zero,
+                           phi_omega_dot=zero, label="two spikes")
+    with pytest.raises(NumericError, match=r"substep from t=0\.002$"):
+        propagate(profile, PropagatorConfig(step=h, samples=11), 1.0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_profile_callables_see_the_times_in_order(scheme):
+    # the sweep lays the run out in lanes, but each callable gets one 1-d
+    # array of non-decreasing times, so a phase unwrapped along its samples
+    # (fields.drive_phase) stays continuous
+    grids = []
+
+    def seen(fn):
+        def call(t):
+            grids.append(np.array(t))
+            return fn(t)
+        return call
+
+    base = wobbly_profile()
+    profile = FieldProfile(omega_z=seen(base.omega_z),
+                           omega_mag=seen(base.omega_mag),
+                           phi_omega=seen(base.phi_omega),
+                           phi_omega_dot=base.phi_omega_dot, label="seen")
+    propagator._integrate(profile, 40.0, 3, 1000, scheme)
+    nodes = len(propagator._SCHEMES[scheme][1])
+    assert len(grids) == 3 * nodes
+    for t in grids:
+        assert t.ndim == 1 and t.size >= 2000
+        assert np.all(np.diff(t) >= 0.0)
 
 
 def test_substep_ceiling_error_quotes_the_real_count():

@@ -5,7 +5,8 @@ general Theta route with the family's own ansatz (default_ansatz) evaluate
 the same (Theta, phi_int, r_int) representation, so they must agree, and
 both must be unitary. The unitary oracle at suggested_step must stay unitary
 under both schemes and, with CF4, track the closed-form flip probability;
-CF4 at its own automatic step must track the closed-form entries.
+CF4 at its own automatic step must track the closed-form entries, and both
+schemes at theirs the Rosen-Zener flip probability of a sech pulse.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
 tau and within its own quad_tol, and the locked-ratio ansatz is the closed form's own (triple, ratio)
@@ -23,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from genrabi.closed_forms import (beta0_series, beta0_triple, case1_triple,
                                   case2_detuning_ratio, case2_triple)
 from genrabi.errors import NumericError
-from genrabi.fields import transverse_area_series
+from genrabi.fields import FieldProfile, transverse_area_series
 from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
                                 richardson_check, suggested_step)
@@ -108,6 +109,31 @@ def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
         scheme="commutator_free_4th", samples=SAMPLES), t_max)
     assert auto.unitarity_drift <= 1e-10
     assert max(np.max(np.abs(auto.a - a)), np.max(np.abs(auto.b - b))) <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=12)
+@given(w0=_span(0.1, 1.5), d=_span(-1.0, 1.0), width=_span(0.5, 2.0))
+def test_oracle_matches_the_rosen_zener_flip_probability(scheme, w0, d,
+                                                         width):
+    # a reference from outside the paper's classes (Rosen & Zener, Phys.
+    # Rev. 40, 502, 1932): |omega| = w0 sech((t - t0) / T) at constant
+    # Omega = d and phi = 0 flips the spin with probability
+    # sin^2(pi w0 T) sech^2(pi d T) over the whole line; the window [0, 2 t0]
+    # at t0 = 40 T leaves out tails of about e^-40
+    t0 = 40.0 * width
+    profile = FieldProfile(
+        omega_z=lambda t: np.full_like(np.asarray(t, dtype=float), d),
+        omega_mag=lambda t: w0 / np.cosh((np.asarray(t, dtype=float) - t0)
+                                         / width),
+        phi_omega=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        phi_omega_dot=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        label="rosen_zener")
+    traj = propagate(profile, PropagatorConfig(scheme=scheme, samples=201),
+                     2.0 * t0)
+    exact = (math.sin(math.pi * w0 * width)
+             / math.cosh(math.pi * d * width)) ** 2
+    assert abs(traj.p_flip[-1] - exact) <= 1e-6
 
 
 def _generic_beta0_phases(beta0, reach):
