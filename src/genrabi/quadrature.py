@@ -8,9 +8,9 @@ of them; ``running_integral`` packages that for integrals from 0. Every
 transverse area, Theta phase integral and elliptic phase of the package goes
 through it, so no scalar integrator runs.
 
-``adaptive_quad`` (QUADPACK) and ``CumulativeIntegral`` are tracer pins:
-no genrabi code calls them, and they stay only because the benchmark tracer
-patches them by name. They go with the scipy import once it no longer does.
+``adaptive_quad`` (``panel_quad`` on one panel) and ``CumulativeIntegral``
+are tracer pins: no genrabi code calls them, and they stay only because the
+benchmark tracer patches them by name. They go once it no longer does.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import bisect
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, NumericError, QuadratureError
 
@@ -27,9 +26,9 @@ __all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
            "gauss_legendre", "gauss_panels", "node_integrals", "on_arrays",
            "panel_quad", "running_integral"]
 
-# QUADPACK cannot do much better than ~1e-13 relative; keep a floor so a
-# caller-supplied absolute tolerance of 0 does not make quad error out. The
-# panel integrator accepts a panel at the same relative floor.
+# A panel is accepted at this relative error whatever the absolute
+# tolerance, so a tolerance of 0, or one below the round-off of the
+# integral, does not bisect every panel down to _MAX_DEPTH.
 _MIN_EPSREL = 1e-12
 
 # 8-point Gauss-Legendre nodes and weights on [-1, 1] (the values of
@@ -95,33 +94,27 @@ _GL16_INT = np.vstack((_GL16_INT_HEAD,
 # round-off of its endpoints.
 _MAX_DEPTH = 40
 
-# Refined panels one call may hold per starting panel (adaptive_quad allows
-# QUADPACK 200 subintervals too), and in all unless the starting panels
-# alone need more: beyond this the integrand is too rough for the
-# tolerance. At the cap one level of the r integral of the Theta route
-# (8 nodes and 16 or 24 cos(Theta) values per panel, see theta) holds
-# about 1e6 floats.
+# Refined panels one call may hold per starting panel, and in all unless
+# the starting panels alone need more: beyond this the integrand is too
+# rough for the tolerance. At the cap one level of the r integral of the
+# Theta route (8 nodes and 16 or 24 cos(Theta) values per panel, see
+# theta) holds about 1e6 floats.
 _PANELS_PER_EDGE = 200
 _MAX_PANELS = 1 << 15
 
 
 def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
                   tol: float = 1e-10) -> float:
-    """Integrate fn over [lo, hi] to absolute tolerance tol.
+    """Integrate fn over [lo, hi] to absolute tolerance tol by one
+    panel_quad over the single panel; hi < lo gives the negated integral.
 
-    Raises QuadratureError if the adaptive scheme reports non-convergence,
-    carrying the achieved estimate and error bound in the message.
+    Raises QuadratureError if the bisection does not converge, carrying the
+    achieved estimate and error bound in the message.
     """
     if lo == hi:
         return 0.0
-    value, abserr, info, *tail = quad(
-        fn, lo, hi, epsabs=tol, epsrel=_MIN_EPSREL, limit=200, full_output=1)
-    if tail:
-        message = tail[0]
-        raise QuadratureError(
-            f"quadrature on [{lo:g}, {hi:g}] did not converge: {message} "
-            f"(estimate {value:.6e}, error bound {abserr:.3e})")
-    return value
+    value = panel_quad(on_arrays(fn), sorted((lo, hi)), tol)[1][-1]
+    return float(value if lo < hi else -value)
 
 
 def on_arrays(fn: Callable, dtype=float) -> Callable:

@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-# unused here; benchmarks/gbench/tracer.py patches theta.scipy.integrate.quad
-import scipy.integrate  # noqa: F401
 
 from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
                            case2_theta, check_grid, detuning_deviation,
@@ -73,6 +72,13 @@ __all__ = [
     "load_ansatz_table",
     "ANSATZ_NAMES",
 ]
+
+# A weightless stand-in that imports nothing and that nothing calls. It
+# exists only because benchmarks/gbench/tracer.py reads and patches
+# theta.scipy.integrate.quad. It is deleted together with adaptive_quad and
+# CumulativeIntegral once the tracer change of ROADMAP item 1 (first part)
+# lands.
+scipy = SimpleNamespace(integrate=SimpleNamespace(quad=None))
 
 # Below this the r integrand switches to its Taylor form (tau units).
 EPS_TAYLOR = 1e-6

@@ -516,3 +516,37 @@ def test_closed_stdout_exits_quietly(argv, buffered, tmp_path, monkeypatch,
         # flush at exit cannot fail again
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
+
+
+# imports genrabi.cli, then runs cli.main on each argv of the JSON list in
+# argv[1]; scipy must stay out of sys.modules throughout
+SCIPY_FREE = """
+import json, sys
+import genrabi.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy_modules(), ("import genrabi.cli", scipy_modules())
+for argv in json.loads(sys.argv[1]):
+    code = genrabi.cli.main(argv)
+    assert code == 0, (argv, code)
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path, run_python):
+    # every integral runs on quadrature.panel_quad; scipy's import alone
+    # once took most of a CLI process's time
+    table = _table(tmp_path, "0,1\n1,0.5\n2,1\n")
+    argvs = [
+        ["run", "--scenario", "case2", "--samples", "21"],
+        ["run", "--scenario", "exp_resonant", "--engine", "both",
+         "--samples", "21", "--out", str(tmp_path / "both.csv")],
+        ["verify", "--scenario", "case1"],
+        ["modes", "--coupling", "sech", "--delta", "0.5", "--z-max", "2",
+         "--samples", "21"],
+        _modes_config(tmp_path, {"family": "custom_table",
+                                 "params": {"path": table}}),
+        ["list-scenarios"],
+    ]
+    proc = run_python(SCIPY_FREE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ from genrabi.errors import ConfigError, NumericError, QuadratureError
 from genrabi import quadrature
 from genrabi.quadrature import (CumulativeIntegral, adaptive_quad,
                                 edges_from_zero, gauss_legendre, gauss_panels,
-                                node_integrals, panel_quad)
+                                node_integrals, on_arrays, panel_quad)
 
 
 def test_adaptive_quad_matches_analytic():
@@ -18,6 +18,16 @@ def test_adaptive_quad_matches_analytic():
 
 def test_adaptive_quad_zero_width_interval():
     assert adaptive_quad(math.sin, 1.3, 1.3) == 0.0
+
+
+def test_adaptive_quad_is_panel_quad_on_one_panel():
+    # math.sin refuses arrays, so on_arrays calls it once per node
+    value = adaptive_quad(math.sin, 0.0, math.pi)
+    assert type(value) is float
+    assert value == panel_quad(on_arrays(math.sin), [0.0, math.pi])[1][-1]
+    assert adaptive_quad(math.sin, math.pi, 0.0) == -value
+    assert adaptive_quad(math.exp, 1.0, -1.0, 1e-12) == pytest.approx(
+        -2.0 * math.sinh(1.0), abs=1e-12)
 
 
 def test_adaptive_quad_reports_nonconvergence():

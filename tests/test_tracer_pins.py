@@ -6,10 +6,13 @@ removal or renaming of a patched name fail in this suite within a second,
 not only in the slower benchmark tests. The tracer source is compiled from
 its file, so nothing is written under benchmarks/.
 
-The converse holds too: a module may import a name it neither uses nor
-exports only as a pin, that is a name the tracer patches on that module or
-reaches through it (theta.scipy.integrate.quad), on an import line marked
-"# noqa: F401". A stale or unmarked pin fails here.
+The converse holds too: a pin is either an import of a name the module
+neither uses nor exports, on a line marked "# noqa: F401", of a name the
+tracer patches on that module, or the marked theta.scipy stand-in, which
+the tracer reaches through (theta.scipy.integrate.quad) and which must
+import nothing. A stale or unmarked pin fails here, and so does a tracer
+that loads scipy: installed in the traced cli_mix child outside every span,
+scipy's import would sink that run's coverage below its floor.
 """
 
 import ast
@@ -42,6 +45,27 @@ def test_tracer_installs_and_restores_every_patched_name():
     assert patches
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+# installs and restores the tracer compiled from the file in argv[1]
+INSTALL_ONLY = """
+import pathlib, sys, types
+module = types.ModuleType("gbench_tracer")
+source = pathlib.Path(sys.argv[1]).read_text()
+exec(compile(source, sys.argv[1], "exec"), module.__dict__)
+tracer = module.Tracer()
+try:
+    tracer.install()
+finally:
+    tracer.restore()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_installing_the_tracer_imports_no_scipy(run_python):
+    proc = run_python(INSTALL_ONLY, str(TRACER))
+    assert proc.returncode == 0, proc.stderr
 
 
 def _touched(tracer, patches):
