@@ -33,14 +33,14 @@ this whole lane grid, passing the times in order, and builds the factors in
 tiles of about _BLOCK (position, lane) cells: a tile takes the drive in real
 form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
 |Omega| + |omega|, mixes the scheme rows with the step folded into the
-weights, checks that the result is finite and writes the Euler-form factors
-straight into the lane arrays, so every temporary is tile-sized; padded
-cells then become identities. Every lane is multiplied sequentially with one
-array update per position, vectorized across all lanes, and the lane
-products are folded into the running operator two levels deep: running
-products inside groups of about sqrt(lanes) lanes, vectorized across groups,
-then a short scalar fold of the group totals. A sequential order inside each
-lane drifts less from unitarity than a pairwise product tree.
+weights, checks that the result is finite, writes the Euler-form factors
+into tile-sized arrays, padded cells as identities, and multiplies them into
+its lanes' running products, one array update per position, so only the
+drive spans the whole run. The lane products are folded into the running
+operator two levels deep: running products inside groups of about
+sqrt(lanes) lanes, vectorized across groups, then a short scalar fold of the
+group totals. A sequential order inside each lane drifts less from
+unitarity than a pairwise product tree.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ _MAX_DRIFT = 1e-10
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
-# Most substeps one integration may take. The sweep peaks at about 62
-# (midpoint) to 119 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
-# so a run at this cap takes about 1.0 (midpoint) to 2.0 GB (CF4); the
+# Most substeps one integration may take. The sweep peaks at about 48
+# (midpoint) to 80 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
+# so a run at this cap takes about 0.8 (midpoint) to 1.3 GB (CF4); the
 # largest runs of the test suite and the benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
 
@@ -278,7 +278,7 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
     # interval i's exponentials in acting order, split into `chunks` lanes
     # of `run` whole substeps, the last lane padded by repeating its last
-    # substep; f[p, j, l], g[p, j, l] is exponential j of position p of lane l
+    # substep
     run = min(substeps, max(1, math.isqrt(total * m) // m))
     chunks = -(-substeps // run)
     run = -(-substeps // chunks)
@@ -290,31 +290,35 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
     # drive[k] is (Omega, |omega|, phi) at t = substep * h + x_k h for every
     # (p, l); callables get the times lane by lane, one non-decreasing 1-d
-    # array, so a phase unwrapped along it stays continuous
+    # array, so a phase unwrapped along it stays continuous; the last node
+    # shifts the times in place
     times = substep(np.arange(run), np.arange(lanes)[:, None]).ravel() * h
     drive = np.empty((len(nodes), 3, run, lanes))
-    for node, x in zip(drive, nodes):
-        grid = times + x * h
+    for k, (node, x) in enumerate(zip(drive, nodes), 1 - len(nodes)):
+        grid = np.add(times, x * h, out=None if k else times)
         for out, fn in zip(node, (profile.omega_z, profile.omega_mag,
                                   profile.phi_omega)):
             out.T[...] = np.broadcast_to(np.asarray(fn(grid), dtype=float),
                                          grid.shape).reshape(lanes, run)
     del times, grid
 
-    f = np.empty((run, m, lanes), dtype=complex)
-    g = np.empty_like(f)
     # tiles of about _BLOCK cells, `depth` positions by `cols` lanes; scratch
-    # rows: (Re omega, Im omega) per node, u, two for the factors, one term
+    # rows: (Re omega, Im omega) per node, u, two for the factors, one term;
+    # a tile's f[p, j, l], g[p, j, l] is exponential j of its position p of
+    # its lane l, and fl, gl hold every lane's product so far
     cols = min(lanes, _BLOCK)
     depth = max(1, _BLOCK // cols)
     scratch = np.empty((2 * len(nodes) + 6, depth * cols))
+    factors = np.empty((2, min(depth, run) * m * cols), dtype=complex)
+    fl, gl = np.empty((2, lanes), dtype=complex)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k)
     signs = (-h, h, -h)
     best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
     for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
         tile = np.s_[p0:p0 + depth, l0:l0 + cols]
-        shape = f[:, 0][tile].shape
+        shape = drive[0, 0][tile].shape
+        f, g = factors[:, :m * math.prod(shape)].reshape(2, shape[0], m, -1)
         *nodal, ux, uy, uz, w0, w1, term = scratch[:, :math.prod(shape)] \
             .reshape(-1, *shape)
         parts = []  # per node: (Re omega, Im omega, Omega), u up to -h w
@@ -336,12 +340,20 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                 np.multiply(parts[0][c], sign * row[0], out=out)
                 for w, part in zip(row[1:], parts[1:]):
                     out += np.multiply(part[c], sign * w, out=term)
-            if not _rotation_factors(ux, uy, uz, f[:, j][tile], g[:, j][tile],
-                                     (w0, w1)):
+            if not _rotation_factors(ux, uy, uz, f[:, j], g[:, j], (w0, w1)):
                 _raise_non_finite(profile, drive, substep, h)
-    # the padded positions of every interval's last lane are identities
-    f[substeps - (chunks - 1) * run:, :, chunks - 1::chunks] = 1.0
-    g[substeps - (chunks - 1) * run:, :, chunks - 1::chunks] = 0.0
+        # the padded positions of every interval's last lane are identities
+        pad = np.s_[max(substeps - (chunks - 1) * run - p0, 0):, :,
+                    (chunks - 1 - l0) % chunks::chunks]
+        f[pad], g[pad] = 1.0, 0.0
+        # multiply the tile's positions into its lanes' products, later
+        # factors on the left: [[F, G], [-G*, F*]]; a run's first tile
+        # starts from its first factor
+        chain = zip(f.reshape(-1, shape[1]), g.reshape(-1, shape[1]))
+        lf, lg = (fl[l0:l0 + cols], gl[l0:l0 + cols]) if p0 else next(chain)
+        for fk, gk in chain:
+            lf, lg = fk * lf - gk * lg.conj(), fk * lg + gk * lf.conj()
+        fl[l0:l0 + cols], gl[l0:l0 + cols] = lf, lg
 
     # every tile was finite; now the step must resolve the peak
     scale, k, p, l = best
@@ -356,13 +368,6 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
             + np.abs(np.asarray(profile.omega_mag(fine), dtype=float)))))
     # the probe in _prepare can miss a pulse narrower than its spacing
     _check_resolution(h, scale, "max |Omega| + |omega| over the sweep nodes")
-
-    # product of each lane, later factors on the left: [[F, G], [-G*, F*]]
-    f, g = f.reshape(run * m, lanes), g.reshape(run * m, lanes)
-    fl, gl = f[0], g[0]
-    for fk, gk in zip(f[1:], g[1:]):
-        fl, gl = fk * fl - gk * gl.conj(), fk * gl + gk * fl.conj()
-    del f, g
 
     # fold the lanes in order into the first column (a, c) of U, two
     # levels deep: running products inside groups of about sqrt(lanes)

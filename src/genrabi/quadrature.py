@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, QuadratureError
 
-__all__ = ["adaptive_quad", "CumulativeIntegral", "edges_from_zero",
-           "gauss_legendre", "gauss_panels", "node_integrals", "on_arrays",
-           "panel_quad", "running_integral"]
+__all__ = ["adaptive_quad", "CumulativeIntegral", "distinct_sorted",
+           "edges_from_zero", "gauss_legendre", "gauss_panels",
+           "node_integrals", "on_arrays", "panel_quad", "running_integral"]
 
 # A panel is accepted at this relative error whatever the absolute
 # tolerance, so a tolerance of 0, or one below the round-off of the
@@ -172,6 +172,13 @@ def node_integrals(fn: Callable, lo, hi) -> np.ndarray:
     return (values @ _GL16_INT.T) * width[:, None]
 
 
+def distinct_sorted(values) -> np.ndarray:
+    """np.unique(values) for finite values, without the numpy.ma import
+    that np.unique makes on its first call: the same sort and mask."""
+    values = np.sort(np.ravel(values))
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
 def edges_from_zero(points, name: str = "tau"):
     """Panel edges from 0 through the distinct points, and the index of each
     point among them, as running_integral uses them. name is the variable
@@ -181,7 +188,7 @@ def edges_from_zero(points, name: str = "tau"):
         raise ConfigError(f"{name} must be >= 0")
     if not np.all(np.isfinite(points)):
         raise NumericError(f"{name} must be finite")
-    edges = np.unique(np.append(points, 0.0))
+    edges = distinct_sorted(np.append(points, 0.0))
     return edges, np.searchsorted(edges, points)
 
 

@@ -50,8 +50,9 @@ from .propagator import PropagatorConfig, propagate
 from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
-from .quadrature import (edges_from_zero, gauss_legendre, gauss_panels,
-                         node_integrals, panel_quad, running_integral)
+from .quadrature import (distinct_sorted, edges_from_zero, gauss_legendre,
+                         gauss_panels, node_integrals, panel_quad,
+                         running_integral)
 
 __all__ = [
     "ThetaAnsatz",
@@ -187,7 +188,7 @@ class ThetaEvaluator:
         """(phi_int, r_int) at the edges from edges_from_zero."""
         phi, mesh, running = self._phi(edges)
         eps = EPS_TAYLOR
-        r_edges = np.union1d(mesh, [eps]) if mesh[-1] > eps else mesh
+        r_edges = distinct_sorted(np.r_[mesh, eps]) if mesh[-1] > eps else mesh
 
         def integrand(s):
             # gauss_legendre hands over the nodes panel by panel, and every

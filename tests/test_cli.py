@@ -519,17 +519,19 @@ def test_closed_stdout_exits_quietly(argv, buffered, tmp_path, monkeypatch,
 
 
 # imports genrabi.cli, then runs cli.main on each argv of the JSON list in
-# argv[1]; scipy must stay out of sys.modules throughout
-SCIPY_FREE = """
+# argv[2]; the package named in argv[1] and its submodules must stay out of
+# sys.modules throughout
+STAYS_UNLOADED = """
 import json, sys
 import genrabi.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not scipy_modules(), ("import genrabi.cli", scipy_modules())
-for argv in json.loads(sys.argv[1]):
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == sys.argv[1] or m.startswith(sys.argv[1] + "."))
+assert not loaded(), ("import genrabi.cli", loaded())
+for argv in json.loads(sys.argv[2]):
     code = genrabi.cli.main(argv)
     assert code == 0, (argv, code)
-    assert not scipy_modules(), (argv, scipy_modules())
+    assert not loaded(), (argv, loaded())
 """
 
 
@@ -548,5 +550,14 @@ def test_cli_commands_never_import_scipy(tmp_path, run_python):
                                  "params": {"path": table}}),
         ["list-scenarios"],
     ]
-    proc = run_python(SCIPY_FREE, json.dumps(argvs))
+    proc = run_python(STAYS_UNLOADED, "scipy", json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_case1_commands_never_import_numpy_ma(tmp_path, run_python):
+    # np.unique and np.union1d import numpy.ma on their first call; the
+    # quadrature edges come from quadrature.distinct_sorted instead
+    argvs = [["run", "--scenario", "case1", "--samples", "21"],
+             ["verify", "--scenario", "case1"]]
+    proc = run_python(STAYS_UNLOADED, "numpy.ma", json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr

@@ -6,8 +6,9 @@ import pytest
 from genrabi.errors import ConfigError, NumericError, QuadratureError
 from genrabi import quadrature
 from genrabi.quadrature import (CumulativeIntegral, adaptive_quad,
-                                edges_from_zero, gauss_legendre, gauss_panels,
-                                node_integrals, on_arrays, panel_quad)
+                                distinct_sorted, edges_from_zero,
+                                gauss_legendre, gauss_panels, node_integrals,
+                                on_arrays, panel_quad)
 
 
 def test_adaptive_quad_matches_analytic():
@@ -102,6 +103,21 @@ def test_edges_from_zero_maps_points_back():
         edges_from_zero([1.0, math.nan])
     with pytest.raises(ConfigError, match="^t must be >= 0$"):
         edges_from_zero([1.0, -0.1], "t")
+
+
+@pytest.mark.parametrize("values", [
+    [2.0, 0.5, 2.0, 0.0, 0.5],
+    [0.0, -0.0, 3.0, -0.0, 0.0],
+    [-0.0, 0.0, 1e-300, -0.0],
+    [-0.0],
+    [],
+    np.round(np.random.default_rng(7).normal(size=(40, 3)), 1),
+])
+def test_distinct_sorted_is_np_unique(values):
+    # bit for bit, the sign of a zero included: np.unique keeps the first of
+    # equal neighbours after the same sort
+    got, want = distinct_sorted(values), np.unique(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_written_out_rules_are_leggauss_and_the_matrix_is_exact():
