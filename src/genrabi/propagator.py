@@ -28,18 +28,18 @@ failing step.
 
 The exponentials of each output interval are split into lanes of about
 sqrt(total) in acting order, the last lane padded by repeating its last
-substep. The sweep evaluates each profile callable once per Gauss node over
-this whole lane grid, passing the times in order, and builds the factors in
-tiles of about _BLOCK (position, lane) cells: a tile takes the drive in real
-form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
+substep. The sweep evaluates each profile callable once per Gauss node per
+block of whole tile rows (about _DRIVE cells), with its times in order, and
+runs that block's tiles of about _BLOCK (position, lane) cells before the
+next, so its memory does not grow with the run. A tile takes the drive in
+real form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
 |Omega| + |omega|, mixes the scheme rows with the step folded into the
-weights, checks that the result is finite, writes the Euler-form factors
-into tile-sized arrays, padded cells as identities, and multiplies them into
-its lanes' running products, one array update per position, so only the
-drive spans the whole run. The lane products are folded into the running
-operator two levels deep: running products inside groups of about
-sqrt(lanes) lanes, vectorized across groups, then a short scalar fold of the
-group totals. A sequential order inside each lane drifts less from
+weights, checks that the result is finite, writes the Euler-form factors,
+padded cells as identities, and multiplies them into its lanes' running
+products, one array update per position. The lane products are folded into
+the running operator two levels deep: running products inside groups of
+about sqrt(lanes) lanes, vectorized across groups, then a short scalar fold
+of the group totals. A sequential order inside each lane drifts less from
 unitarity than a pairwise product tree.
 """
 
@@ -93,15 +93,18 @@ _MAX_DRIFT = 1e-10
 _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
-# Most substeps one integration may take. The sweep peaks at about 48
-# (midpoint) to 80 (CF4) bytes per substep (tracemalloc, 2e5-substep runs),
-# so a run at this cap takes about 0.8 (midpoint) to 1.3 GB (CF4); the
-# largest runs of the test suite and the benchmark take under 3e5.
+# Most substeps one integration may take. The sweep's memory does not grow
+# with the run: its tracemalloc peak on exp_resonant is about 4.7 (midpoint)
+# to 7.6 MB (CF4) from 2e5 substeps up to this cap; the largest runs of the
+# test suite and the benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
 
 # Cells per tile of the sweep's factor pass: a tile's dozen scratch arrays
 # stay in cache between its elementwise passes.
 _BLOCK = 1 << 14
+# Cells per Gauss node of a drive block of whole tile rows across every
+# lane, at least one row: a run of up to 49,152 cells takes one block.
+_DRIVE = 1 << 16
 _TINY = np.finfo(float).tiny
 
 
@@ -288,41 +291,60 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         return (l // chunks) * substeps + np.minimum(
             (l % chunks) * run + p, substeps - 1)
 
-    # drive[k] is (Omega, |omega|, phi) at t = substep * h + x_k h for every
-    # (p, l); callables get the times lane by lane, one non-decreasing 1-d
-    # array, so a phase unwrapped along it stays continuous; the last node
-    # shifts the times in place
-    times = substep(np.arange(run), np.arange(lanes)[:, None]).ravel() * h
-    drive = np.empty((len(nodes), 3, run, lanes))
-    for k, (node, x) in enumerate(zip(drive, nodes), 1 - len(nodes)):
-        grid = np.add(times, x * h, out=None if k else times)
-        for out, fn in zip(node, (profile.omega_z, profile.omega_mag,
-                                  profile.phi_omega)):
-            out.T[...] = np.broadcast_to(np.asarray(fn(grid), dtype=float),
-                                         grid.shape).reshape(lanes, run)
-    del times, grid
-
-    # tiles of about _BLOCK cells, `depth` positions by `cols` lanes; scratch
-    # rows: (Re omega, Im omega) per node, u, two for the factors, one term;
-    # a tile's f[p, j, l], g[p, j, l] is exponential j of its position p of
-    # its lane l, and fl, gl hold every lane's product so far
+    # tiles of `depth` positions by `cols` lanes, at most `cut` cells, in
+    # blocks of `span` positions; fl, gl, every lane's product so far, live
+    # in the fold's padded arrays
     cols = min(lanes, _BLOCK)
     depth = max(1, _BLOCK // cols)
-    scratch = np.empty((2 * len(nodes) + 6, depth * cols))
-    factors = np.empty((2, min(depth, run) * m * cols), dtype=complex)
-    fl, gl = np.empty((2, lanes), dtype=complex)
+    cut = min(depth, run) * cols
+    span = depth * max(1, _DRIVE // (depth * lanes))
+    group = math.isqrt(lanes - 1) + 1
+    groups = -(-lanes // group)
+    pf = np.ones(groups * group, dtype=complex)
+    pg = np.zeros_like(pf)
+    fl, gl = pf[:lanes], pg[:lanes]
+
+    def evaluate(b0, drive):
+        # drive[k] gets (Omega, |omega|, phi) at t = substep * h + x_k h from
+        # position b0 on; callables get the times lane by lane, one sorted
+        # 1-d array, so a phase unwrapped along it stays continuous; the
+        # last node shifts them in place
+        drive = drive[:, :, :run - b0]
+        times = substep(np.arange(b0, b0 + drive.shape[2]),
+                        np.arange(lanes)[:, None]).ravel() * h
+        for k, (node, x) in enumerate(zip(drive, nodes), 1 - len(nodes)):
+            grid = np.add(times, x * h, out=None if k else times)
+            for out, fn in zip(node, (profile.omega_z, profile.omega_mag,
+                                      profile.phi_omega)):
+                out.T[...] = np.broadcast_to(np.asarray(fn(grid), dtype=float),
+                                             grid.shape).reshape(lanes, -1)
+        return drive
+
+    # scratch rows: (Re omega, Im omega) per node, u, two for the factors,
+    # one term; a tile's f[p, j, l], g[p, j, l] is exponential j of its
+    # position p of its lane l. One allocation: glibc's malloc keeps twice
+    # its largest freed block for reuse, so the sweep's memory stays mapped
+    # between calls (as three arrays it was faulted in again at most calls)
+    head = (4 * m + 2 * len(nodes) + 6) * cut
+    work = np.empty(head + 3 * len(nodes) * min(span, run) * lanes)
+    factors = work[:4 * m * cut].view(complex).reshape(2, -1)
+    scratch = work[4 * m * cut:head].reshape(-1, cut)
+    drive = work[head:].reshape(len(nodes), 3, -1, lanes)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k)
     signs = (-h, h, -h)
     best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
     for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
-        tile = np.s_[p0:p0 + depth, l0:l0 + cols]
-        shape = drive[0, 0][tile].shape
+        q = p0 % span  # the tile's first position in its block
+        if q == l0 == 0:
+            block = evaluate(p0, drive)
+        tile = np.s_[q:q + depth, l0:l0 + cols]
+        shape = block[0, 0][tile].shape
         f, g = factors[:, :m * math.prod(shape)].reshape(2, shape[0], m, -1)
         *nodal, ux, uy, uz, w0, w1, term = scratch[:, :math.prod(shape)] \
             .reshape(-1, *shape)
         parts = []  # per node: (Re omega, Im omega, Omega), u up to -h w
-        for k, (om, mg, ph) in enumerate(drive):
+        for k, (om, mg, ph) in enumerate(block):
             om, mg, ph = om[tile], mg[tile], ph[tile]
             peak = np.abs(om, out=w0)
             peak += np.abs(mg, out=w1)
@@ -341,7 +363,9 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                 for w, part in zip(row[1:], parts[1:]):
                     out += np.multiply(part[c], sign * w, out=term)
             if not _rotation_factors(ux, uy, uz, f[:, j], g[:, j], (w0, w1)):
-                _raise_non_finite(profile, drive, substep, h)
+                _raise_non_finite(profile, (
+                    (b0, evaluate(b0, np.empty_like(drive)))
+                    for b0 in range(p0 - q, run, span)), substep, h)
         # the padded positions of every interval's last lane are identities
         pad = np.s_[max(substeps - (chunks - 1) * run - p0, 0):, :,
                     (chunks - 1 - l0) % chunks::chunks]
@@ -373,11 +397,6 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     # levels deep: running products inside groups of about sqrt(lanes)
     # lanes, vectorized across groups; a scalar fold of the group totals;
     # then each group's start column applied to its running products at once
-    group = math.isqrt(lanes - 1) + 1
-    groups = -(-lanes // group)
-    pf = np.ones(groups * group, dtype=complex)
-    pg = np.zeros_like(pf)
-    pf[:lanes], pg[:lanes] = fl, gl
     pf, pg = (x.reshape(groups, group).T.copy() for x in (pf, pg))
     for i in range(1, group):
         pf[i], pg[i] = (pf[i] * pf[i - 1] - pg[i] * pg[i - 1].conj(),
@@ -399,16 +418,19 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     return a_out, b_out
 
 
-def _raise_non_finite(profile: FieldProfile, drive, substep, h: float) -> None:
-    """Raise NumericError at the first substep whose drive (the sweep's
-    [node, component, position, lane] array) is not finite, substep(p, l)
+def _raise_non_finite(profile: FieldProfile, blocks, substep, h) -> None:
+    """Raise NumericError at the earliest substep whose drive is not finite
+    in blocks, (first position, [node, component, position, lane] drive)
+    pairs over the run from the failing tile's block on, substep(p, l)
     naming the substep at position p of lane l; return if there is none
     (then only the rotation angle overflowed; the resolution check fails)."""
-    bad = ~np.isfinite(drive).all(axis=(0, 1))
-    if bad.any():
+    bad = [int(substep(p + b0, l).min()) for b0, drive in blocks
+           for p, l in [np.nonzero(~np.isfinite(drive).all(axis=(0, 1)))]
+           if p.size]
+    if bad:
         raise NumericError(
             f"Hamiltonian of profile {profile.label!r} is not finite in the "
-            f"substep from t={int(substep(*np.nonzero(bad)).min()) * h:g}")
+            f"substep from t={min(bad) * h:g}")
 
 
 def _prepare(profile: FieldProfile, config: PropagatorConfig, window,

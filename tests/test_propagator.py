@@ -122,8 +122,8 @@ def check_accumulation(samples, substeps, scheme):
 def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
     check_accumulation(samples, substeps, scheme)
     if (samples, substeps) == (16501, 3):
-        _, (lanes, run, depth, cols) = sweep_geometry(samples, substeps,
-                                                      scheme)
+        _, (lanes, run, depth, cols, _) = sweep_geometry(samples, substeps,
+                                                         scheme)
         assert cols < lanes and -(-run // depth) == 3
 
 
@@ -136,8 +136,8 @@ def test_lane_sweep_matches_the_scalar_loop_on_any_grid(scheme, samples,
 
 def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
     # Python lines run in _integrate's own frame, and the lane count, the
-    # substeps per lane and a tile's positions and lanes, read from the
-    # frame's locals as it returns
+    # substeps per lane, a tile's positions and lanes and a drive block's
+    # positions, read from the frame's locals as it returns
     code = propagator._integrate.__code__
     lines = 0
     geometry = []
@@ -148,7 +148,7 @@ def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
         if event == "return":
             v = frame.f_locals
             geometry.append(tuple(v[k] for k in ("lanes", "run", "depth",
-                                                 "cols")))
+                                                 "cols", "span")))
         return local
 
     def calls(frame, event, arg):
@@ -168,7 +168,7 @@ def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
 
 def count_sweep_lines(samples, substeps):
     # the lines the sweep runs, and a bound from its geometry
-    lines, (lanes, width, depth, cols) = sweep_geometry(samples, substeps)
+    lines, (lanes, width, depth, cols, _) = sweep_geometry(samples, substeps)
     count = -(-width // depth) * -(-lanes // cols)  # tiles of the run
     # the lane loop runs once per exponential of a lane and the fold about
     # 2 sqrt(lanes) times, at most 3 lines each; the factor pass and the
@@ -190,15 +190,8 @@ def test_fold_makes_no_python_loop_per_lane():
     assert 0 < lines <= bound
 
 
-@pytest.mark.parametrize("scheme, bound", [
-    ("midpoint_exponential", 55.0), ("commutator_free_4th", 90.0)])
-def test_sweep_peak_memory_per_substep(scheme, bound):
-    # only the drive at the nodes is held in full: each tile's factors go
-    # into the lane products before the next tile is built, at about 48
-    # (midpoint) and 80 (CF4) bytes per substep. Building every factor as
-    # a full array peaked at about 130 and 220, and writing the tiles into
-    # run-sized factor arrays at about 62 and 119
-    substeps = 20000
+def sweep_peak(substeps, scheme):
+    # tracemalloc peak of _integrate on exp_resonant, 11 samples over [0, 10]
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -207,11 +200,29 @@ def test_sweep_peak_memory_per_substep(scheme, bound):
         start = tracemalloc.get_traced_memory()[0]
         propagator._integrate(make_scenario("exp_resonant"), 10.0, 11,
                               substeps, scheme)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak / (10 * substeps) <= bound
+
+
+@pytest.mark.parametrize("scheme, bound", [
+    ("midpoint_exponential", 30.0), ("commutator_free_4th", 47.0)])
+def test_sweep_peak_memory_per_substep(scheme, bound):
+    # the drive is evaluated one block of positions at a time and each
+    # tile's factors go into the lane products before the next tile is
+    # built: about 23.5 (midpoint) and 37 (CF4) bytes per substep at 2e5
+    # substeps. Building every factor as a full array peaked at about 130
+    # and 220, writing the tiles into run-sized factor arrays at about 62
+    # and 119, and holding the whole run's drive at about 48 and 80
+    assert sweep_peak(20000, scheme) / (10 * 20000) <= bound
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sweep_peak_memory_does_not_grow_with_the_run(scheme):
+    # 6e5 substeps against 2e5: holding the whole run's drive tripled the
+    # peak; blocks of the drive keep it flat
+    assert sweep_peak(60000, scheme) <= 1.2 * sweep_peak(20000, scheme)
 
 
 @pytest.mark.parametrize("scheme, measured", [
@@ -519,6 +530,59 @@ def test_profile_callables_see_the_times_in_order(scheme):
     assert len(grids) == 3 * nodes
     for t in grids:
         assert t.ndim == 1 and t.size >= 2000
+        assert np.all(np.diff(t) >= 0.0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_non_finite_drive_names_the_earliest_substep_across_blocks(scheme):
+    # one interval of 4e5 substeps, its drive in several blocks: NaN at lane
+    # 0, position run - 30, in a later block, and at the later substep of
+    # lane 1, position 5, in the first block, whose tile fails first; the
+    # earlier substep is named, so the scan covers the rest of the run
+    _, (lanes, run, _, _, span) = sweep_geometry(2, 400000, scheme)
+    assert (run - 30) // span > 0 and lanes > 1
+    h = 1.0 / 400000
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    spikes = np.array([[run - 29.5], [run + 5.5]]) * h
+
+    def omega_mag(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.any(np.abs(t - spikes) < 0.5 * h, axis=0),
+                        np.nan, 1.0)
+
+    profile = FieldProfile(omega_z=zero, omega_mag=omega_mag, phi_omega=zero,
+                           phi_omega_dot=zero, label="two spikes")
+    with pytest.raises(NumericError, match=re.escape(
+            f"substep from t={(run - 30) * h:g}") + "$"):
+        propagator._integrate(profile, 1.0, 2, 400000, scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_profile_callables_are_called_once_per_node_and_block(scheme):
+    # 2e5 substeps in several drive blocks: each callable is called once per
+    # Gauss node per block, each time with one 1-d array of non-decreasing
+    # times
+    _, (_, run, _, _, span) = sweep_geometry(3, 100000, scheme)
+    blocks = -(-run // span)
+    assert blocks > 1
+    grids = []
+
+    def seen(fn):
+        def call(t):
+            grids.append(np.array(t))
+            return fn(t)
+        return call
+
+    base = wobbly_profile()
+    profile = FieldProfile(omega_z=seen(base.omega_z),
+                           omega_mag=seen(base.omega_mag),
+                           phi_omega=seen(base.phi_omega),
+                           phi_omega_dot=base.phi_omega_dot, label="seen")
+    propagator._integrate(profile, 0.02 * 2 * 100000, 3, 100000, scheme)
+    nodes = len(propagator._SCHEMES[scheme][1])
+    assert len(grids) == 3 * nodes * blocks
+    for t in grids:
+        assert t.ndim == 1 and t.size >= 2
         assert np.all(np.diff(t) >= 0.0)
 
 
