@@ -19,11 +19,9 @@ that misses its thresholds).
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
-from itertools import chain, islice
 
 import numpy as np
 
@@ -44,8 +42,8 @@ from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
 ENGINE_CHOICES = ("closed_form", "oracle", "both")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# rows per formatted block: bounds the memory the writer holds
+_BLOCK_ROWS = 4096
 
 
 def _parse_params(text: str | None) -> dict:
@@ -129,6 +127,7 @@ def _scenario_from_args(args) -> tuple[ScenarioParams, float, float]:
                    ("t_max", "samples"))
 
     if not isinstance(family, str) or family not in FAMILIES:
+        import difflib  # only an unknown name needs it
         near = difflib.get_close_matches(str(family), FAMILIES, n=3,
                                          cutoff=0.4)
         if not near:
@@ -174,19 +173,37 @@ def _write_text(path: str | None, lines) -> None:
 
 
 def _serialize(columns: dict, fmt: str, out: str | None) -> None:
-    """Write equal-length named arrays in order: CSV row by row, or JSON."""
+    """Write equal-length named arrays in order, as CSV or JSON.
+
+    The rows go out in blocks of _BLOCK_ROWS, each formatted by one
+    %-template: "%.17g" per CSV cell, and per JSON value the token
+    json.dumps(records, indent=1) writes for it.
+    """
     names = list(columns)
-    rows = zip(*columns.values())
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
     if fmt == "csv":
-        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
-        _write_text(out, chain([",".join(names) + "\n"], lines))
+        head, sep, tail = ",".join(names) + "\n", "", ""
+        row = ",".join(["%.17g"] * len(names)) + "\n"
     else:
-        # json.dumps(records, indent=1), written 4096 records at a time
-        records = (dict(zip(names, map(float, row))) for row in rows)
-        blocks = iter(lambda: list(islice(records, 4096)), [])
-        chunks = ((",\n" if i else "[\n") + json.dumps(block, indent=1)[2:-2]
-                  for i, block in enumerate(blocks))
-        _write_text(out, chain(chunks, ["\n]\n"]))
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        row = " {\n" + ",\n".join(f"  {json.dumps(n)}: %s"
+                                  for n in names) + "\n }"
+
+    def chunks():
+        yield head
+        for start in range(0, len(values[0]), _BLOCK_ROWS):
+            block = np.column_stack(
+                [v[start:start + _BLOCK_ROWS] for v in values]).ravel()
+            cells = block.tolist()
+            if fmt == "json":
+                # str(x) is json's token for a finite float, not for NaN
+                for i in np.flatnonzero(~np.isfinite(block)):
+                    cells[i] = json.dumps(cells[i])
+            yield (sep if start else "") + \
+                sep.join([row] * (block.size // len(names))) % tuple(cells)
+        yield tail
+
+    _write_text(out, chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 ``panel_quad`` integrates a numpy-vectorized integrand over many panels at
 once with a composite Gauss-Legendre rule, bisecting only the panels whose
-error estimate misses their share of the tolerance. One call over the
-panels between N ascending sample points yields the running integral at all
-of them; ``running_integral`` packages that for integrals from 0. Every
+error estimate misses their share of the tolerance. One call over N
+ascending sample points yields the running integral at all of them: it
+tests one panel per _EDGES_PER_PANEL sample intervals and reaches the
+points in between by one 8-point rule each from the accepted mesh.
+``running_integral`` packages that for integrals from 0. Every
 transverse area, Theta phase integral and elliptic phase of the package goes
 through it, so no scalar integrator runs.
 
@@ -94,13 +96,19 @@ _GL16_INT = np.vstack((_GL16_INT_HEAD,
 # round-off of its endpoints.
 _MAX_DEPTH = 40
 
-# Refined panels one call may hold per starting panel, and in all unless
-# the starting panels alone need more: beyond this the integrand is too
+# Refined panels one call may hold per given interval, and in all unless
+# the given intervals alone need more: beyond this the integrand is too
 # rough for the tolerance. At the cap one level of the r integral of the
 # Theta route (8 nodes and 16 or 24 cos(Theta) values per panel, see
 # theta) holds about 1e6 floats.
 _PANELS_PER_EDGE = 200
 _MAX_PANELS = 1 << 15
+
+# The starting panels run over this many given intervals. On sampled grids
+# one 8-point rule over a sample interval is accurate far past any
+# tolerance, so testing a panel per interval only spends points; the edges
+# in between are reached by one 8-point rule inside an accepted panel.
+_EDGES_PER_PANEL = 16
 
 
 def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
@@ -195,18 +203,22 @@ def edges_from_zero(points, name: str = "tau"):
 def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     """Integrate fn over the panels between consecutive ascending edges.
 
-    Each panel's 8-point Gauss-Legendre value is compared with the sum over
-    its two halves, and the difference is the panel's error estimate. A
-    panel is accepted, with the halves' value, when its estimate is within
-    its share tol * width / (edges[-1] - edges[0]) of the tolerance or at
-    the relative round-off floor, and is bisected otherwise. fn must accept
-    a 1-d array and is called once per level.
+    The starting panels run between every _EDGES_PER_PANEL-th edge and the
+    last one. Each panel's 8-point Gauss-Legendre value is compared with
+    the sum over its two halves, and the difference is the panel's error
+    estimate. A panel is accepted, with the halves' value, when its
+    estimate is within its share tol * width / (edges[-1] - edges[0]) of
+    the tolerance or at the relative round-off floor, and is bisected
+    otherwise. A given edge that is not on the accepted mesh then gets the
+    integral up to the mesh edge below it plus one 8-point rule from there,
+    over part of the accepted panel that holds it. fn must accept a 1-d
+    array and is called once per level and once for those edges.
 
     Returns (mesh, running): the refined ascending edges, which contain
     every given edge, and the integral of fn from edges[0] to each of them.
     The integral over the panel [edges[i], edges[i+1]] is the difference of
     running at those two edges. When bisection runs out of depth
-    (_MAX_DEPTH) or of panels (_PANELS_PER_EDGE per starting panel,
+    (_MAX_DEPTH) or of panels (_PANELS_PER_EDGE per given interval,
     _MAX_PANELS in all), which round-off noise or a step in fn can cause,
     the open panels are accepted if all the error estimates together stay
     within tol; otherwise QuadratureError.
@@ -219,11 +231,14 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     if edges.size == 1:
         return edges, np.zeros(1)
     share = tol / (edges[-1] - edges[0])
-    lo, hi = edges[:-1], edges[1:]
+    # the budget counts the given intervals, not the starting panels
+    given = edges.size - 1
+    limit = max(2 * given, min(_PANELS_PER_EDGE * given, _MAX_PANELS))
+    lo = edges[:-1:_EDGES_PER_PANEL]
+    hi = np.append(lo[1:], edges[-1])
     whole = gauss_legendre(fn, lo, hi)
     starts, parts = [], []
     accepted, spent = 0, 0.0
-    limit = max(2 * lo.size, min(_PANELS_PER_EDGE * lo.size, _MAX_PANELS))
     for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
         halves = gauss_legendre(fn, np.concatenate((lo, mid)),
@@ -261,6 +276,13 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     order = np.argsort(starts, kind="stable")
     mesh = np.append(starts[order], edges[-1])
     running = np.concatenate(([0.0], np.cumsum(np.concatenate(parts)[order])))
+    below = np.searchsorted(mesh, edges, side="right") - 1
+    off = mesh[below] != edges
+    if np.any(off):
+        below, reach = below[off], edges[off]
+        value = running[below] + gauss_legendre(fn, mesh[below], reach)
+        mesh = np.insert(mesh, below + 1, reach)
+        running = np.insert(running, below + 1, value)
     return mesh, running
 
 

@@ -14,11 +14,13 @@ not t, which makes them agnostic to the transverse envelope.
 
 Both phase integrals are taken in one vectorized pass over all requested
 tau (ThetaEvaluator) by the numpy panel quadrature of the quadrature
-module; no scalar quadrature runs on this route. The r integrand is a 0/0
-ratio at tau = 0; below a small split point it is replaced by its Taylor
-form Theta(s)/(2s), which is exact to O(s^2) there. The Gauss-Legendre
-rule on the panel from 0 to the smallest tau keeps phi_int to relative
-accuracy, so the cotangent of the induced detuning stays accurate there.
+module, which tests one panel per 16 tau intervals and reaches the tau in
+between by one Gauss-Legendre rule each; no scalar quadrature runs on this
+route. The r integrand is a 0/0 ratio at tau = 0; on a panel that lies
+below a small split point it is replaced by its Taylor form Theta(s)/(2s),
+which is exact to O(s^2) there. The Gauss-Legendre rule from 0 to the
+smallest tau keeps phi_int to relative accuracy, so the cotangent of the
+induced detuning stays accurate there.
 An interior zero of sin(2 phi_int) with nonvanishing sin(Theta) makes the
 induced detuning non-integrable and is reported as SingularAnsatzError, not
 patched by principal values: for the built-in families 2 phi_int stays
@@ -50,9 +52,8 @@ from .propagator import PropagatorConfig, propagate
 from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
-from .quadrature import (distinct_sorted, edges_from_zero, gauss_legendre,
-                         gauss_panels, node_integrals, panel_quad,
-                         running_integral)
+from .quadrature import (edges_from_zero, gauss_legendre, gauss_panels,
+                         node_integrals, panel_quad, running_integral)
 
 __all__ = [
     "ThetaAnsatz",
@@ -149,15 +150,16 @@ class ThetaEvaluator:
 
     triple and ratios integrate the phase pair in one pass over all the
     requested tau, or read the ansatz's closed pair when it has one.
-    panel_quad refines the panels between the sorted tau for cos(Theta);
-    the running sum is phi_int on that mesh. r_int is a second panel_quad
-    over the same mesh, split at EPS_TAYLOR: below it the integrand is the
-    Taylor form Theta(s)/(2s), above it sin(Theta)/sin(2 phi_int). Each r
-    panel lies inside one mesh panel, and phi_int at its 8 Gauss nodes is
-    phi_int at the panel start (the mesh value, plus one 8-point rule when
-    the panel starts at a bisection midpoint) plus quadrature.node_integrals
-    of cos(Theta): 16 values and a fixed integration matrix, exact to
-    degree 15 on the panel. Nothing is cached between calls; the scalar
+    panel_quad integrates cos(Theta) over the sorted tau; the running sum
+    is phi_int on its mesh, which holds every tau. r_int is a second
+    panel_quad over that mesh. On a panel that lies at or below EPS_TAYLOR
+    its integrand is the Taylor form Theta(s)/(2s), elsewhere
+    sin(Theta)/sin(2 phi_int). An r panel may span several mesh panels, and
+    phi_int at its 8 Gauss nodes is phi_int at the panel start (the value
+    at the mesh edge at or below it, plus one 8-point rule when the panel
+    starts past that edge) plus quadrature.node_integrals of cos(Theta)
+    over the whole r panel: 16 values and a fixed integration matrix, exact
+    to degree 15 on the panel. Nothing is cached between calls; the scalar
     methods are one-point calls of the same path.
     """
 
@@ -187,15 +189,14 @@ class ThetaEvaluator:
     def _phases(self, edges: np.ndarray):
         """(phi_int, r_int) at the edges from edges_from_zero."""
         phi, mesh, running = self._phi(edges)
-        eps = EPS_TAYLOR
-        r_edges = distinct_sorted(np.r_[mesh, eps]) if mesh[-1] > eps else mesh
 
         def integrand(s):
-            # gauss_legendre hands over the nodes panel by panel, and every
-            # panel lies on one side of eps
+            # gauss_legendre hands over the nodes panel by panel; a panel
+            # whose last node lies past EPS_TAYLOR has its first node above
+            # EPS_TAYLOR / 50, where the ratio holds
             rows = s.reshape(-1, 8)
             out = np.empty_like(rows)
-            head = rows[:, -1] <= eps
+            head = rows[:, -1] <= EPS_TAYLOR
             if np.any(head):
                 h = rows[head].ravel()
                 out[head] = (self.ansatz.theta(h) / (2.0 * h)).reshape(-1, 8)
@@ -204,7 +205,7 @@ class ThetaEvaluator:
                 out[tail] = self._r_tail(rows[tail], mesh, running)
             return out.ravel()
 
-        r_mesh, r_running = panel_quad(integrand, r_edges, self.quad_tol)
+        r_mesh, r_running = panel_quad(integrand, mesh, self.quad_tol)
         return phi, r_running[np.searchsorted(r_mesh, edges)]
 
     def _r_tail(self, rows: np.ndarray, mesh: np.ndarray,
@@ -213,9 +214,10 @@ class ThetaEvaluator:
         with phi_int at the nodes of each r panel from phi_int at its start
         and one node_integrals call."""
         lo, hi = gauss_panels(rows)
-        # every r panel lies inside one phi mesh panel; it starts on the
-        # mesh edge (to the round-off of gauss_panels) or, after bisection,
-        # one 8-point rule beyond it
+        # an r panel starts on a phi mesh edge (to the round-off of
+        # gauss_panels) or, after bisection, inside a mesh panel, one
+        # 8-point rule beyond its edge; it may end several mesh panels
+        # later, since node_integrals runs over the whole r panel
         slack = 8.0 * np.finfo(float).eps * hi
         k = np.searchsorted(mesh, lo + slack, side="right") - 1
         start = running[k]

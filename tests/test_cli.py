@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from genrabi.cli import main
+from genrabi.cli import _serialize, main
 from genrabi.scenarios import (ScenarioParams, default_ansatz,
                                default_window, make_scenario,
                                scenario_time_scale)
@@ -109,6 +109,22 @@ def test_streamed_json_is_the_indent_1_dump_of_its_records(argv, capsys):
     assert main(argv + ["--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+def test_serialized_block_writes_the_tokens_of_json_and_format(tmp_path):
+    # one %-template per block must write what json.dumps and format(x,
+    # ".17g") write, NaN, infinities and the sign of zero included
+    columns = {"x": np.array([0.0, -0.0, math.nan, 1e-300, 0.1]),
+               "y": np.array([math.inf, -math.inf, 2.0 / 3.0, -5e17, 1.0])}
+    rows = list(zip(*columns.values()))
+    records = [dict(zip(columns, map(float, row))) for row in rows]
+    _serialize(columns, "json", str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text() == \
+        json.dumps(records, indent=1) + "\n"
+    _serialize(columns, "csv", str(tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").read_text() == "x,y\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in rows)
 
 
 def test_run_time_column_uses_dimensionless_axis(capsys):
@@ -551,6 +567,15 @@ def test_cli_commands_never_import_scipy(tmp_path, run_python):
         ["list-scenarios"],
     ]
     proc = run_python(STAYS_UNLOADED, "scipy", json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_never_imports_difflib(tmp_path, run_python):
+    # only an unknown scenario name needs difflib's close matches
+    argvs = [["run", "--scenario", "case2", "--samples", "21"],
+             ["run", "--scenario", "case1", "--samples", "21", "--format",
+              "json", "--out", str(tmp_path / "case1.json")]]
+    proc = run_python(STAYS_UNLOADED, "difflib", json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
 
 

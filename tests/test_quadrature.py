@@ -74,6 +74,26 @@ def test_panel_quad_refines_and_keeps_every_edge():
     assert running[-1] == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2), abs=1e-12)
 
 
+def test_panel_quad_reaches_dense_edges_as_a_panel_per_interval_did():
+    # the starting panels run over 16 given intervals; every other edge is
+    # reached by one 8-point rule and still lands on the mesh, with the
+    # running integral that a panel per interval accepted at level 0 gave
+    edges = np.sort(np.random.default_rng(0).uniform(0.0, 7.0, 1001))
+    edges[[0, -1]] = 0.0, 7.0
+
+    def fn(x):
+        return np.exp(np.sin(3.0 * x))
+
+    mesh, running = panel_quad(fn, edges)
+    at = np.searchsorted(mesh, edges)
+    assert np.array_equal(mesh[at], edges)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    per_interval = np.concatenate(([0.0], np.cumsum(
+        gauss_legendre(fn, lo, mid) + gauss_legendre(fn, mid, hi))))
+    assert np.max(np.abs(running[at] - per_interval)) <= 1e-13
+
+
 def test_panel_quad_reports_nonconvergence():
     # an endpoint divergence runs out of depth; an interior pole runs out of
     # panels; both carry where the refinement stopped

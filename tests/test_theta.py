@@ -6,6 +6,7 @@ arbitrary-precision quadrature of the defining integrands.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,8 +258,13 @@ def test_tabulated_ansatz_tracks_its_source():
                    "integral by 6.2e-7 at quad_tol 1e-12 and raises nothing")
 def test_tabulated_phi_int_meets_quad_tol_across_knots():
     x = np.linspace(0.0, 6.0, 25)
-    th = case2_theta(x)
     taus = np.array([2.0057301731716124, 4.011460346343225])
+    assert _table_phi_int_error(x, taus) <= 1e-12
+
+
+def _table_phi_int_error(x, taus):
+    """Largest phi_int error at quad_tol 1e-12 of the case2 table on x."""
+    th = case2_theta(x)
     _, phi, _ = ThetaEvaluator(ansatz_from_table(x, th),
                                quad_tol=1e-12).triple(taus)
     # cos(Theta) on a linear piece integrates to the difference of
@@ -266,13 +272,23 @@ def test_tabulated_phi_int_meets_quad_tol_across_knots():
     slope = np.diff(th) / np.diff(x)
     exact = [np.sum(((np.sin(np.interp(np.minimum(x[1:], t), x, th))
                       - np.sin(th[:-1])) / slope)[x[:-1] < t]) for t in taus]
-    assert np.max(np.abs(phi - exact)) <= 1e-12
+    return np.max(np.abs(phi - exact))
+
+
+def test_thinned_panels_keep_the_budget_of_every_given_interval():
+    # panel_quad tests one panel per 16 given intervals, but its bisection
+    # budget still counts each given interval: a budget counting only the
+    # starting panels raised QuadratureError on this table's knots
+    x = np.linspace(0.0, 6.0, 49)
+    assert _table_phi_int_error(x, np.linspace(0.0, 6.0, 65)[1:]) <= 1e-12
 
 
 def test_phase_integrals_take_no_rule_per_node():
-    # phi_int at the r nodes comes from 16 cos(Theta) values per r panel
-    # (24 when it starts at a bisection midpoint); one 8-point rule from
-    # the mesh to every node took 457,025 Theta points here
+    # panel_quad tests one panel per 16 tau intervals and reaches the other
+    # tau by one 8-point rule; phi_int at the r nodes comes from 16
+    # cos(Theta) values per r panel (24 when it starts inside a mesh
+    # panel). A panel per tau interval took 185,042 Theta points here, and
+    # one 8-point rule from the mesh to every r node 457,025
     points = []
 
     def theta_counted(v):
@@ -282,7 +298,21 @@ def test_phase_integrals_take_no_rule_per_node():
     ansatz = dataclasses.replace(case1_ansatz(), theta=theta_counted)
     points.clear()
     ThetaEvaluator(ansatz).triple(np.linspace(0.0, 5.0, 1001))
-    assert sum(points) <= 230_000
+    assert sum(points) <= 60_000
+
+
+def test_general_entries_series_holds_little_per_sample():
+    # a panel per sample interval held 3.25 MB here at the peak
+    profile = make_scenario("case1")
+    ts = np.linspace(0.0, 6.0, 1001)
+    general_entries_series(case1_ansatz(), profile, ts)  # warm caches
+    tracemalloc.start()
+    try:
+        general_entries_series(case1_ansatz(), profile, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_table_loading_round_trip(tmp_path):
