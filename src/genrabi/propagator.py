@@ -1,10 +1,11 @@
 """Unitarity-preserving numerical integrator for the two-level Cauchy problem.
 
 This is the independent oracle: it reads only the raw profile functions
-(Omega, |omega|, phi_omega) and never consults ansatz machinery or closed
-forms. Each step multiplies the running operator by the exact exponential of
-a 2x2 traceless Hermitian matrix, written in Euler (Rodrigues) form, so every
-step factor is unitary by construction and the only drift is float round-off.
+(Omega, |omega|, phi_omega, phi_omega_dot when given) and never consults
+ansatz machinery or closed forms. Each step multiplies the running operator
+by the exact exponential of a 2x2 traceless Hermitian matrix, written in
+Euler (Rodrigues) form, so every step factor is unitary by construction and
+the only drift is float round-off.
 
 A scheme is one row of the _SCHEMES table: its nominal order, the Gauss
 nodes x_k on [0, 1] where a substep of length h samples the Hamiltonian, and
@@ -13,18 +14,23 @@ exp(-i h sum_k w_jk H(t + x_k h)). Adding a scheme means adding one row.
 midpoint_exponential: one exponential at the interval midpoint, O(step^2);
 commutator_free_4th: two from the two Gauss nodes, O(step^4), no commutators.
 
+A profile with an analytic phi_omega_dot (every catalog family) is
+integrated in the frame rotating with phi/2 (_in_frame), where the step need
+not resolve the turning drive and a constant detuning is integrated exactly;
+propagate maps the entries back at the samples. Others run in the lab frame.
+
 With step=None each scheme takes its own automatic step from one error
 target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
 from _SCHEMES (Hairer, Norsett & Wanner, Solving ODEs I, II.4); CF4's step is
 25.8x the midpoint one.
 
-The scale is probed at _SCALE_PROBES points, which a narrow feature can slip
-between, so the sweep also bounds step * (|Omega| + |omega|) at its own
-nodes, about a step apart: at CF4's automatic step it only catches features
-wider than a 25.8x coarser spacing than at midpoint's. On failure the advised
-step comes from the peak read on a fine grid around the node that saw most,
-so following it once resolves a feature wider than about a hundredth of the
-failing step.
+The scale (profile_scale) is probed at _SCALE_PROBES points, which a
+narrow feature can slip between, so the sweep also bounds step * (|Omega|
++ |omega|) at its own nodes, about a step apart: at CF4's automatic step it
+only catches features wider than a 25.8x coarser spacing than at
+midpoint's. On failure the advised step comes from the peak read on a fine
+grid around the node that saw most, so following it once resolves a
+feature wider than about a hundredth of the failing step.
 
 The exponentials of each output interval are split into lanes of about
 sqrt(total) in acting order, the last lane padded by repeating its last
@@ -46,7 +52,8 @@ unitarity than a pairwise product tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -106,6 +113,7 @@ _BLOCK = 1 << 14
 # lane, at least one row: a run of up to 49,152 cells takes one block.
 _DRIVE = 1 << 16
 _TINY = np.finfo(float).tiny
+_RATE_TOL = 1e-9  # see profile_scale
 
 
 @dataclass(frozen=True)
@@ -197,9 +205,23 @@ class ConvergenceReport:
     note: str = ""
 
 
+def _in_frame(profile: FieldProfile) -> FieldProfile:
+    """The profile the sweep integrates: with an analytic phi_omega_dot,
+    as seen from the frame rotating with phi/2, where H = [[Delta, |omega|],
+    [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2; else the profile
+    itself."""
+    if profile.phi_omega_dot is None:
+        return profile
+    return replace(profile, omega_z=partial(detuning, profile),
+                   phi_omega=np.zeros_like, phi_omega_dot=np.zeros_like)
+
+
 def profile_scale(profile: FieldProfile, t_max: float) -> float:
-    """max over the window of max(|Omega| + |omega|, |phase rate|); a scale
-    that is not finite raises NumericError.
+    """The largest over the window, in the frame the sweep integrates in, of
+    |Omega| + |omega|, the phase rate and the slew sqrt((max |change| of
+    Omega + that of |omega|) / probe spacing). A scale that is not finite
+    raises NumericError; then a phi_omega_dot that misses the stencil of
+    phi_omega by more than _RATE_TOL (1 + |rate| + |phi|), ConfigError.
 
     A stencil phase rate is left out at a probe where |omega| is no larger
     than its own change across the stencil: there the drive passes through
@@ -207,18 +229,34 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     only sees the smooth |omega| e^{i phi}.
     """
     grid = np.linspace(0.0, t_max, _SCALE_PROBES)
-    om = np.abs(np.asarray(profile.omega_z(grid), dtype=float))
-    mg = np.abs(np.asarray(profile.omega_mag(grid), dtype=float))
-    rate = np.abs(np.asarray(phase_derivative(profile, grid), dtype=float))
-    if profile.phi_omega_dot is None:
+    frame = _in_frame(profile)
+    om = np.asarray(frame.omega_z(grid), dtype=float)
+    mg = np.abs(np.asarray(frame.omega_mag(grid), dtype=float))
+    rate = np.abs(np.asarray(phase_derivative(frame, grid), dtype=float))
+    if frame.phi_omega_dot is None:
         near = grid + DIFF_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]])
         ring = np.abs(np.asarray(profile.omega_mag(near.ravel()),
                                  dtype=float)).reshape(near.shape)
         # a NaN spread keeps the rate
         rate[np.max(np.abs(ring - mg), axis=0) >= mg] = 0.0
-    scale = float(np.max(np.maximum(om + mg, rate)))
+    slew = math.sqrt(sum(float(np.max(np.abs(np.diff(x)))) for x in (om, mg))
+                     / grid[1])
+    scale = float(np.max(np.append(np.maximum(np.abs(om) + mg, rate), slew)))
     if not math.isfinite(scale):
         raise NumericError(f"profile {profile.label!r} has no finite scale")
+    if frame is not profile:  # the frame trusts phi_omega_dot
+        given = np.asarray(profile.phi_omega_dot(grid), dtype=float)
+        stencil = phase_derivative(replace(profile, phi_omega_dot=None), grid)
+        phi = np.abs(np.asarray(profile.phi_omega(grid), dtype=float))
+        # the stencil's round-off is about 2e-11 |phi|
+        bad = np.flatnonzero(np.abs(given - stencil)
+                             > _RATE_TOL * (1.0 + np.abs(given) + phi))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(
+                f"profile {profile.label!r}: phi_omega_dot {given[i]:.9g} at "
+                f"t={grid[i]:g} is not the derivative of phi_omega (stencil "
+                f"{stencil[i]:.9g})")
     return scale
 
 
@@ -474,10 +512,15 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
     sweep samples it raises NumericError.
     """
     t_max, substeps, h = _prepare(profile, config, window)
-    a, b = _integrate(profile, t_max, config.samples, substeps, config.scheme)
-    traj = Trajectory.from_entries(profile,
-                                   np.linspace(0.0, t_max, config.samples),
-                                   a, b, scheme=config.scheme, step=h)
+    a, b = _integrate(_in_frame(profile), t_max, config.samples, substeps,
+                      config.scheme)
+    ts = np.linspace(0.0, t_max, config.samples)
+    if profile.phi_omega_dot is not None:  # back from the frame
+        phi = np.broadcast_to(profile.phi_omega(ts), ts.shape)
+        a = a * np.exp(0.5j * (phi - phi[0]))
+        b = b * np.exp(0.5j * (phi + phi[0]))
+    traj = Trajectory.from_entries(profile, ts, a, b, scheme=config.scheme,
+                                   step=h)
     if traj.unitarity_drift > _MAX_DRIFT:
         raise UnitarityDriftError(
             f"accumulated unitarity drift {traj.unitarity_drift:.3e} exceeds "
@@ -498,8 +541,9 @@ def richardson_check(profile: FieldProfile, config: PropagatorConfig,
     at or below 8 eps N count as round-off.
     """
     t_max, n0, _ = _prepare(profile, config, window, refine=4)
-    runs = [_integrate(profile, t_max, config.samples, n0 * r, config.scheme)
-            for r in (1, 2, 4)]
+    # in the sweep's frame: mapping back turns all three runs alike
+    runs = [_integrate(_in_frame(profile), t_max, config.samples, n0 * r,
+                       config.scheme) for r in (1, 2, 4)]
     coarse, fine = (
         float(max(np.max(np.abs(a0 - a1)), np.max(np.abs(b0 - b1))))
         for (a0, b0), (a1, b1) in zip(runs, runs[1:]))

@@ -104,6 +104,9 @@ _MAX_DEPTH = 40
 _PANELS_PER_EDGE = 200
 _MAX_PANELS = 1 << 15
 
+# A bisection midpoint this close to a given edge, relative to it, is it.
+_SNAP = 4.0 * np.finfo(float).eps
+
 # The starting panels run over this many given intervals. On sampled grids
 # one 8-point rule over a sample interval is accurate far past any
 # tolerance, so testing a panel per interval only spends points; the edges
@@ -241,6 +244,12 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     accepted, spent = 0, 0.0
     for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
+        # a midpoint within round-off of a given edge inside its panel
+        # becomes that edge, so the mesh holds no near-duplicate of it
+        i = np.searchsorted(edges, mid)
+        for e in edges[np.minimum(i, edges.size - 1)], edges[i - 1]:
+            mid = np.where((np.abs(e - mid) <= _SNAP * np.abs(e)) & (lo < e)
+                           & (e < hi), e, mid)
         halves = gauss_legendre(fn, np.concatenate((lo, mid)),
                                 np.concatenate((mid, hi)))
         left, right = halves[:lo.size], halves[lo.size:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -643,12 +644,19 @@ def test_trajectory_from_entries_matches_closed_form_columns():
 
 def test_suggested_step_scales():
     prof = make_scenario("sech_resonant")
-    assert suggested_step(prof, 6.0) == pytest.approx(0.0015 / 10.0)
+    # in the lab frame (phi_omega_dot stripped) the scale is phi_dot0 = 10
+    lab = dataclasses.replace(prof, phi_omega_dot=None)
+    assert suggested_step(lab, 6.0) == pytest.approx(0.0015 / 10.0)
     # one error target: (step * scale)^order stays at 0.0015^2
-    assert suggested_step(prof, 6.0) \
-        == suggested_step(prof, 6.0, "midpoint_exponential")
-    assert suggested_step(prof, 6.0, "commutator_free_4th") \
+    assert suggested_step(lab, 6.0) \
+        == suggested_step(lab, 6.0, "midpoint_exponential")
+    assert suggested_step(lab, 6.0, "commutator_free_4th") \
         == pytest.approx(math.sqrt(0.0015) / 10.0)
+    # in the resonance frame the detuning is 0, so the scale is max |omega|
+    # = omega_mag0 = 1, above the slew sqrt(max |omega'|) ~ sqrt(1/2)
+    assert suggested_step(prof, 6.0) == pytest.approx(0.0015)
+    assert suggested_step(prof, 6.0, "commutator_free_4th") \
+        == pytest.approx(math.sqrt(0.0015))
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     silent = FieldProfile(omega_z=zero, omega_mag=zero, phi_omega=zero,
                           phi_omega_dot=zero, label="silent")
@@ -656,6 +664,37 @@ def test_suggested_step_scales():
     gentle = make_scenario(ScenarioParams("rabi", {
         "omega_z0": 0.0, "omega_mag0": 1e-6, "phi_dot0": 0.0}))
     assert suggested_step(gentle, 10.0) == pytest.approx(1.0)
+
+
+def test_profile_scale_sees_how_fast_the_drive_changes():
+    # in the frame the detuning of modulated_resonant is 0 and max |omega|
+    # is 0.5, but |omega| = 0.25 (1 + cos 11 t) changes at up to 2.75; the
+    # square root of its largest change per probe spacing sets the scale
+    prof = make_scenario(ScenarioParams("modulated_resonant", {
+        "C": 0.25, "k": 1.0, "n": 11, "phi_dot0": 1.0}))
+    assert propagator.profile_scale(prof, 4.0 * math.pi) \
+        == pytest.approx(math.sqrt(2.75), rel=1e-2)
+
+
+def test_a_wrong_analytic_phase_rate_is_a_config_error():
+    # the frame reads phi_omega_dot, which the lab frame never did: one 1%
+    # off would give a silently wrong answer, so every entry point checks
+    # it against the stencil of phi_omega first
+    prof = make_scenario("sech_resonant")
+    wrong = dataclasses.replace(
+        prof, phi_omega_dot=lambda t: 1.01 * prof.phi_omega_dot(t))
+    config = PropagatorConfig(step=0.01, samples=11)
+    for run in (lambda: suggested_step(wrong, 6.0),
+                lambda: propagate(wrong, PropagatorConfig(), 6.0),
+                lambda: richardson_check(wrong, config, 6.0)):
+        with pytest.raises(ConfigError, match=r"phi_omega_dot 10\.1 at t=0 "
+                           r"is not the derivative of phi_omega"):
+            run()
+    # the stencil's round-off, about 2e-11 |phi|, passes at |phi| = 4,000;
+    # the frame's scale is |detuning| + |omega| = 10 + 0.01
+    fast = make_scenario(ScenarioParams("rabi", {
+        "omega_z0": 0.0, "omega_mag0": 0.01, "phi_dot0": 20.0}))
+    assert suggested_step(fast, 200.0) == pytest.approx(0.0015 / 10.01)
 
 
 def test_effective_substep_never_exceeds_configured_step():

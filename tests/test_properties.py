@@ -6,7 +6,9 @@ the same (Theta, phi_int, r_int) representation, so they must agree, and
 both must be unitary. The unitary oracle at suggested_step must stay unitary
 under both schemes and, with CF4, track the closed-form flip probability;
 CF4 at its own automatic step must track the closed-form entries, and both
-schemes at theirs the Rosen-Zener flip probability of a sech pulse.
+schemes at theirs the Rosen-Zener flip probability of a sech pulse and the
+exact finite-time Landau-Zener entries; the resonance frame and the lab
+frame must give the same entries.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
 tau and within its own quad_tol, and the locked-ratio ansatz is the closed form's own (triple, ratio)
@@ -15,8 +17,10 @@ and table couplings, and the launched-mode transfer equals the mapped flip
 curve.
 """
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -134,6 +138,92 @@ def test_oracle_matches_the_rosen_zener_flip_probability(scheme, w0, d,
     exact = (math.sin(math.pi * w0 * width)
              / math.cosh(math.pi * d * width)) ** 2
     assert abs(traj.p_flip[-1] - exact) <= 1e-6
+
+
+@settings(max_examples=14)
+@given(data=st.data())
+def test_resonance_frame_matches_the_lab_frame(data):
+    # every catalog profile carries an analytic phi_omega_dot, so the oracle
+    # integrates it in the frame rotating with phi/2; without it the same
+    # profile runs in the lab frame. At a common step 1/32 of the smaller
+    # automatic midpoint step the two agree on the entries
+    family = data.draw(st.sampled_from(BUILT_IN), label="family")
+    values = data.draw(st.fixed_dictionaries(DOMAINS[family]), label="params")
+    split = data.draw(_span(0.0, 1.0), label="split_fraction") \
+        if _CATALOG[family].split else 0.0
+    params = ScenarioParams(family, values, split_fraction=split)
+    profile = make_scenario(params)
+    t_max = WINDOW / scenario_time_scale(params)
+    lab = dataclasses.replace(profile, phi_omega_dot=None)
+    step = min(suggested_step(p, t_max) for p in (profile, lab)) / 32.0
+    assume(t_max / step <= 2 ** 18)
+    for scheme in SCHEMES:
+        config = PropagatorConfig(scheme=scheme, step=step, samples=SAMPLES)
+        frame, plain = (propagate(p, config, t_max) for p in (profile, lab))
+        assert max(np.max(np.abs(frame.a - plain.a)),
+                   np.max(np.abs(frame.b - plain.b))) <= 1e-9, scheme
+    if family == "rabi":
+        # a constant Hamiltonian in the frame, integrated exactly
+        report = richardson_check(profile, PropagatorConfig(
+            step=RICHARDSON_STEP["midpoint_exponential"]
+            * suggested_step(profile, t_max),
+            samples=RICHARDSON_SAMPLES), t_max)
+        assert report.within_tolerance
+        assert report.note.startswith("differences at round-off"), report
+
+
+def _landau_zener_entries(a, g, t0, ts):
+    # the exact U(t, 0) of H = [[a (t - t0), g], [g, -a (t - t0)]] (Vitanov
+    # & Garraway, Phys. Rev. A 53, 4288, 1996): c1 solves Weber's equation,
+    # with the solutions D_nu(+-k (t - t0)), k = sqrt(2a) e^{i pi/4}, nu =
+    # -i g^2 / (2a), and c2 = (i c1' - a (t - t0) c1) / g; U = Phi(t)
+    # Phi(0)^-1 for the fundamental matrix Phi of those two solutions.
+    # Returns (U[0, 0], U[0, 1]) = (a, b) at ts.
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(2 * a) * mpmath.expjpi(0.25)
+        nu = mpmath.mpc(0, -g * g / (2 * a))
+
+        def fundamental(t):
+            s = mpmath.mpf(t) - t0
+            cols = []
+            for sign in (1, -1):
+                z = sign * k * s
+                d = mpmath.pcfd(nu, z)
+                # D_nu'(z) = z D_nu(z) / 2 - D_{nu+1}(z)
+                c1_dot = sign * k * (z / 2 * d - mpmath.pcfd(nu + 1, z))
+                cols.append((d, (1j * c1_dot - a * s * d) / g))
+            return mpmath.matrix([[cols[0][0], cols[1][0]],
+                                  [cols[0][1], cols[1][1]]])
+
+        start = fundamental(0.0) ** -1
+        entries = [fundamental(t) * start for t in ts]
+        return (np.array([complex(u[0, 0]) for u in entries]),
+                np.array([complex(u[0, 1]) for u in entries]))
+
+
+@settings(max_examples=8)
+@given(a=_span(0.2, 2.0), g=_span(0.1, 1.5), t0=_span(3.0, 12.0),
+       c=_span(-6.0, 6.0))
+def test_oracle_matches_the_finite_time_landau_zener_entries(a, g, t0, c):
+    # a rotating phase phi = c t with Omega shifted by -c/2 keeps the
+    # detuning Omega + phi'/2 = a (t - t0); the frame rotating with phi/2
+    # maps the reference back: a <- e^{i phi/2} a, b <- e^{i phi/2} b at
+    # phi(0) = 0. Checked on the entries, whose phase carries the midpoint
+    # scheme's leading error, not only on |b|^2
+    profile = FieldProfile(
+        omega_z=lambda t: a * (np.asarray(t, dtype=float) - t0) - 0.5 * c,
+        omega_mag=lambda t: np.full_like(np.asarray(t, dtype=float), g),
+        phi_omega=lambda t: c * np.asarray(t, dtype=float),
+        phi_omega_dot=lambda t: np.full_like(np.asarray(t, dtype=float), c),
+        label="landau_zener")
+    ts = np.linspace(0.0, 2.0 * t0, SAMPLES)
+    ref_a, ref_b = _landau_zener_entries(a, g, t0, ts)
+    turn = np.exp(0.5j * c * ts)
+    for scheme in SCHEMES:
+        traj = propagate(profile, PropagatorConfig(scheme=scheme,
+                                                   samples=SAMPLES), 2.0 * t0)
+        assert max(np.max(np.abs(traj.a - turn * ref_a)),
+                   np.max(np.abs(traj.b - turn * ref_b))) <= 1e-6, scheme
 
 
 def _generic_beta0_phases(beta0, reach):

@@ -94,6 +94,17 @@ def test_panel_quad_reaches_dense_edges_as_a_panel_per_interval_did():
     assert np.max(np.abs(running[at] - per_interval)) <= 1e-13
 
 
+def test_panel_quad_snaps_midpoints_onto_given_edges():
+    # 0.5 * (lo + hi) of a 16-interval starting panel rounds 1.1e-16 away
+    # from its 8th edge at 9 of the 63 panels of this grid; such a midpoint
+    # is that edge, so no two mesh points lie within round-off
+    edges = np.linspace(0.0, 5.0, 1001)
+    mesh, running = panel_quad(np.cos, edges)
+    assert np.min(np.diff(mesh)) > 1e-12
+    assert np.array_equal(mesh[np.searchsorted(mesh, edges)], edges)
+    assert np.max(np.abs(running - np.sin(mesh))) < 1e-12
+
+
 def test_panel_quad_reports_nonconvergence():
     # an endpoint divergence runs out of depth; an interior pole runs out of
     # panels; both carry where the refinement stopped
