@@ -76,7 +76,8 @@ class FieldProfile:
         the numerical propagator never uses it.
 
     Every callable takes a numpy array of t and returns an array of its
-    shape.
+    shape, and depends on t alone: the propagator probes a profile object's
+    scale once per window and reuses it.
     """
 
     omega_z: ArrayFunc

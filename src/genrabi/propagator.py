@@ -18,6 +18,16 @@ A profile with an analytic phi_omega_dot (every catalog family) is
 integrated in the frame rotating with phi/2 (_in_frame), where the step need
 not resolve the turning drive and a constant detuning is integrated exactly;
 propagate maps the entries back at the samples. Others run in the lab frame.
+The frame's drive is real, H = [[Delta, |omega|], [|omega|, -Delta]]: the
+sweep evaluates Delta and |omega| only, and no phase. While every rotation
+vector of a real drive lies on the axis of the first nonzero one (an exact
+zero cross product), the exponentials commute, so each lane keeps the sum
+of its vectors and takes one exponential of it when the axis breaks or the
+run ends. That serves a constant drive (rabi, constant_beta0) and
+generalized resonance, Delta = 0 (sech, exp and modulated resonant); case1
+and case2 leave the axis in their first tile and run the chain below. The
+sums span the run: multiplied one by one, identical factors round alike,
+and rabi over 4M midpoint substeps drifted 1.7e-10 from unitarity.
 
 With step=None each scheme takes its own automatic step from one error
 target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
@@ -40,13 +50,14 @@ runs that block's tiles of about _BLOCK (position, lane) cells before the
 next, so its memory does not grow with the run. A tile takes the drive in
 real form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
 |Omega| + |omega|, mixes the scheme rows with the step folded into the
-weights, checks that the result is finite, writes the Euler-form factors,
-padded cells as identities, and multiplies them into its lanes' running
-products, one array update per position. The lane products are folded into
-the running operator two levels deep: running products inside groups of
-about sqrt(lanes) lanes, vectorized across groups, then a short scalar fold
-of the group totals. A sequential order inside each lane drifts less from
-unitarity than a pairwise product tree.
+weights into rotation vectors, zero in padded cells, and, off a shared
+axis, checks that they are finite, writes the Euler-form factors and
+multiplies them into its lanes' running products, one array update per
+position. The lane products are folded into the running operator two
+levels deep: running products inside groups of about sqrt(lanes) lanes,
+vectorized across groups, then a short scalar fold of the group totals. A
+sequential order inside each lane drifts less from unitarity than a
+pairwise product tree.
 """
 
 from __future__ import annotations
@@ -114,6 +125,9 @@ _BLOCK = 1 << 14
 _DRIVE = 1 << 16
 _TINY = np.finfo(float).tiny
 _RATE_TOL = 1e-9  # see profile_scale
+# profile_scale's last (profile, t_max, scale): suggested_step, propagate and
+# richardson_check on one profile object and window probe it once
+_last_scale = (None, None, 0.0)
 
 
 @dataclass(frozen=True)
@@ -208,12 +222,13 @@ class ConvergenceReport:
 def _in_frame(profile: FieldProfile) -> FieldProfile:
     """The profile the sweep integrates: with an analytic phi_omega_dot,
     as seen from the frame rotating with phi/2, where H = [[Delta, |omega|],
-    [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2; else the profile
-    itself."""
+    [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2: a real drive, which
+    carries no phase callable (phi_omega None) and a zero phase rate; else
+    the profile itself."""
     if profile.phi_omega_dot is None:
         return profile
     return replace(profile, omega_z=partial(detuning, profile),
-                   phi_omega=np.zeros_like, phi_omega_dot=np.zeros_like)
+                   phi_omega=None, phi_omega_dot=np.zeros_like)
 
 
 def profile_scale(profile: FieldProfile, t_max: float) -> float:
@@ -227,7 +242,14 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     than its own change across the stencil: there the drive passes through
     or next to zero, so its phase jumps inside the stencil, while the sweep
     only sees the smooth |omega| e^{i phi}.
+
+    The scale of the last profile object and t_max is kept: a profile's
+    callables depend on t alone.
     """
+    global _last_scale
+    last, last_t, last_scale = _last_scale  # one read: a thread may replace it
+    if last is profile and last_t == t_max:
+        return last_scale
     grid = np.linspace(0.0, t_max, _SCALE_PROBES)
     frame = _in_frame(profile)
     om = np.asarray(frame.omega_z(grid), dtype=float)
@@ -257,6 +279,7 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
                 f"profile {profile.label!r}: phi_omega_dot {given[i]:.9g} at "
                 f"t={grid[i]:g} is not the derivative of phi_omega (stencil "
                 f"{stencil[i]:.9g})")
+    _last_scale = (profile, t_max, scale)
     return scale
 
 
@@ -279,15 +302,14 @@ def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
 
     f = cos|u| + i uz sinc|u| and g = (uy + i ux) sinc|u|, where
     sinc x = sin(x) / x is 1 at u = 0; u's components and f, g share one
-    shape and work holds two float arrays of it. Returns whether every |u|
-    is finite.
+    shape, uy=None stands for uy = 0, and work holds two float arrays of
+    that shape. Returns whether every |u| is finite.
     """
     angle, sinc = work
     np.multiply(ux, ux, out=angle)
-    np.multiply(uy, uy, out=sinc)
-    angle += sinc
-    np.multiply(uz, uz, out=sinc)
-    angle += sinc
+    if uy is not None:
+        angle += np.multiply(uy, uy, out=sinc)
+    angle += np.multiply(uz, uz, out=sinc)
     np.sqrt(angle, out=angle)
     finite = math.isfinite(angle.sum())
     np.maximum(angle, _TINY, out=angle)  # sin(_TINY) / _TINY == 1
@@ -295,7 +317,10 @@ def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
     np.sin(angle, out=sinc)
     sinc /= angle
     np.multiply(uz, sinc, out=f.imag)
-    np.multiply(uy, sinc, out=g.real)
+    if uy is None:
+        g.real = 0.0
+    else:
+        np.multiply(uy, sinc, out=g.real)
     np.multiply(ux, sinc, out=g.imag)
     return finite
 
@@ -313,6 +338,8 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     """Core fixed-step sweep. Returns the entries (a, b) at the samples."""
     _, nodes, rows = _SCHEMES[scheme]
     m = len(rows)
+    real = profile.phi_omega is None  # the frame's drive: (Delta, |omega|)
+    comps = 2 if real else 3
     intervals = samples - 1
     total = intervals * substeps
     h = t_max / intervals / substeps
@@ -343,10 +370,11 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     fl, gl = pf[:lanes], pg[:lanes]
 
     def evaluate(b0, drive):
-        # drive[k] gets (Omega, |omega|, phi) at t = substep * h + x_k h from
-        # position b0 on; callables get the times lane by lane, one sorted
-        # 1-d array, so a phase unwrapped along it stays continuous; the
-        # last node shifts them in place
+        # drive[k] gets (Omega, |omega|, phi), or (Omega, |omega|) for a
+        # real drive, at t = substep * h + x_k h from position b0 on;
+        # callables get the times lane by lane, one sorted 1-d array, so a
+        # phase unwrapped along it stays continuous; the last node shifts
+        # them in place
         drive = drive[:, :, :run - b0]
         times = substep(np.arange(b0, b0 + drive.shape[2]),
                         np.arange(lanes)[:, None]).ravel() * h
@@ -358,20 +386,29 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                                              grid.shape).reshape(lanes, -1)
         return drive
 
-    # scratch rows: (Re omega, Im omega) per node, u, two for the factors,
-    # one term; a tile's f[p, j, l], g[p, j, l] is exponential j of its
-    # position p of its lane l. One allocation: glibc's malloc keeps twice
-    # its largest freed block for reuse, so the sweep's memory stays mapped
-    # between calls (as three arrays it was faulted in again at most calls)
-    head = (4 * m + 2 * len(nodes) + 6) * cut
-    work = np.empty(head + 3 * len(nodes) * min(span, run) * lanes)
+    # scratch rows: (Re omega, Im omega) per node, two for the factors, one
+    # term, u per exponential; a tile's f[p, j, l], g[p, j, l] is
+    # exponential j of its position p of its lane l. One allocation: glibc's
+    # malloc keeps twice its largest freed block for reuse, so the sweep's
+    # memory stays mapped between calls (as three arrays it was faulted in
+    # again at most calls)
+    head = (4 * m + 2 * len(nodes) + 3 + comps * m) * cut
+    work = np.empty(head + comps * len(nodes) * min(span, run) * lanes)
     factors = work[:4 * m * cut].view(complex).reshape(2, -1)
     scratch = work[4 * m * cut:head].reshape(-1, cut)
-    drive = work[head:].reshape(len(nodes), 3, -1, lanes)
+    drive = work[head:].reshape(len(nodes), comps, -1, lanes)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
-    # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k)
-    signs = (-h, h, -h)
+    # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k),
+    # u = -h (|omega|, 0, Delta) for a real drive
+    signs = (-h, -h) if real else (-h, h, -h)
     best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
+    # while every u of a real drive so far lies on the axis of the first
+    # nonzero one, the lanes hold their sums of u (x, z), not products
+    shared, axis = real, None
+    sums = np.zeros((2, lanes))
+    # commuting exponentials: a lane's product is the exponential of its sum
+    products_from_sums = partial(_rotation_factors, sums[0], None, sums[1],
+                                 fl, gl, np.empty_like(sums))
     for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
         q = p0 % span  # the tile's first position in its block
         if q == l0 == 0:
@@ -379,35 +416,52 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         tile = np.s_[q:q + depth, l0:l0 + cols]
         shape = block[0, 0][tile].shape
         f, g = factors[:, :m * math.prod(shape)].reshape(2, shape[0], m, -1)
-        *nodal, ux, uy, uz, w0, w1, term = scratch[:, :math.prod(shape)] \
-            .reshape(-1, *shape)
-        parts = []  # per node: (Re omega, Im omega, Omega), u up to -h w
-        for k, (om, mg, ph) in enumerate(block):
-            om, mg, ph = om[tile], mg[tile], ph[tile]
+        cells = scratch[:, :math.prod(shape)].reshape(-1, *shape)
+        *nodal, w0, w1, term = cells[:2 * len(nodes) + 3]
+        u = cells[2 * len(nodes) + 3:].reshape(m, comps, *shape)
+        parts = []  # per node: the drive in u's components, up to -h w
+        for k, (om, mg, *ph) in enumerate(block):
+            om, mg = om[tile], mg[tile]
             peak = np.abs(om, out=w0)
             peak += np.abs(mg, out=w1)
             p, l = np.unravel_index(peak.argmax(), shape)
             if peak[p, l] > best[0]:
                 best = (float(peak[p, l]), k, p0 + p, l0 + l)
+            if real:
+                parts.append((mg, om))
+                continue
             re, im = nodal[2 * k:2 * k + 2]
-            np.cos(ph, out=re)
+            np.cos(ph[0][tile], out=re)
             re *= mg
-            np.sin(ph, out=im)
+            np.sin(ph[0][tile], out=im)
             im *= mg
             parts.append((re, im, om))
-        for j, row in enumerate(rows):
-            for c, (out, sign) in enumerate(zip((ux, uy, uz), signs)):
+        for uj, row in zip(u, rows):
+            for c, (out, sign) in enumerate(zip(uj, signs)):
                 np.multiply(parts[0][c], sign * row[0], out=out)
                 for w, part in zip(row[1:], parts[1:]):
                     out += np.multiply(part[c], sign * w, out=term)
-            if not _rotation_factors(ux, uy, uz, f[:, j], g[:, j], (w0, w1)):
+        # the padded positions of every interval's last lane turn by 0
+        u[..., max(substeps - (chunks - 1) * run - p0, 0):,
+          (chunks - 1 - l0) % chunks::chunks] = 0.0
+        if shared:
+            ux, uz = u[:, 0], u[:, 1]
+            if axis is None:
+                moving = np.flatnonzero(np.abs(ux) + np.abs(uz))
+                if moving.size:
+                    axis = ux.flat[moving[0]], uz.flat[moving[0]]
+            # an exact zero cross product; a non-finite u never passes
+            shared = axis is None or not np.any(ux * axis[1] - uz * axis[0])
+            if shared:
+                sums[:, l0:l0 + cols] += u.sum(axis=(0, 2))
+                continue
+            products_from_sums()
+        for j, uj in enumerate(u):
+            if not _rotation_factors(uj[0], None if real else uj[1], uj[-1],
+                                     f[:, j], g[:, j], (w0, w1)):
                 _raise_non_finite(profile, (
                     (b0, evaluate(b0, np.empty_like(drive)))
                     for b0 in range(p0 - q, run, span)), substep, h)
-        # the padded positions of every interval's last lane are identities
-        pad = np.s_[max(substeps - (chunks - 1) * run - p0, 0):, :,
-                    (chunks - 1 - l0) % chunks::chunks]
-        f[pad], g[pad] = 1.0, 0.0
         # multiply the tile's positions into its lanes' products, later
         # factors on the left: [[F, G], [-G*, F*]]; a run's first tile
         # starts from its first factor
@@ -416,6 +470,8 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         for fk, gk in chain:
             lf, lg = fk * lf - gk * lg.conj(), fk * lg + gk * lf.conj()
         fl[l0:l0 + cols], gl[l0:l0 + cols] = lf, lg
+    if shared:  # the whole run turned about one axis
+        products_from_sums()
 
     # every tile was finite; now the step must resolve the peak
     scale, k, p, l = best

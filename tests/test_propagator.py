@@ -22,8 +22,9 @@ from genrabi.propagator import (
     richardson_check,
     suggested_step,
 )
-from genrabi.scenarios import (BUILT_IN, ScenarioParams, default_window,
-                               make_scenario, scenario_time_scale)
+from genrabi.scenarios import (BUILT_IN, ScenarioParams, closed_form_series,
+                               default_window, make_scenario,
+                               scenario_time_scale)
 
 
 def constant_drive():
@@ -59,9 +60,10 @@ def reference_integrate(profile, t_max, samples, substeps, scheme):
     _, nodes, rows = propagator._SCHEMES[scheme]
     h = t_max / (samples - 1) / substeps
     base = np.arange((samples - 1) * substeps) * h
+    phase = profile.phi_omega or np.zeros_like  # a real drive has none
     hams = [(np.asarray(profile.omega_z(base + x * h), dtype=float),
              profile.omega_mag(base + x * h)
-             * np.exp(1j * np.asarray(profile.phi_omega(base + x * h))))
+             * np.exp(1j * np.asarray(phase(base + x * h))))
             for x in nodes]
     factors = []
     for row in rows:
@@ -88,7 +90,7 @@ def _drift(a, b):
     return float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)))
 
 
-def check_accumulation(samples, substeps, scheme):
+def check_accumulation(samples, substeps, scheme, profile=None):
     # the lane sweep against the scalar loop at substep 0.02: entries within
     # 1e-12, drift within 2x of the loop's plus eps (4 + sqrt(N)): the loop's
     # drift over N exponentials can happen to be 0, while a random walk of N
@@ -96,7 +98,7 @@ def check_accumulation(samples, substeps, scheme):
     t_max = 0.02 * (samples - 1) * substeps
     rows = propagator._SCHEMES[scheme][2]
     exponentials = (samples - 1) * substeps * len(rows)
-    profile = wobbly_profile()
+    profile = profile or wobbly_profile()
     a, b = propagator._integrate(profile, t_max, samples, substeps, scheme)
     ref_a, ref_b = reference_integrate(profile, t_max, samples, substeps,
                                        scheme)
@@ -133,6 +135,96 @@ def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
 def test_lane_sweep_matches_the_scalar_loop_on_any_grid(scheme, samples,
                                                          substeps):
     check_accumulation(samples, substeps, scheme)
+
+
+def frame_drive(omega_z):
+    # a resonance-frame (real) drive: Delta = omega_z, |omega| moving
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    return propagator._in_frame(FieldProfile(
+        omega_z=omega_z, phi_omega=zero, phi_omega_dot=zero, label="frame",
+        omega_mag=lambda t: 1.0 + 0.5 * np.sin(2.0 * np.asarray(t, float))))
+
+
+def sweep_exit(run):
+    # run() and, from _integrate's locals as it returns or raises, whether
+    # the run ended on one axis and whether any lane summed rotation vectors
+    code = propagator._integrate.__code__
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            seen.append((frame.f_locals["shared"],
+                         bool(np.any(frame.f_locals["sums"]))))
+
+    outer = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+        assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("samples, substeps", [(2, 400), (11, 997),
+                                               (2001, 1), (16501, 1)])
+def test_real_drive_sweep_matches_the_scalar_loop(samples, substeps, scheme):
+    # the frame's drive, resonant (Delta = 0) and constant (Delta = 0.7,
+    # |omega| = 1.2): every exponential turns about one axis, so each lane
+    # holds the sum of its rotation vectors until one exponential per lane
+    # makes the product. The loop's own round-off grows linearly over
+    # identical factors: on the constant drive it reached 1.3e-12 over the
+    # 8e4 CF4 exponentials of (41, 997), while the sweep stays at round-off
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    resonant = frame_drive(zero)
+    constant = propagator._in_frame(FieldProfile(
+        omega_z=lambda t: np.full_like(np.asarray(t, dtype=float), 0.7),
+        omega_mag=lambda t: np.full_like(np.asarray(t, dtype=float), 1.2),
+        phi_omega=zero, phi_omega_dot=zero, label="constant"))
+    for profile in (resonant, constant):
+        assert sweep_exit(lambda: check_accumulation(
+            samples, substeps, scheme, profile)) == (True, True)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("samples, substeps, where", [
+    (2, 60000, "inside a tile"),     # lane 1, mid second tile row
+    (2, 60000, "at a tile edge"),    # lane 1, first position of that row
+    (16501, 3, "before later lanes"),  # tile (1, 0), lanes past it unvisited
+])
+def test_axis_that_breaks_partway_matches_the_scalar_loop(samples, substeps,
+                                                          where, scheme):
+    # Delta is 0 except in one substep, which leaves the axis: the tiles
+    # before it sum, and its tile turns every lane's sum, the lanes past
+    # the tile in its row included, into a product for the chain
+    _, (lanes, run, depth, cols, _) = sweep_geometry(samples, substeps,
+                                                     scheme)
+    if where == "before later lanes":
+        assert cols < lanes and depth == 1
+        first = 3 * 5 + 1  # lane 5, position 1
+    else:
+        assert run >= 2 * depth
+        first = run + depth + (depth // 2 if where == "inside a tile" else 0)
+    h = 0.02
+    profile = frame_drive(lambda t: np.where(
+        np.abs(np.asarray(t, dtype=float) - (first + 0.5) * h) < 0.5 * h,
+        0.4, 0.0))
+    assert sweep_exit(lambda: check_accumulation(
+        samples, substeps, scheme, profile)) == (False, True)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@given(samples=st.integers(2, 30), substeps=st.integers(1, 100),
+       switch=st.floats(0.0, 1.5))
+def test_real_drive_sweep_matches_the_scalar_loop_on_any_grid(
+        scheme, samples, substeps, switch):
+    # Delta switches from 0 to 0.4 at a fraction switch of the window, or
+    # never (switch >= 1)
+    t_switch = switch * 0.02 * (samples - 1) * substeps
+    profile = frame_drive(lambda t: np.where(
+        np.asarray(t, dtype=float) >= t_switch, 0.4, 0.0))
+    check_accumulation(samples, substeps, scheme, profile)
 
 
 def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
@@ -240,6 +332,21 @@ def test_long_run_drift_stays_at_the_lane_products(scheme, measured):
                      PropagatorConfig(scheme=scheme, step=2e-5, samples=11),
                      10.0)
     assert traj.unitarity_drift <= 4.0 * measured
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", ["rabi", "constant_beta0"])
+def test_long_constant_runs_stay_unitary(family, scheme):
+    # 4.0M midpoint substeps over t_max = 3000: multiplied one by one, the
+    # identical factors rounded alike in every lane and in the fold, and
+    # the drift reached 1.7e-10, past the bound; summed along their shared
+    # axis it is 3.2e-13
+    prof = make_scenario(family)
+    traj = propagate(prof, PropagatorConfig(scheme=scheme), 3000.0)
+    assert traj.unitarity_drift <= 1e-12
+    a, b = closed_form_series(ScenarioParams(family), prof, traj.t)
+    assert np.max(np.abs(traj.a - a)) <= 1e-10
+    assert np.max(np.abs(traj.b - b)) <= 1e-10
 
 
 def test_config_validation():
@@ -559,6 +666,35 @@ def test_non_finite_drive_names_the_earliest_substep_across_blocks(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("on_axis", [True, False])
+def test_non_finite_real_drive_names_its_first_substep(scheme, on_axis):
+    # Omega is NaN from t0 on, inside the last lane past its first tile
+    # row, so the tiles before the one that holds t0 sum along one axis
+    # (Delta = 0) or run the chain (Delta turns); only the real drive's two
+    # evaluated components are checked, and the substep named starts
+    # within one substep of t0
+    _, (lanes, run, depth, _, _) = sweep_geometry(2, 250000, scheme)
+    h = 1e-3
+    t0 = ((lanes - 1) * run + depth + 5.3) * h
+    assert t0 < 250.0
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    before = zero if on_axis else lambda t: 0.3 * np.cos(t)
+    profile = FieldProfile(
+        omega_z=lambda t: np.where(np.asarray(t) < t0, before(t), np.nan),
+        omega_mag=lambda t: 1.0 + 0.5 * np.sin(np.asarray(t, dtype=float)),
+        phi_omega=zero, phi_omega_dot=zero, label="nan tail")
+
+    def run():
+        with pytest.raises(NumericError) as err:
+            propagator._integrate(propagator._in_frame(profile), 250.0, 2,
+                                  250000, scheme)
+        t = float(re.search(r"substep from t=(\S+)$", str(err.value))[1])
+        assert abs(t - t0) <= h
+
+    assert sweep_exit(run) == (False, on_axis)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_profile_callables_are_called_once_per_node_and_block(scheme):
     # 2e5 substeps in several drive blocks: each callable is called once per
     # Gauss node per block, each time with one 1-d array of non-decreasing
@@ -664,6 +800,32 @@ def test_suggested_step_scales():
     gentle = make_scenario(ScenarioParams("rabi", {
         "omega_z0": 0.0, "omega_mag0": 1e-6, "phi_dot0": 0.0}))
     assert suggested_step(gentle, 10.0) == pytest.approx(1.0)
+
+
+def test_profile_scale_is_probed_once_per_profile_and_window():
+    # a benchmark job calls suggested_step, propagate and richardson_check
+    # on one profile object and window: the 257 probes are evaluated once,
+    # and a new object, though equal, is probed again, as is a new window
+    t_max = 2.0
+    base = make_scenario("sech_resonant")
+    probes = []
+
+    def omega_mag(t):
+        probes.append(np.shape(t) == (257,) and np.array_equal(
+            t, np.linspace(0.0, t[-1], 257)))
+        return base.omega_mag(t)
+
+    prof = dataclasses.replace(base, omega_mag=omega_mag)
+    config = PropagatorConfig(step=suggested_step(prof, t_max), samples=11)
+    propagate(prof, config, t_max)
+    richardson_check(prof, config, t_max)
+    assert sum(probes) == 1
+    again = dataclasses.replace(prof)
+    assert again == prof and again is not prof
+    assert suggested_step(again, t_max) == config.step
+    assert sum(probes) == 2
+    suggested_step(again, 0.5 * t_max)
+    assert sum(probes) == 3
 
 
 def test_profile_scale_sees_how_fast_the_drive_changes():
