@@ -300,7 +300,13 @@ def case1_theta(tau):
 def case1_detuning_ratio(tau):
     """Detuning in units of |omega| that the case1 ansatz induces."""
     tau = np.asarray(tau, dtype=float)
-    out = 4.0 * (1.0 + tau ** 2) / ((1.0 + 4.0 * tau ** 2) * np.sqrt(2.0 + 4.0 * tau ** 2))
+    # 4 (1 + tau^2) / ((1 + 4 tau^2) sqrt(2 + 4 tau^2)) in three arrays
+    out, quad, den = (np.empty_like(tau) for _ in range(3))
+    np.square(tau, out=out)
+    np.sqrt(np.add(np.multiply(out, 4.0, out=quad), 2.0, out=den), out=den)
+    den *= np.add(quad, 1.0, out=quad)
+    np.multiply(np.add(out, 1.0, out=out), 4.0, out=out)
+    out /= den
     return float(out) if out.ndim == 0 else out
 
 
@@ -380,8 +386,14 @@ def case2_theta(tau):
 def case2_detuning_ratio(tau):
     """Detuning in units of |omega| that the case2 ansatz induces."""
     tau = np.asarray(tau, dtype=float)
-    out = (2.0 + (1.0 - tau ** 2) * (2.0 + tau ** 2)) \
-        / (2.0 * (1.0 + tau ** 2) * np.sqrt(2.0 + tau ** 2))
+    # (2 + (1 - tau^2)(2 + tau^2)) / (2 (1 + tau^2) sqrt(2 + tau^2))
+    out, shift, den = (np.empty_like(tau) for _ in range(3))
+    np.add(np.square(tau, out=den), 2.0, out=shift)
+    np.multiply(np.subtract(1.0, den, out=out), shift, out=out)
+    out += 2.0
+    np.multiply(np.add(den, 1.0, out=den), 2.0, out=den)
+    den *= np.sqrt(shift, out=shift)
+    out /= den
     return float(out) if out.ndim == 0 else out
 
 

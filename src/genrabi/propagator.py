@@ -5,7 +5,14 @@ This is the independent oracle: it reads only the raw profile functions
 ansatz machinery or closed forms. Each step multiplies the running operator
 by the exact exponential of a 2x2 traceless Hermitian matrix, written in
 Euler (Rodrigues) form, so every step factor is unitary by construction and
-the only drift is float round-off.
+the only drift is float round-off. A resolved run keeps every angle |u| <= h
+(|Omega| + |omega|) sum |w| <= _RESOLUTION_BOUND; there cos|u| and sinc|u|
+are Taylor polynomials in |u|^2 (no sqrt, trig or divide), cut before the
+first term below eps 2^-13 at the call's largest |u|^2. A term left out errs
+alike in every factor, and over a run's at most 2^25 factors stays under eps
+sqrt(2^25), round-off's random walk (cut at eps/4, 4e4 midpoint factors
+drifted 5.3e-13, not 7.8e-15). Larger angles (shared-axis sums, runs about
+to fail the resolution check) take sqrt and trig.
 
 A scheme is one row of the _SCHEMES table: its nominal order, the Gauss
 nodes x_k on [0, 1] where a substep of length h samples the Hamiltonian, and
@@ -20,14 +27,15 @@ not resolve the turning drive and a constant detuning is integrated exactly;
 propagate maps the entries back at the samples. Others run in the lab frame.
 The frame's drive is real, H = [[Delta, |omega|], [|omega|, -Delta]]: the
 sweep evaluates Delta and |omega| only, and no phase. While every rotation
-vector of a real drive lies on the axis of the first nonzero one (an exact
-zero cross product), the exponentials commute, so each lane keeps the sum
-of its vectors and takes one exponential of it when the axis breaks or the
-run ends. That serves a constant drive (rabi, constant_beta0) and
-generalized resonance, Delta = 0 (sech, exp and modulated resonant); case1
-and case2 leave the axis in their first tile and run the chain below. The
-sums span the run: multiplied one by one, identical factors round alike,
-and rabi over 4M midpoint substeps drifted 1.7e-10 from unitarity.
+vector lies on the axis of the first nonzero one (an exact zero cross
+product), the exponentials commute, so each lane keeps the sum of its
+vectors and takes one exponential of it when the axis breaks or the run
+ends. That serves a constant drive in either frame (rabi, constant_beta0,
+a constant coupling or field) and generalized resonance, Delta = 0 (sech,
+exp and modulated resonant); case1, case2 and turning lab-frame drives
+leave the axis in their first tile and run the chain below. The sums span
+the run: multiplied one by one, identical factors round alike, and rabi
+over 4M midpoint substeps drifted 1.7e-10 from unitarity.
 
 With step=None each scheme takes its own automatic step from one error
 target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
@@ -50,14 +58,14 @@ runs that block's tiles of about _BLOCK (position, lane) cells before the
 next, so its memory does not grow with the run. A tile takes the drive in
 real form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
 |Omega| + |omega|, mixes the scheme rows with the step folded into the
-weights into rotation vectors, zero in padded cells, and, off a shared
-axis, checks that they are finite, writes the Euler-form factors and
-multiplies them into its lanes' running products, one array update per
-position. The lane products are folded into the running operator two
-levels deep: running products inside groups of about sqrt(lanes) lanes,
-vectorized across groups, then a short scalar fold of the group totals. A
-sequential order inside each lane drifts less from unitarity than a
-pairwise product tree.
+weights into rotation vectors, zero in padded cells, and, off a shared axis,
+checks that they are finite, writes the Euler-form factors and multiplies
+them into its lanes' running products, one update per position through two
+preallocated pairs of lane buffers that take turns (_chain). The lane
+products are folded into the running operator two levels deep: running
+products inside groups of about sqrt(lanes) lanes, vectorized across groups,
+then a short scalar fold of the group totals. A sequential order inside each
+lane drifts less from unitarity than a pairwise product tree.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -124,6 +132,13 @@ _BLOCK = 1 << 14
 # lane, at least one row: a run of up to 49,152 cells takes one block.
 _DRIVE = 1 << 16
 _TINY = np.finfo(float).tiny
+_SMALL = _RESOLUTION_BOUND ** 2  # |u|^2 of every factor of a resolved run
+_LEFT_OUT = np.finfo(float).eps / 2 ** 13  # see the module docstring
+# (least s at which the term of s^k reaches _LEFT_OUT, coefficient) in cos x
+# and sinc x as series in s = x^2, k = 0..5; s^6 stays below up to _SMALL
+_COS, _SINC = ([((_LEFT_OUT * math.factorial(2 * k + i)) ** (1 / k) if k
+                 else 0.0, (-1) ** k / math.factorial(2 * k + i))
+                for k in range(6)] for i in (0, 1))
 _RATE_TOL = 1e-9  # see profile_scale
 # profile_scale's last (profile, t_max, scale): suggested_step, propagate and
 # richardson_check on one profile object and window probe it once
@@ -297,32 +312,61 @@ def suggested_step(profile: FieldProfile, t_max: float,
     return _step_for(profile_scale(profile, t_max), t_max, scheme)
 
 
+def _horner(s, series, top, out) -> None:
+    # the terms of series that some s <= top needs, by Horner's rule
+    coefficients = [c for need, c in series if need <= top]
+    out.fill(coefficients.pop())
+    for c in reversed(coefficients):
+        out *= s
+        out += c
+
+
 def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
     """Write exp(i u.sigma) = [[f, g], [-conj(g), conj(f)]] into f and g.
 
     f = cos|u| + i uz sinc|u| and g = (uy + i ux) sinc|u|, where
     sinc x = sin(x) / x is 1 at u = 0; u's components and f, g share one
     shape, uy=None stands for uy = 0, and work holds two float arrays of
-    that shape. Returns whether every |u| is finite.
+    that shape; while every |u|^2 <= _SMALL, cos and sinc are Taylor
+    polynomials in |u|^2 (_COS, _SINC). Returns whether every |u| is finite.
     """
     angle, sinc = work
     np.multiply(ux, ux, out=angle)
     if uy is not None:
         angle += np.multiply(uy, uy, out=sinc)
     angle += np.multiply(uz, uz, out=sinc)
-    np.sqrt(angle, out=angle)
-    finite = math.isfinite(angle.sum())
-    np.maximum(angle, _TINY, out=angle)  # sin(_TINY) / _TINY == 1
-    np.cos(angle, out=f.real)
-    np.sin(angle, out=sinc)
-    sinc /= angle
+    top = float(angle.max())
+    if top <= _SMALL:  # False for a NaN
+        _horner(angle, _COS, top, sinc)  # contiguous, then one strided copy
+        f.real = sinc
+        _horner(angle, _SINC, top, sinc)
+    else:
+        np.sqrt(angle, out=angle)
+        np.maximum(angle, _TINY, out=angle)  # sin(_TINY) / _TINY == 1
+        np.cos(angle, out=f.real)
+        np.sin(angle, out=sinc)
+        sinc /= angle
     np.multiply(uz, sinc, out=f.imag)
     if uy is None:
         g.real = 0.0
     else:
         np.multiply(uy, sinc, out=g.real)
     np.multiply(ux, sinc, out=g.imag)
-    return finite
+    return math.isfinite(top)
+
+
+def _chain(fs, gs, lf, lg, lanes):
+    # (lf, lg) times the factors [[F, G], [-G*, F*]] of rows fs, gs, later
+    # on the left; lanes: two (f, g) pairs that take turns, one temporary
+    pairs, tmp = (lanes[:2], lanes[2:4]), lanes[4]
+    for k, (fk, gk) in enumerate(zip(fs, gs)):
+        nf, ng = pairs[k % 2]
+        np.multiply(fk, lf, out=nf)
+        nf -= np.multiply(gk, np.conjugate(lg, out=tmp), out=tmp)
+        np.multiply(fk, lg, out=ng)
+        ng += np.multiply(gk, np.conjugate(lf, out=tmp), out=tmp)
+        lf, lg = nf, ng
+    return lf, lg
 
 
 def _check_resolution(h: float, scale: float, what: str) -> None:
@@ -388,27 +432,30 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
     # scratch rows: (Re omega, Im omega) per node, two for the factors, one
     # term, u per exponential; a tile's f[p, j, l], g[p, j, l] is
-    # exponential j of its position p of its lane l. One allocation: glibc's
-    # malloc keeps twice its largest freed block for reuse, so the sweep's
-    # memory stays mapped between calls (as three arrays it was faulted in
-    # again at most calls)
-    head = (4 * m + 2 * len(nodes) + 3 + comps * m) * cut
-    work = np.empty(head + comps * len(nodes) * min(span, run) * lanes)
+    # exponential j of its position p of its lane l; five lane rows for
+    # _chain. One allocation: glibc's malloc keeps twice its largest freed
+    # block for reuse, so the sweep's memory stays mapped between calls (as
+    # three arrays it was faulted in again at most calls)
+    head = 4 * m * cut + 10 * cols
+    tail = head + (2 * len(nodes) + 3 + comps * m) * cut
+    work = np.empty(tail + comps * len(nodes) * min(span, run) * lanes)
     factors = work[:4 * m * cut].view(complex).reshape(2, -1)
-    scratch = work[4 * m * cut:head].reshape(-1, cut)
-    drive = work[head:].reshape(len(nodes), comps, -1, lanes)
+    buffers = work[4 * m * cut:head].view(complex).reshape(5, cols)
+    scratch = work[head:tail].reshape(-1, cut)
+    drive = work[tail:].reshape(len(nodes), comps, -1, lanes)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k),
     # u = -h (|omega|, 0, Delta) for a real drive
     signs = (-h, -h) if real else (-h, h, -h)
     best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
-    # while every u of a real drive so far lies on the axis of the first
-    # nonzero one, the lanes hold their sums of u (x, z), not products
-    shared, axis = real, None
-    sums = np.zeros((2, lanes))
+    # while every u so far lies on the axis of the first nonzero one, the
+    # lanes hold their sums of u, not products
+    shared, axis = True, None
+    sums = np.zeros((comps, lanes))
     # commuting exponentials: a lane's product is the exponential of its sum
-    products_from_sums = partial(_rotation_factors, sums[0], None, sums[1],
-                                 fl, gl, np.empty_like(sums))
+    products_from_sums = partial(_rotation_factors, sums[0],
+                                 None if real else sums[1], sums[-1], fl, gl,
+                                 np.empty((2, lanes)))
     for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
         q = p0 % span  # the tile's first position in its block
         if q == l0 == 0:
@@ -445,31 +492,33 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         u[..., max(substeps - (chunks - 1) * run - p0, 0):,
           (chunks - 1 - l0) % chunks::chunks] = 0.0
         if shared:
-            ux, uz = u[:, 0], u[:, 1]
             if axis is None:
-                moving = np.flatnonzero(np.abs(ux) + np.abs(uz))
-                if moving.size:
-                    axis = ux.flat[moving[0]], uz.flat[moving[0]]
+                moving = u.any(axis=1)
+                j, p, l = np.unravel_index(moving.argmax(), moving.shape)
+                if moving[j, p, l]:
+                    axis = u[j, :, p, l].tolist()
             # an exact zero cross product; a non-finite u never passes
-            shared = axis is None or not np.any(ux * axis[1] - uz * axis[0])
+            shared = axis is None or not any(
+                np.any(u[:, c] * axis[d] - u[:, d] * axis[c])
+                for c, d in combinations(range(comps), 2))
             if shared:
                 sums[:, l0:l0 + cols] += u.sum(axis=(0, 2))
                 continue
-            products_from_sums()
+            if p0 or l0:  # the run's first tile summed nothing
+                products_from_sums()
         for j, uj in enumerate(u):
             if not _rotation_factors(uj[0], None if real else uj[1], uj[-1],
                                      f[:, j], g[:, j], (w0, w1)):
                 _raise_non_finite(profile, (
                     (b0, evaluate(b0, np.empty_like(drive)))
                     for b0 in range(p0 - q, run, span)), substep, h)
-        # multiply the tile's positions into its lanes' products, later
-        # factors on the left: [[F, G], [-G*, F*]]; a run's first tile
-        # starts from its first factor
-        chain = zip(f.reshape(-1, shape[1]), g.reshape(-1, shape[1]))
-        lf, lg = (fl[l0:l0 + cols], gl[l0:l0 + cols]) if p0 else next(chain)
-        for fk, gk in chain:
-            lf, lg = fk * lf - gk * lg.conj(), fk * lg + gk * lf.conj()
-        fl[l0:l0 + cols], gl[l0:l0 + cols] = lf, lg
+        # multiply the tile's positions into its lanes' products; a run's
+        # first tile starts from its first factor
+        fs, gs = f.reshape(-1, shape[1]), g.reshape(-1, shape[1])
+        first = 0 if p0 else 1
+        lf, lg = (fl[l0:l0 + cols], gl[l0:l0 + cols]) if p0 else (fs[0], gs[0])
+        fl[l0:l0 + cols], gl[l0:l0 + cols] = _chain(
+            fs[first:], gs[first:], lf, lg, buffers[:, :shape[1]])
     if shared:  # the whole run turned about one axis
         products_from_sums()
 

@@ -249,3 +249,28 @@ def test_case2_frozen_entries_full_phase_split():
 def test_case2_series_rejects_wrong_profile():
     with pytest.raises(InconsistentProfileError):
         case2_series(make_scenario("case1"), np.linspace(0.0, 3.0, 7))
+
+
+@pytest.mark.parametrize("ratio, textbook", [
+    (case1_detuning_ratio, lambda t: 4.0 * (1.0 + t ** 2)
+     / ((1.0 + 4.0 * t ** 2) * np.sqrt(2.0 + 4.0 * t ** 2))),
+    (case2_detuning_ratio, lambda t: (2.0 + (1.0 - t ** 2) * (2.0 + t ** 2))
+     / (2.0 * (1.0 + t ** 2) * np.sqrt(2.0 + t ** 2))),
+])
+def test_detuning_ratios_match_the_textbook_expressions(ratio, textbook):
+    # the ratios reuse tau^2 and three arrays; the value is the expression's
+    # bit for bit, a float on scalars and 0-d arrays, an array of the
+    # input's shape otherwise
+    taus = np.concatenate([np.linspace(0.0, 60.0, 4001),
+                           [1e-300, 1e-8, 1e8, 1e154, 1e200, -0.5, -3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert ratio(taus).tobytes() == textbook(taus).tobytes()
+        for tau in (0.0, 0.7, 2, -3.0, 1e200, math.inf):
+            for arg in (tau, np.asarray(tau)):
+                out = ratio(arg)
+                assert type(out) is float
+                assert np.array_equal(out, float(textbook(np.asarray(
+                    tau, dtype=float))), equal_nan=True)
+    grid = taus[:12].reshape(3, 4)
+    assert ratio(grid).shape == (3, 4)
+    assert ratio(grid).tobytes() == textbook(grid).tobytes()

@@ -14,6 +14,7 @@ from genrabi.closed_forms import case2_series
 from genrabi.errors import (ConfigError, NumericError, StepResolutionError,
                             UnitarityDriftError)
 from genrabi.fields import FieldProfile, PhysicalField, to_profile
+from genrabi.modes import CouplingSpec, propagate_modes
 from genrabi.propagator import (
     SCHEMES,
     PropagatorConfig,
@@ -227,6 +228,24 @@ def test_real_drive_sweep_matches_the_scalar_loop_on_any_grid(
     check_accumulation(samples, substeps, scheme, profile)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("turning", [False, True])
+def test_lab_frame_sweep_sums_only_on_a_shared_axis(turning, scheme):
+    # a lab-frame (complex) drive with Omega = 0 and |omega| = 1: at phi =
+    # 0.4 every rotation vector lies on one axis, with a y component, and
+    # the lanes sum them; at phi = 0.4 + 0.3 t they all lie in the xy plane
+    # but on no one axis, which only the z component of the cross product
+    # sees
+    t_of = lambda t: np.asarray(t, dtype=float)
+    profile = FieldProfile(
+        omega_z=lambda t: np.zeros_like(t_of(t)),
+        omega_mag=lambda t: np.ones_like(t_of(t)),
+        phi_omega=lambda t: 0.4 + (0.3 if turning else 0.0) * t_of(t),
+        label="lab")
+    assert sweep_exit(lambda: check_accumulation(
+        11, 997, scheme, profile)) == (not turning, not turning)
+
+
 def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
     # Python lines run in _integrate's own frame, and the lane count, the
     # substeps per lane, a tile's positions and lanes and a drive block's
@@ -283,16 +302,17 @@ def test_fold_makes_no_python_loop_per_lane():
     assert 0 < lines <= bound
 
 
-def sweep_peak(substeps, scheme):
-    # tracemalloc peak of _integrate on exp_resonant, 11 samples over [0, 10]
+def sweep_peak(substeps, scheme, profile=None):
+    # tracemalloc peak of _integrate, 11 samples over [0, 10], on
+    # exp_resonant in the lab frame unless a profile is given
+    profile = profile or make_scenario("exp_resonant")
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        propagator._integrate(make_scenario("exp_resonant"), 10.0, 11,
-                              substeps, scheme)
+        propagator._integrate(profile, 10.0, 11, substeps, scheme)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
@@ -316,6 +336,24 @@ def test_sweep_peak_memory_does_not_grow_with_the_run(scheme):
     # 6e5 substeps against 2e5: holding the whole run's drive tripled the
     # peak; blocks of the drive keep it flat
     assert sweep_peak(60000, scheme) <= 1.2 * sweep_peak(20000, scheme)
+
+
+@pytest.mark.parametrize("scheme, bound", [
+    ("midpoint_exponential", 31.4), ("commutator_free_4th", 44.6)])
+def test_off_axis_sweep_peak_memory_per_substep(scheme, bound):
+    # case1 in the resonance frame leaves the shared axis in its first tile,
+    # so every tile runs the lane chain; the chain's buffers are allocated
+    # once with the sweep's scratch. 31.4 and 44.6 B/substep were measured
+    # with a chain that made fresh arrays at every position
+    profile = propagator._in_frame(make_scenario("case1"))
+    assert sweep_peak(20000, scheme, profile) / (10 * 20000) <= bound
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_off_axis_sweep_peak_memory_does_not_grow_with_the_run(scheme):
+    profile = propagator._in_frame(make_scenario("case1"))
+    assert sweep_peak(60000, scheme, profile) \
+        <= 1.2 * sweep_peak(20000, scheme, profile)
 
 
 @pytest.mark.parametrize("scheme, measured", [
@@ -347,6 +385,25 @@ def test_long_constant_runs_stay_unitary(family, scheme):
     a, b = closed_form_series(ScenarioParams(family), prof, traj.t)
     assert np.max(np.abs(traj.a - a)) <= 1e-10
     assert np.max(np.abs(traj.b - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_long_lab_frame_constant_runs_stay_unitary(scheme):
+    # a constant coupling and a constant transverse field over t = 3000 run
+    # in the lab frame (no analytic phase rate); their rotation vectors
+    # share one axis, so the lanes sum them. Multiplied one by one, the
+    # midpoint factors drifted 1.7e-10 and raised UnitarityDriftError
+    config = PropagatorConfig(scheme=scheme)
+    modes = propagate_modes(
+        CouplingSpec(k_ab=lambda z: 1.0 + 0 * np.asarray(z), delta=0.0),
+        (1.0, 0.0), 3000.0, config)
+    assert np.max(np.abs(modes.total_power - 1.0)) <= 1e-12
+    field = PhysicalField(b_x=lambda t: 0 * t + 1.0, b_y=lambda t: 0 * t,
+                          b_z=lambda t: 0 * t, mu0_g=2.0)
+    traj = propagate(to_profile(field), config, 3000.0)
+    assert traj.unitarity_drift <= 1e-12
+    assert np.max(np.abs(traj.a - np.cos(traj.t))) <= 1e-10
+    assert np.max(np.abs(np.abs(traj.b) - np.abs(np.sin(traj.t)))) <= 1e-10
 
 
 def test_config_validation():
@@ -434,6 +491,60 @@ def test_step_factors_are_unitary():
     assert np.all(f[:3] == 1.0) and np.all(g[:3] == 0.0)
     u[1, 5] = np.nan
     assert not propagator._rotation_factors(*u, f, g, np.empty((2, 64)))
+
+
+def test_small_rotation_factors_match_expm(monkeypatch):
+    # every |u|^2 at most _SMALL takes the Taylor polynomials, within 1e-15
+    # of expm on |u| up to 0.1 (|u|^2 exactly at the bound included, and
+    # u = 0, the exact identity), with uy None or given; one angle above
+    # the bound sends the whole call down the trig path, still expm's
+    horner, taylor = propagator._horner, []
+
+    def spy(*args):
+        taylor.append(args[2])
+        horner(*args)
+
+    monkeypatch.setattr(propagator, "_horner", spy)
+    rng = np.random.default_rng(11)
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    n = 200
+    u = rng.normal(size=(3, n))
+    u *= rng.uniform(0.0, 0.1, n) / np.linalg.norm(u, axis=0)
+    u[:, 0] = 0.0
+    u[:, 1] = (0.1, 0.0, 0.0)  # |u|^2 == 0.1 ** 2 == _SMALL exactly
+    u[:, 2] = (0.0, -0.1, 0.0)
+    u[:, 3] = (0.06, 0.0, 0.08)
+    assert np.max(np.sum(u * u, axis=0)) == propagator._SMALL
+    # each series lists the least |u|^2 at which a term reaches _LEFT_OUT,
+    # and the first term it leaves out stays below _LEFT_OUT up to _SMALL
+    for i, series in enumerate((propagator._COS, propagator._SINC)):
+        for k, (need, c) in enumerate(series[1:], 1):
+            assert need ** k * abs(c) == pytest.approx(propagator._LEFT_OUT)
+        k = len(series)
+        assert propagator._SMALL ** k / math.factorial(2 * k + i) \
+            < propagator._LEFT_OUT
+    for planar in (False, True):
+        v = u * [[1.0], [0.0 if planar else 1.0], [1.0]]
+        for big in (False, True):
+            w = v.copy()
+            if big:  # |u|^2 = 0.0100120
+                w[:, 7] = (0.08, 0.0, 0.0601)
+            assert (np.max(np.sum(w * w, axis=0)) > propagator._SMALL) == big
+            f = np.empty(n, dtype=complex)
+            g = np.empty_like(f)
+            taylor.clear()
+            assert propagator._rotation_factors(
+                w[0], None if planar else w[1], w[2], f, g, np.empty((2, n)))
+            assert bool(taylor) != big
+            exact = [scipy.linalg.expm(1j * np.einsum("i,ijk->jk", w[:, k],
+                                                      sigma))
+                     for k in range(n)]
+            assert max(abs(e[0, 0] - f[k]) for k, e in enumerate(exact)) \
+                <= 1e-15
+            assert max(abs(e[0, 1] - g[k]) for k, e in enumerate(exact)) \
+                <= 1e-15
+            if not big:
+                assert f[0] == 1.0 and g[0] == 0.0
 
 
 def test_time_reversed_profile_inverts_the_evolution():
