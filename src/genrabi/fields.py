@@ -40,6 +40,7 @@ __all__ = [
     "window_end",
     "read_table",
     "drive_phase",
+    "drive_profile",
 ]
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
@@ -232,13 +233,20 @@ def drive_phase(w):
     return float(phase) if w.ndim == 0 else phase
 
 
+def drive_profile(omega_z: ArrayFunc, w: ArrayFunc,
+                  label: str) -> FieldProfile:
+    """The profile of diagonal entry omega_z and complex transverse drive w
+    (a callable of t): |omega| = |w| and phi_omega = drive_phase(w)."""
+    return FieldProfile(omega_z=omega_z, omega_mag=lambda t: np.abs(w(t)),
+                        phi_omega=lambda t: drive_phase(w(t)), label=label)
+
+
 def to_profile(field: PhysicalField) -> FieldProfile:
     """Convert a laboratory field to a FieldProfile.
 
-    Omega = (mu0_g/2) B_z, |omega| = (mu0_g/2) sqrt(B_x^2 + B_y^2),
-    phi_omega = drive_phase(B_x - i B_y) = atan2(-B_y, B_x), unwrapped
-    continuously along array input. Scalar phase queries return the
-    principal value.
+    Omega = (mu0_g/2) B_z and the drive w = (mu0_g/2)(B_x - i B_y) of
+    drive_profile, so phi_omega = atan2(-B_y, B_x), unwrapped continuously
+    along array input. Scalar phase queries return the principal value.
     """
     if not field.mu0_g > 0:
         raise ConfigError("mu0_g must be > 0")
@@ -247,23 +255,17 @@ def to_profile(field: PhysicalField) -> FieldProfile:
     def omega_z(t):
         return half * np.asarray(field.b_z(np.asarray(t, dtype=float)), dtype=float)
 
-    def omega_mag(t):
-        arr = np.asarray(t, dtype=float)
-        return half * np.hypot(np.asarray(field.b_x(arr), dtype=float),
-                               np.asarray(field.b_y(arr), dtype=float))
-
-    def phi_omega(t):
+    def w(t):
         arr = np.asarray(t, dtype=float)
         bx = np.asarray(field.b_x(arr), dtype=float)
         by = np.asarray(field.b_y(arr), dtype=float)
-        # B_x - i B_y set part by part: complex arithmetic would turn the
-        # -0.0 of a vanishing -B_y into +0.0 and a phase of -pi into +pi
-        w = np.empty(np.broadcast(bx, by).shape, dtype=complex)
-        w.real, w.imag = bx, -by
-        return drive_phase(w)
+        # set part by part: complex arithmetic would turn the -0.0 of a
+        # vanishing -B_y into +0.0 and a phase of -pi into +pi
+        out = np.empty(np.broadcast(bx, by).shape, dtype=complex)
+        out.real, out.imag = half * bx, -half * by
+        return out
 
-    return FieldProfile(omega_z=omega_z, omega_mag=omega_mag,
-                        phi_omega=phi_omega, label=field.label)
+    return drive_profile(omega_z, w, field.label)
 
 
 def from_profile(profile: FieldProfile, mu0_g: float) -> PhysicalField:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldProfile, drive_phase, read_table
+from .fields import FieldProfile, drive_profile, read_table
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
 from .propagator import suggested_step  # noqa: F401
@@ -112,19 +112,9 @@ def to_su2_profile(spec: CouplingSpec, *, window: float = 1.0) -> FieldProfile:
     _check_conservative(spec, float(window))
     half = -0.5 * float(spec.delta)
     k = on_arrays(spec.k_ab, complex)
-
-    def omega_z(z):
-        return np.full_like(np.asarray(z, dtype=float), half)
-
-    def omega_mag(z):
-        return np.abs(k(z))
-
-    def phi_omega(z):
-        # arg(i k) = arg(k) + pi/2; only e^{i phi} matters
-        return drive_phase(1j * k(z))
-
-    return FieldProfile(omega_z=omega_z, omega_mag=omega_mag,
-                        phi_omega=phi_omega, label=f"modes:{spec.label}")
+    return drive_profile(
+        lambda z: np.full_like(np.asarray(z, dtype=float), half),
+        lambda z: 1j * k(z), f"modes:{spec.label}")
 
 
 def detilde(v, z: float, delta: float) -> ModeState:

@@ -270,8 +270,8 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     om = np.asarray(frame.omega_z(grid), dtype=float)
     mg = np.abs(np.asarray(frame.omega_mag(grid), dtype=float))
     rate = np.abs(np.asarray(phase_derivative(frame, grid), dtype=float))
+    near = grid + DIFF_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]])
     if frame.phi_omega_dot is None:
-        near = grid + DIFF_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]])
         ring = np.abs(np.asarray(profile.omega_mag(near.ravel()),
                                  dtype=float)).reshape(near.shape)
         # a NaN spread keeps the rate
@@ -283,7 +283,9 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
         raise NumericError(f"profile {profile.label!r} has no finite scale")
     if frame is not profile:  # the frame trusts phi_omega_dot
         given = np.asarray(profile.phi_omega_dot(grid), dtype=float)
-        stencil = phase_derivative(replace(profile, phi_omega_dot=None), grid)
+        # not unwrapped: that aliases a rate past pi / DIFF_STEP
+        s = [np.asarray(profile.phi_omega(x), dtype=float) for x in near]
+        stencil = (s[0] - 8.0 * s[1] + 8.0 * s[2] - s[3]) / (12.0 * DIFF_STEP)
         phi = np.abs(np.asarray(profile.phi_omega(grid), dtype=float))
         # the stencil's round-off is about 2e-11 |phi|
         bad = np.flatnonzero(np.abs(given - stencil)
@@ -504,21 +506,17 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
             if shared:
                 sums[:, l0:l0 + cols] += u.sum(axis=(0, 2))
                 continue
-            if p0 or l0:  # the run's first tile summed nothing
-                products_from_sums()
+            products_from_sums()
         for j, uj in enumerate(u):
             if not _rotation_factors(uj[0], None if real else uj[1], uj[-1],
                                      f[:, j], g[:, j], (w0, w1)):
                 _raise_non_finite(profile, (
                     (b0, evaluate(b0, np.empty_like(drive)))
                     for b0 in range(p0 - q, run, span)), substep, h)
-        # multiply the tile's positions into its lanes' products; a run's
-        # first tile starts from its first factor
-        fs, gs = f.reshape(-1, shape[1]), g.reshape(-1, shape[1])
-        first = 0 if p0 else 1
-        lf, lg = (fl[l0:l0 + cols], gl[l0:l0 + cols]) if p0 else (fs[0], gs[0])
+        # multiply the tile's positions into its lanes' products
         fl[l0:l0 + cols], gl[l0:l0 + cols] = _chain(
-            fs[first:], gs[first:], lf, lg, buffers[:, :shape[1]])
+            f.reshape(-1, shape[1]), g.reshape(-1, shape[1]),
+            fl[l0:l0 + cols], gl[l0:l0 + cols], buffers[:, :shape[1]])
     if shared:  # the whole run turned about one axis
         products_from_sums()
 

@@ -10,23 +10,23 @@ points in between by one 8-point rule each from the accepted mesh.
 transverse area, Theta phase integral and elliptic phase of the package goes
 through it, so no scalar integrator runs.
 
-``adaptive_quad`` (``panel_quad`` on one panel) and ``CumulativeIntegral``
-are tracer pins: no genrabi code calls them, and they stay only because the
-benchmark tracer patches them by name. They go once it no longer does.
+``adaptive_quad`` and ``CumulativeIntegral`` are weightless stand-ins
+with no body, like ``theta.scipy``: no genrabi code calls them, and their
+names stay only because the benchmark tracer patches them. They go once it
+no longer does.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, QuadratureError
 
-__all__ = ["adaptive_quad", "CumulativeIntegral", "distinct_sorted",
-           "edges_from_zero", "gauss_legendre", "gauss_panels",
-           "node_integrals", "on_arrays", "panel_quad", "running_integral"]
+__all__ = ["distinct_sorted", "edges_from_zero", "gauss_legendre",
+           "gauss_panels", "node_integrals", "on_arrays", "panel_quad",
+           "running_integral"]
 
 # A panel is accepted at this relative error whatever the absolute
 # tolerance, so a tolerance of 0, or one below the round-off of the
@@ -112,20 +112,6 @@ _SNAP = 4.0 * np.finfo(float).eps
 # tolerance, so testing a panel per interval only spends points; the edges
 # in between are reached by one 8-point rule inside an accepted panel.
 _EDGES_PER_PANEL = 16
-
-
-def adaptive_quad(fn: Callable[[float], float], lo: float, hi: float,
-                  tol: float = 1e-10) -> float:
-    """Integrate fn over [lo, hi] to absolute tolerance tol by one
-    panel_quad over the single panel; hi < lo gives the negated integral.
-
-    Raises QuadratureError if the bisection does not converge, carrying the
-    achieved estimate and error bound in the message.
-    """
-    if lo == hi:
-        return 0.0
-    value = panel_quad(on_arrays(fn), sorted((lo, hi)), tol)[1][-1]
-    return float(value if lo < hi else -value)
 
 
 def on_arrays(fn: Callable, dtype=float) -> Callable:
@@ -306,31 +292,9 @@ def running_integral(fn: Callable, points, tol: float = 1e-10,
     return running[np.searchsorted(mesh, edges)][index]
 
 
+# tracer stand-ins (see the module docstring): nothing to call
+adaptive_quad = None
+
+
 class CumulativeIntegral:
-    """Cached x -> integral of fn from 0 to x >= 0 (a tracer pin): ascending
-    queries integrate only the increment beyond the last cached node."""
-
-    def __init__(self, fn: Callable[[float], float], tol: float = 1e-10):
-        self._fn = fn
-        self._tol = tol
-        self._nodes = [0.0]
-        self._values = [0.0]
-
-    # benchmarks/gbench/tracer.py counts calls of __call__ on the class
-    def __call__(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("cumulative integral is defined for x >= 0")
-        if x == 0.0:
-            return 0.0
-        nodes = self._nodes
-        if x >= nodes[-1]:
-            increment = adaptive_quad(self._fn, nodes[-1], x, self._tol)
-            value = self._values[-1] + increment
-            if x > nodes[-1]:
-                nodes.append(x)
-                self._values.append(value)
-            return value
-        i = bisect.bisect_right(nodes, x) - 1
-        if nodes[i] == x:
-            return self._values[i]
-        return self._values[i] + adaptive_quad(self._fn, nodes[i], x, self._tol)
+    __call__ = None

@@ -77,9 +77,9 @@ __all__ = [
 
 # A weightless stand-in that imports nothing and that nothing calls. It
 # exists only because benchmarks/gbench/tracer.py reads and patches
-# theta.scipy.integrate.quad. It is deleted together with adaptive_quad and
-# CumulativeIntegral once the tracer change of ROADMAP item 1 (first part)
-# lands.
+# theta.scipy.integrate.quad. It goes with quadrature's two stand-ins,
+# adaptive_quad and CumulativeIntegral, once the tracer change of ROADMAP
+# item 1 (first part) lands.
 scipy = SimpleNamespace(integrate=SimpleNamespace(quad=None))
 
 # Below this the r integrand switches to its Taylor form (tau units).
@@ -373,8 +373,12 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     representation from the numerical oracle. Numeric failures inside either
     figure are captured in the note rather than raised. quad_tol defaults
     to two decades below the stricter tolerance, floored at 1e-12: loose
-    tolerances then admit the kinks of a table ansatz's interpolant.
+    tolerances then admit the kinks of a table ansatz's interpolant. tol
+    and entries_tol must be finite and > 0.
     """
+    for name, value in (("tol", tol), ("entries_tol", entries_tol)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
     if quad_tol is None:
         quad_tol = max(1e-12, 1e-2 * min(tol, entries_tol))
     t_max = window_end(window, "verification window")

@@ -450,6 +450,15 @@ BAD_INPUTS = {
     "modes_samples_1": lambda p: [
         "modes", "--coupling", "sech", "--delta", "0", "--z-max", "1",
         "--samples", "1"],
+    # an infinite tolerance once passed a failed oracle comparison (exit
+    # 0), and a NaN or negative one was a numeric failure (exit 3)
+    "verify_entries_tol_inf": lambda p: [
+        "verify", "--scenario", "case2", "--step", "5", "--entries-tol",
+        "inf"],
+    "verify_residual_tol_nan": lambda p: [
+        "verify", "--scenario", "case2", "--residual-tol", "nan"],
+    "verify_entries_tol_negative": lambda p: [
+        "verify", "--scenario", "case2", "--entries-tol", "-1"],
     # --step was once checked only when an oracle ran (exit 0)
     "closed_form_negative_step": lambda p: [
         "run", "--scenario", "case2", "--engine", "closed_form",

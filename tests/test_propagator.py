@@ -970,6 +970,40 @@ def test_a_wrong_analytic_phase_rate_is_a_config_error():
     assert suggested_step(fast, 200.0) == pytest.approx(0.0015 / 10.01)
 
 
+@pytest.mark.parametrize("family, bound", [("sech_resonant", 1e-7),
+                                           ("exp_resonant", 1e-8)])
+def test_a_carrier_past_the_stencil_step_runs_in_the_frame(family, bound):
+    # phi_dot0 = 1e6 turns the phase by 10 rad per DIFF_STEP; the unwrapped
+    # stencil aliased that to -2.6e5 and refused the profile (ConfigError)
+    params = ScenarioParams(family, {"phi_dot0": 1e6})
+    prof = make_scenario(params)
+    for scheme in SCHEMES:
+        traj = propagate(prof, PropagatorConfig(scheme=scheme, samples=3), 2.0)
+        a, b = closed_form_series(params, prof, traj.t)
+        assert np.max(np.abs(traj.a - a)) <= bound
+        assert np.max(np.abs(traj.b - b)) <= bound
+
+
+@pytest.mark.xfail(strict=True, reason="the lab-frame phase stencil aliases "
+                   "a carrier past pi / DIFF_STEP (ROADMAP item 2)")
+def test_a_lab_frame_carrier_past_the_stencil_step_is_resolved_or_refused():
+    # one turn per DIFF_STEP: the unwrapped stencil reads a rate of about 0,
+    # so the run takes step 1e-4 against a turn every 1e-5 and returns
+    # P = 1.0e-6 without an error
+    w = 2.0 * math.pi / 1e-5
+    field = PhysicalField(b_x=lambda t: np.cos(w * t),
+                          b_y=lambda t: -np.sin(w * t),
+                          b_z=lambda t: np.zeros_like(t), mu0_g=2.0)
+    try:
+        traj = propagate(to_profile(field), PropagatorConfig(samples=3), 1e-3)
+    except (ConfigError, NumericError):
+        return
+    # the frame rotating with the drive sees |omega| = 1 and detuning w/2
+    g = 1.0 + w * w / 4.0
+    exact = np.sin(np.sqrt(g) * traj.t) ** 2 / g
+    assert np.max(np.abs(traj.p_flip - exact)) <= 1e-9
+
+
 def test_effective_substep_never_exceeds_configured_step():
     prof = constant_drive()
     traj = propagate(prof, PropagatorConfig(step=0.3, samples=11), 1.0)

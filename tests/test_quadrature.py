@@ -5,59 +5,39 @@ import pytest
 
 from genrabi.errors import ConfigError, NumericError, QuadratureError
 from genrabi import quadrature
-from genrabi.quadrature import (CumulativeIntegral, adaptive_quad,
-                                distinct_sorted, edges_from_zero,
+from genrabi.quadrature import (distinct_sorted, edges_from_zero,
                                 gauss_legendre, gauss_panels, node_integrals,
-                                on_arrays, panel_quad)
+                                panel_quad, running_integral)
 
 
-def test_adaptive_quad_matches_analytic():
-    assert adaptive_quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-    assert adaptive_quad(lambda x: math.exp(-x), 0.0, 50.0) == pytest.approx(
-        1.0, abs=1e-10)
+def test_running_integral_matches_analytic():
+    # math.sin and math.exp refuse arrays: on_arrays calls them per node
+    assert running_integral(math.sin, [math.pi])[0] == pytest.approx(
+        2.0, abs=1e-12)
+    assert running_integral(lambda x: math.exp(-x), [50.0])[0] \
+        == pytest.approx(1.0, abs=1e-10)
 
 
-def test_adaptive_quad_zero_width_interval():
-    assert adaptive_quad(math.sin, 1.3, 1.3) == 0.0
+def test_running_integral_over_zero_width_is_zero():
+    assert running_integral(math.sin, [0.0, 0.0]).tolist() == [0.0, 0.0]
 
 
-def test_adaptive_quad_is_panel_quad_on_one_panel():
-    # math.sin refuses arrays, so on_arrays calls it once per node
-    value = adaptive_quad(math.sin, 0.0, math.pi)
-    assert type(value) is float
-    assert value == panel_quad(on_arrays(math.sin), [0.0, math.pi])[1][-1]
-    assert adaptive_quad(math.sin, math.pi, 0.0) == -value
-    assert adaptive_quad(math.exp, 1.0, -1.0, 1e-12) == pytest.approx(
-        -2.0 * math.sinh(1.0), abs=1e-12)
-
-
-def test_adaptive_quad_reports_nonconvergence():
-    # divergent integrand: the subdivision limit is hit and the failure
-    # carries the achieved estimate instead of silently returning it
-    with pytest.raises(QuadratureError) as err:
-        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0)
-    assert "estimate" in str(err.value)
-
-
-def test_cumulative_matches_antiderivative_on_ascending_grid():
-    acc = CumulativeIntegral(math.cos)
+def test_running_integral_matches_antiderivative_on_ascending_grid():
     xs = np.linspace(0.0, 7.0, 113)
-    vals = np.array([acc(float(x)) for x in xs])
+    vals = running_integral(math.cos, xs)
     assert np.max(np.abs(vals - np.sin(xs))) < 1e-10
 
 
-def test_cumulative_answers_behind_the_frontier():
-    acc = CumulativeIntegral(math.cos)
-    assert acc(6.0) == pytest.approx(math.sin(6.0), abs=1e-10)
-    # queries behind the cached frontier reuse it rather than restarting
-    assert acc(2.5) == pytest.approx(math.sin(2.5), abs=1e-10)
-    assert acc(0.0) == 0.0
+def test_running_integral_answers_points_in_any_order():
+    xs = np.array([6.0, 2.5, 0.0, 6.0])
+    vals = running_integral(math.cos, xs)
+    assert np.max(np.abs(vals - np.sin(xs))) < 1e-10
+    assert vals[2] == 0.0 and vals[0] == vals[3]
 
 
-def test_cumulative_rejects_negative_argument():
-    acc = CumulativeIntegral(math.cos)
-    with pytest.raises(ValueError):
-        acc(-0.1)
+def test_running_integral_rejects_negative_argument():
+    with pytest.raises(ConfigError, match="^tau must be >= 0$"):
+        running_integral(math.cos, [1.0, -0.1])
 
 
 def test_panel_quad_refines_and_keeps_every_edge():

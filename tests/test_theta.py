@@ -387,6 +387,15 @@ def test_verify_window_validation():
         verify_ansatz(case1_ansatz(), make_scenario("case1"), 0.0)
 
 
+
+@pytest.mark.parametrize("tols", [
+    {"tol": math.nan}, {"tol": 0.0}, {"entries_tol": math.inf},
+    {"entries_tol": -1.0}])
+def test_verify_tolerances_must_be_finite_and_positive(tols):
+    # an infinite entries_tol once passed a failed oracle comparison
+    with pytest.raises(ConfigError, match="must be finite and > 0"):
+        verify_ansatz(case2_ansatz(), make_scenario("case2"), 5.0, **tols)
+
 def test_named_ansatz_catalog():
     assert named_ansatz("zero").label == "zero"
     assert named_ansatz("case1").label == "case1"

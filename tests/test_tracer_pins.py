@@ -19,6 +19,8 @@ import ast
 import types
 from pathlib import Path
 
+from genrabi import quadrature, theta
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "gbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "genrabi"
@@ -122,3 +124,10 @@ def test_every_unused_import_is_a_marked_tracer_pin():
             assert "# noqa: F401" in text, f"{where} is an unmarked pin"
             pins.append(where)
     assert pins  # the check sees the pins that exist today
+
+
+def test_the_patched_stand_ins_stay_weightless():
+    # names the tracer patches but nothing calls: bound to None, no body
+    assert quadrature.adaptive_quad is None
+    assert quadrature.CumulativeIntegral.__dict__["__call__"] is None
+    assert theta.scipy.integrate.quad is None
