@@ -40,6 +40,15 @@ def test_running_integral_rejects_negative_argument():
         running_integral(math.cos, [1.0, -0.1])
 
 
+def test_adaptive_quad_reports_nonconvergence():
+    # adaptive_quad's scalar integrals run through running_integral now: a
+    # divergent integrand hits the subdivision limit and the failure carries
+    # the achieved estimate instead of silently returning it
+    with pytest.raises(QuadratureError) as err:
+        running_integral(lambda x: 1.0 / x, [1.0])
+    assert "estimate" in str(err.value)
+
+
 def test_panel_quad_refines_and_keeps_every_edge():
     edges = np.linspace(0.0, 7.0, 113)
     mesh, running = panel_quad(np.cos, edges)
