@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the input rules shared across the package."""
 
 from __future__ import annotations
 
@@ -54,3 +54,24 @@ class InconsistentProfileError(NumericError):
 
 class UnitarityDriftError(NumericError):
     """Accumulated unitarity defect exceeded the configured bound."""
+
+
+def check_name(what: str, name, choices: tuple, owner: str = "") -> None:
+    """ConfigError unless name is one of choices: "unknown key 'tmax' for
+    the scenario config; did you mean: ...; choose from ..." for what="key"
+    and owner="the scenario config". A non-string is never a choice."""
+    if isinstance(name, str) and name in choices:
+        return
+    import difflib  # only an unknown name needs it
+    near = difflib.get_close_matches(str(name), choices, n=3, cutoff=0.4) \
+        or [c for c in choices if c.startswith(str(name))]
+    where = f" for {owner}" if owner else ""
+    hint = f"; did you mean: {', '.join(near)}" if near else ""
+    raise ConfigError(f"unknown {what} {name!r}{where}{hint}; choose from "
+                      f"{', '.join(choices)}")
+
+
+def check_tolerance(name: str, value) -> None:
+    """ConfigError unless the tolerance called name is finite and > 0."""
+    if not 0 < value < float("inf"):
+        raise ConfigError(f"{name} must be finite and > 0, got {value!r}")

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_tolerance
 from .quadrature import running_integral
 
 __all__ = [
@@ -174,8 +174,7 @@ def is_generalized_resonant(profile: FieldProfile, window,
 
     ``window`` is t_max or a (0, t_max) pair (see window_end).
     """
-    if not tol > 0:
-        raise ConfigError("tol must be > 0")
+    check_tolerance("tol", tol)
     grid = np.linspace(0.0, window_end(window, "evaluation window"), 512)
     return bool(np.max(np.abs(detuning(profile, grid))) <= tol)
 

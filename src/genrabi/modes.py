@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_name
 from .fields import FieldProfile, drive_profile, read_table
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
@@ -244,9 +244,6 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
     params = coupling.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field coupling.params must be an object")
-    if family not in _BUILDERS:
-        raise ConfigError(
-            f"unknown coupling family {family!r}; choose from "
-            f"{', '.join(COUPLING_FAMILIES)}")
+    check_name("coupling family", family, COUPLING_FAMILIES)
     fn, label = _BUILDERS[family](params)
     return CouplingSpec(k_ab=fn, delta=delta, label=label)

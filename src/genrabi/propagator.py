@@ -78,7 +78,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import (ConfigError, NumericError, StepResolutionError,
-                     UnitarityDriftError)
+                     UnitarityDriftError, check_name)
 from .fields import (DIFF_STEP, FieldProfile, detuning, phase_derivative,
                      window_end)
 from .observables import pauli_series
@@ -161,9 +161,7 @@ class PropagatorConfig:
     samples: int = 1001
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(
-                f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
+        check_name("scheme", self.scheme, SCHEMES)
         if self.step is not None and not self.step > 0:
             raise ConfigError("step must be > 0")
         n = self.samples  # range first: int() never sees NaN or inf
@@ -238,20 +236,20 @@ def _in_frame(profile: FieldProfile) -> FieldProfile:
     """The profile the sweep integrates: with an analytic phi_omega_dot,
     as seen from the frame rotating with phi/2, where H = [[Delta, |omega|],
     [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2: a real drive, which
-    carries no phase callable (phi_omega None) and a zero phase rate; else
-    the profile itself."""
+    carries no phase (phi_omega and phi_omega_dot None); else the profile
+    itself."""
     if profile.phi_omega_dot is None:
         return profile
     return replace(profile, omega_z=partial(detuning, profile),
-                   phi_omega=None, phi_omega_dot=np.zeros_like)
+                   phi_omega=None, phi_omega_dot=None)
 
 
 def profile_scale(profile: FieldProfile, t_max: float) -> float:
-    """The largest over the window, in the frame the sweep integrates in, of
-    |Omega| + |omega|, the phase rate and the slew sqrt((max |change| of
-    Omega + that of |omega|) / probe spacing). A scale that is not finite
-    raises NumericError; then a phi_omega_dot that misses the stencil of
-    phi_omega by more than _RATE_TOL (1 + |rate| + |phi|), ConfigError.
+    """The largest over the window, in the sweep's frame, of |Omega| +
+    |omega|, the slew sqrt((max |change| of Omega + that of |omega|) / probe
+    spacing) and, in the lab frame, the phase rate. A scale that is not
+    finite raises NumericError; then a phi_omega_dot that misses the stencil
+    of phi_omega by more than _RATE_TOL (1 + |rate| + |phi|), ConfigError.
 
     A stencil phase rate is left out at a probe where |omega| is no larger
     than its own change across the stencil: there the drive passes through
@@ -269,9 +267,10 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     frame = _in_frame(profile)
     om = np.asarray(frame.omega_z(grid), dtype=float)
     mg = np.abs(np.asarray(frame.omega_mag(grid), dtype=float))
-    rate = np.abs(np.asarray(phase_derivative(frame, grid), dtype=float))
     near = grid + DIFF_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]])
-    if frame.phi_omega_dot is None:
+    rate = 0.0  # the frame's drive does not turn
+    if frame is profile:
+        rate = np.abs(np.asarray(phase_derivative(profile, grid), dtype=float))
         ring = np.abs(np.asarray(profile.omega_mag(near.ravel()),
                                  dtype=float)).reshape(near.shape)
         # a NaN spread keeps the rate

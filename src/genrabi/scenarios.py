@@ -33,14 +33,13 @@ from .closed_forms import (case1_detuning_integral, case1_detuning_ratio,
                            case2_detuning_integral, case2_detuning_ratio)
 # unused here; benchmarks/gbench/tracer.py patches scenarios.case1_series
 from .closed_forms import case1_series  # noqa: F401
-from .errors import ConfigError
+from .errors import ConfigError, check_name
 from .fields import FieldProfile
 from .theta import (ThetaAnsatz, beta0_ansatz, case1_ansatz, case2_ansatz,
                     zero_ansatz)
 
 __all__ = [
     "FAMILIES",
-    "BUILT_IN",
     "ScenarioParams",
     "make_scenario",
     "resolved_params",
@@ -59,6 +58,7 @@ DEFAULT_SAMPLES = 1001
 class ScenarioParams:
     """Family name plus its numeric parameters.
 
+    family is one of FAMILIES, else a ConfigError offers close matches.
     params holds only keys the family defines; omitted ones take their
     defaults. split_fraction is meaningful for case1/case2 only.
     """
@@ -68,10 +68,7 @@ class ScenarioParams:
     split_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}; choose from "
-                f"{', '.join(FAMILIES)}")
+        check_name("scenario", self.family, FAMILIES)
         object.__setattr__(self, "params", dict(self.params))
         f = self.split_fraction
         check_numbers({"split_fraction": f})
@@ -99,10 +96,7 @@ def check_numbers(values: dict) -> None:
 def check_keys(owner: str, mapping: dict, allowed: tuple) -> None:
     # owner names a family or a config document
     for k in mapping:
-        if k not in allowed:
-            raise ConfigError(
-                f"unknown key {k!r} for {owner}; "
-                f"valid: {', '.join(allowed)}")
+        check_name("key", k, allowed, owner)
 
 
 # -- per-family resolvers: fill defaults, enforce domains -------------------
@@ -276,19 +270,19 @@ class _Family:
     closed_forms, with the profile's detuning checked against the ratio the
     triple solves within tol; it looks the series up on the closed_forms
     module at call time. ansatz(resolved) is the Theta ansatz of the same
-    Theta. split marks families that take split_fraction. A record without
-    a builder is library-only.
+    Theta. split marks families that take split_fraction. Every record
+    builds its profiles.
     """
 
-    resolver: Callable | None
-    builder: Callable | None
+    resolver: Callable[[dict], dict]
+    builder: Callable[[dict, float], FieldProfile]
     time_scale_key: str
-    default_t_max: float | None  # on the dimensionless axis
+    default_t_max: float  # on the dimensionless axis
     axis: str
     description: str
-    closed_form: Callable | None = None
-    tol: float = 0.0
-    ansatz: Callable[[dict], ThetaAnsatz] | None = None
+    closed_form: Callable
+    tol: float
+    ansatz: Callable[[dict], ThetaAnsatz]
     split: bool = False
 
 
@@ -354,30 +348,14 @@ _CATALOG = {
         closed_form=lambda p, r, ts, tol: closed_forms.case2_series(
             p, ts, tol=tol),
         tol=1e-8, ansatz=lambda r: case2_ansatz(), split=True),
-    "custom": _Family(
-        None, None, "", None, "t",
-        "user-supplied FieldProfile via the library API (library only)"),
 }
 
 FAMILIES = tuple(_CATALOG)
 
-# the families the catalog can build
-BUILT_IN = tuple(n for n, fam in _CATALOG.items() if fam.builder is not None)
-
-
-def _family_entry(family: str) -> _Family:
-    fam = _CATALOG[family]
-    if fam.builder is None:
-        raise ConfigError(
-            f"family {family!r} profiles are built directly as FieldProfile "
-            "values through the library API; the catalog covers named "
-            "families only")
-    return fam
-
 
 def resolved_params(params: ScenarioParams) -> dict:
     """Family parameters with defaults filled in and domains enforced."""
-    return _family_entry(params.family).resolver(params.params)
+    return _CATALOG[params.family].resolver(params.params)
 
 
 def make_scenario(params: ScenarioParams | str) -> FieldProfile:
@@ -389,7 +367,7 @@ def make_scenario(params: ScenarioParams | str) -> FieldProfile:
     """
     if isinstance(params, str):
         params = ScenarioParams(family=params)
-    fam = _family_entry(params.family)
+    fam = _CATALOG[params.family]
     return fam.builder(fam.resolver(params.params), params.split_fraction)
 
 
@@ -397,31 +375,32 @@ def scenario_time_scale(params: ScenarioParams | str) -> float:
     """Factor u mapping physical time to the family's plot axis u*t."""
     if isinstance(params, str):
         params = ScenarioParams(family=params)
-    fam = _family_entry(params.family)
+    fam = _CATALOG[params.family]
     return float(fam.resolver(params.params)[fam.time_scale_key])
 
 
 def default_window(family: str) -> tuple[float, int]:
     """(t_max on the dimensionless axis, samples) used when unspecified."""
-    return _family_entry(family).default_t_max, DEFAULT_SAMPLES
+    check_name("scenario", family, FAMILIES)
+    return _CATALOG[family].default_t_max, DEFAULT_SAMPLES
 
 
 def family_summary() -> list[dict]:
     """Catalog rows for the CLI listing."""
     return [{"family": name, "axis": fam.axis,
              "default_t_max": fam.default_t_max,
-             "defaults": fam.resolver({}) if fam.resolver else {},
+             "defaults": fam.resolver({}),
              "description": fam.description}
             for name, fam in _CATALOG.items()]
 
 
 def closed_form_series(params: ScenarioParams, profile: FieldProfile, ts):
     """The family's closed-form entries on a time grid, detuning checked."""
-    fam = _family_entry(params.family)
+    fam = _CATALOG[params.family]
     return fam.closed_form(profile, fam.resolver(params.params), ts, fam.tol)
 
 
 def default_ansatz(params: ScenarioParams) -> ThetaAnsatz:
     """The Theta ansatz that solves the family's profiles."""
-    fam = _family_entry(params.family)
+    fam = _CATALOG[params.family]
     return fam.ansatz(fam.resolver(params.params))

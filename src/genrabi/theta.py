@@ -42,7 +42,8 @@ import numpy as np
 from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
                            case2_theta, check_grid, detuning_deviation,
                            entry_series, last_entries, resonance_triple)
-from .errors import ConfigError, NumericError, SingularAnsatzError
+from .errors import (ConfigError, NumericError, SingularAnsatzError,
+                     check_name, check_tolerance)
 # unused here; benchmarks/gbench/tracer.py patches theta.detuning
 from .fields import detuning  # noqa: F401
 from .fields import (FieldProfile, read_table, transverse_area_series,
@@ -164,8 +165,7 @@ class ThetaEvaluator:
     """
 
     def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10):
-        if not quad_tol > 0:
-            raise ConfigError("quad_tol must be > 0")
+        check_tolerance("quad_tol", quad_tol)
         self.ansatz = ansatz
         self.quad_tol = quad_tol
 
@@ -376,9 +376,8 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     tolerances then admit the kinks of a table ansatz's interpolant. tol
     and entries_tol must be finite and > 0.
     """
-    for name, value in (("tol", tol), ("entries_tol", entries_tol)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    check_tolerance("tol", tol)
+    check_tolerance("entries_tol", entries_tol)
     if quad_tol is None:
         quad_tol = max(1e-12, 1e-2 * min(tol, entries_tol))
     t_max = window_end(window, "verification window")
@@ -471,10 +470,7 @@ ANSATZ_NAMES = tuple(_NAMED)
 
 def named_ansatz(name: str) -> ThetaAnsatz:
     """Look up a catalog ansatz by name ('zero', 'case1', 'case2')."""
-    if name not in _NAMED:
-        raise ConfigError(
-            f"unknown ansatz {name!r}; choose from {', '.join(_NAMED)} "
-            "or supply a sampled table")
+    check_name("ansatz", name, ANSATZ_NAMES)
     return _NAMED[name]()
 
 

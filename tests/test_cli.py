@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from genrabi.cli import _serialize, main
-from genrabi.scenarios import (ScenarioParams, default_ansatz,
+from genrabi.errors import ConfigError
+from genrabi.modes import COUPLING_FAMILIES, coupling_from_config
+from genrabi.propagator import SCHEMES, PropagatorConfig
+from genrabi.scenarios import (FAMILIES, ScenarioParams, default_ansatz,
                                default_window, make_scenario,
-                               scenario_time_scale)
-from genrabi.theta import case2_ansatz, verify_ansatz
+                               resolved_params, scenario_time_scale)
+from genrabi.theta import (ANSATZ_NAMES, case2_ansatz, named_ansatz,
+                           verify_ansatz)
 
 RUN_HEADER = ("t,omega_z,omega_mag,phi_omega,detuning,re_a,im_a,re_b,im_b,"
               "p_flip,sigma_x,sigma_y,sigma_z")
@@ -38,6 +42,13 @@ def test_list_scenarios(capsys):
         assert family in out
     assert "axis:" in out
     assert "defaults:" in out
+
+
+def test_list_scenarios_prints_exactly_the_catalog(capsys):
+    assert main(["list-scenarios"]) == 0
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if not ln.startswith(" ")] == \
+        list(FAMILIES)
 
 
 def test_run_csv_to_stdout(capsys):
@@ -198,6 +209,49 @@ def test_unknown_scenario_suggests_candidates(capsys):
     err = capsys.readouterr().err
     assert "did you mean" in err
     assert "sech_resonant" in err
+
+
+# per catalog: (a call with an unknown name, the message's opening, a close
+# match or None, every choice); a list is a CLI command line
+UNKNOWN_NAMES = {
+    "scenario_cli": (["run", "--scenario", "case3"],
+                     "unknown scenario 'case3'", "case1", FAMILIES),
+    "scenario": (lambda: ScenarioParams("case3"), "unknown scenario 'case3'",
+                 "case1", FAMILIES),
+    "default_window": (lambda: default_window("nope"),
+                       "unknown scenario 'nope'", None, FAMILIES),
+    "key": (lambda: resolved_params(ScenarioParams(
+        "sech_resonant", {"omega_mag": 1.0})), "unknown key 'omega_mag' for "
+        "family 'sech_resonant'", "omega_mag0", ("omega_mag0", "phi_dot0")),
+    "coupling_family": (lambda: coupling_from_config(
+        {"delta": 0.0, "coupling": {"family": "sec"}}),
+        "unknown coupling family 'sec'", "sech", COUPLING_FAMILIES),
+    "scheme": (lambda: PropagatorConfig(scheme="midpoint"),
+               "unknown scheme 'midpoint'", "midpoint_exponential", SCHEMES),
+    "ansatz": (lambda: named_ansatz("cse2"), "unknown ansatz 'cse2'",
+               "case2", ANSATZ_NAMES),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNKNOWN_NAMES))
+def test_every_unknown_name_offers_close_matches_and_choices(site, capsys):
+    call, opening, near, choices = UNKNOWN_NAMES[site]
+    if isinstance(call, list):
+        assert main(call) == 2
+        message = capsys.readouterr().err.removeprefix("error: ")
+    else:
+        with pytest.raises(ConfigError) as err:
+            call()
+        message = str(err.value)
+    head, *hint, tail = message.strip().split("; ")
+    assert head == opening
+    assert tail == f"choose from {', '.join(choices)}"
+    if near is None:
+        assert hint == []
+    else:
+        [matches] = hint
+        assert matches.startswith("did you mean: ")
+        assert near in matches.removeprefix("did you mean: ").split(", ")
 
 
 def test_scenario_and_config_are_mutually_exclusive(tmp_path, capsys):
@@ -468,7 +522,13 @@ BAD_INPUTS = {
 SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
 BAD_INPUT_MESSAGES = {"modes_samples_1e20": SAMPLES_RANGE,
                       "modes_samples_1": SAMPLES_RANGE,
-                      "samples_1e20": SAMPLES_RANGE}
+                      "samples_1e20": SAMPLES_RANGE,
+                      "verify_entries_tol_inf":
+                          "--entries-tol must be finite and > 0, got inf",
+                      "verify_residual_tol_nan":
+                          "--residual-tol must be finite and > 0, got nan",
+                      "verify_entries_tol_negative":
+                          "--entries-tol must be finite and > 0, got -1.0"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

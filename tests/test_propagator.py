@@ -23,7 +23,7 @@ from genrabi.propagator import (
     richardson_check,
     suggested_step,
 )
-from genrabi.scenarios import (BUILT_IN, ScenarioParams, closed_form_series,
+from genrabi.scenarios import (FAMILIES, ScenarioParams, closed_form_series,
                                default_window, make_scenario,
                                scenario_time_scale)
 
@@ -427,7 +427,7 @@ def test_config_checks_the_sample_range():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("family", BUILT_IN)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_automatic_step_is_the_suggested_step(family, scheme):
     # step=None integrates exactly as an explicit suggested_step does; a
     # tenth of the default window keeps the slowest family fast

@@ -32,7 +32,7 @@ from genrabi.fields import FieldProfile, transverse_area_series
 from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
                                 richardson_check, suggested_step)
-from genrabi.scenarios import (BUILT_IN, ScenarioParams, _CATALOG,
+from genrabi.scenarios import (FAMILIES, ScenarioParams, _CATALOG,
                                closed_form_series, default_ansatz,
                                make_scenario, scenario_time_scale)
 from genrabi.theta import (ThetaAnsatz, ThetaEvaluator, beta0_ansatz,
@@ -65,7 +65,7 @@ WINDOW = 2.0  # on the family's dimensionless axis
 SAMPLES = 9
 
 
-@pytest.mark.parametrize("family", BUILT_IN)
+@pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=20)
 @given(data=st.data())
 def test_closed_form_and_theta_route_agree_and_stay_unitary(family, data):
@@ -84,7 +84,7 @@ def test_closed_form_and_theta_route_agree_and_stay_unitary(family, data):
         assert np.max(np.abs(np.abs(x) ** 2 + np.abs(y) ** 2 - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("family", BUILT_IN)
+@pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_oracle_stays_unitary_and_cf4_tracks_closed_form(family, data):
@@ -147,7 +147,7 @@ def test_resonance_frame_matches_the_lab_frame(data):
     # integrates it in the frame rotating with phi/2; without it the same
     # profile runs in the lab frame. At a common step 1/32 of the smaller
     # automatic midpoint step the two agree on the entries
-    family = data.draw(st.sampled_from(BUILT_IN), label="family")
+    family = data.draw(st.sampled_from(FAMILIES), label="family")
     values = data.draw(st.fixed_dictionaries(DOMAINS[family]), label="params")
     split = data.draw(_span(0.0, 1.0), label="split_fraction") \
         if _CATALOG[family].split else 0.0
@@ -387,7 +387,7 @@ RICHARDSON_STEP = {"midpoint_exponential": 10.0, "commutator_free_4th": 40.0}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("family", BUILT_IN)
+@pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=5)
 @given(data=st.data())
 def test_richardson_observes_the_nominal_order(family, scheme, data):

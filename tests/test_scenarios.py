@@ -133,7 +133,6 @@ def test_family_summary_covers_catalog():
     assert [row["family"] for row in rows] == list(FAMILIES)
     by_name = {row["family"]: row for row in rows}
     assert by_name["exp_resonant"]["axis"] == "gamma*t"
-    assert by_name["custom"]["default_t_max"] is None
 
 
 def test_labels_name_family_and_parameters():

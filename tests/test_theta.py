@@ -26,7 +26,8 @@ from genrabi.closed_forms import (
     resonance_series,
 )
 from genrabi.errors import ConfigError, InconsistentProfileError, NumericError, SingularAnsatzError
-from genrabi.fields import transverse_area, transverse_area_series
+from genrabi.fields import (is_generalized_resonant, transverse_area,
+                            transverse_area_series)
 from genrabi.modes import CouplingSpec, to_su2_profile
 from genrabi.scenarios import ScenarioParams, closed_form_series, make_scenario
 from genrabi.theta import (
@@ -395,6 +396,19 @@ def test_verify_tolerances_must_be_finite_and_positive(tols):
     # an infinite entries_tol once passed a failed oracle comparison
     with pytest.raises(ConfigError, match="must be finite and > 0"):
         verify_ansatz(case2_ansatz(), make_scenario("case2"), 5.0, **tols)
+
+
+def test_infinite_tolerances_are_refused():
+    # quad_tol=inf once returned case1 entries off by 1e-3 without a word,
+    # and tol=inf called the detuned case1 profile resonant
+    profile = make_scenario("case1")
+    with pytest.raises(ConfigError, match="^quad_tol must be finite and > 0"):
+        general_entries_series(case1_ansatz(), profile,
+                               np.linspace(0.0, 10.0, 11), quad_tol=math.inf,
+                               check=False)
+    with pytest.raises(ConfigError, match="^tol must be finite and > 0"):
+        is_generalized_resonant(profile, 10.0, tol=math.inf)
+
 
 def test_named_ansatz_catalog():
     assert named_ansatz("zero").label == "zero"
