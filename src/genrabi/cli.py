@@ -10,6 +10,9 @@ Subcommands:
 - modes: the coupled-waveguide front end; writes mode amplitudes and powers
   along z.
 
+run, verify and modes read their input through one reader, _overlay: the
+--config document (or nothing) with the flags given laid over it.
+
 Times on the command line (t-max, step) are on the scenario's dimensionless
 axis (see list-scenarios); the CSV t column uses the same axis. Exit codes:
 0 success, 2 usage or config error, 3 numeric failure (including a verify
@@ -33,8 +36,9 @@ from .modes import to_su2_profile  # noqa: F401
 from .propagator import SCHEMES, PropagatorConfig, Trajectory, propagate
 from .propagator import suggested_step  # noqa: F401
 from .scenarios import (DEFAULT_SAMPLES, ScenarioParams, check_keys,
-                        closed_form_series, default_ansatz, default_window,
-                        family_summary, make_scenario, scenario_time_scale)
+                        check_numbers, closed_form_series, default_ansatz,
+                        default_window, family_summary, make_scenario,
+                        scenario_time_scale)
 from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
                     verify_ansatz)
 
@@ -80,72 +84,51 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _number_field(doc: dict, path: str, default=None):
-    cur = doc
-    parts = path.split(".")
-    for p in parts[:-1]:
-        cur = cur.get(p, {})
-        if not isinstance(cur, dict):
-            raise ConfigError(f"field {path} must live in an object")
-    if parts[-1] not in cur:
-        return default
-    val = cur[parts[-1]]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"field {path} must be a number")
-    return val
+def _overlay(doc: dict, flags: dict, where: str = "") -> dict:
+    """doc with each flag given (not None) over it; dicts go key by key."""
+    out = dict(doc)
+    for key, value in flags.items():
+        if isinstance(value, dict):
+            inner = out.get(key, {})
+            if not isinstance(inner, dict):
+                raise ConfigError(f"field {where}{key} must be an object")
+            value = _overlay(inner, value, f"{where}{key}.")
+        if value is not None:
+            out[key] = value
+    return out
 
 
-def _scenario_from_args(args) -> tuple[ScenarioParams, float, float]:
-    """Returns (params, axis t_max, samples) honoring config and overrides."""
+def _scenario_from_args(args):
+    """(params, profile, axis scale, axis t_max, oracle config) from the
+    --config document or --scenario, with the flags laid over it."""
     if bool(args.scenario) == bool(args.config):
         raise ConfigError("give exactly one of --scenario or --config")
     cli_params = _parse_params(args.params)
-    split = cli_params.pop("split_fraction", None)
-
-    if args.scenario:
-        family = args.scenario
-        file_params: dict = {}
-        t_max = None
-        samples = None
-    else:
-        doc = _load_json(args.config)
-        if "family" not in doc:
-            raise ConfigError("missing field: family")
-        family = doc["family"]
-        file_params = doc.get("params", {})
-        if not isinstance(file_params, dict):
-            raise ConfigError("field params must be an object")
-        t_max = _number_field(doc, "window.t_max")
-        samples = _number_field(doc, "window.samples")
-        cfg_split = _number_field(doc, "split_fraction")
-        if split is None:
-            split = cfg_split
-        check_keys("the scenario config", doc,
-                   ("family", "params", "window", "split_fraction"))
-        check_keys("the scenario config's window", doc.get("window", {}),
-                   ("t_max", "samples"))
-
-    merged = dict(file_params)
-    merged.update(cli_params)
-    params = ScenarioParams(family=family, params=merged,
-                            split_fraction=0.0 if split is None else split)
-
-    if args.t_max is not None:
-        t_max = args.t_max
-    if getattr(args, "samples", None) is not None:
-        samples = args.samples
-    d_t_max, d_samples = default_window(family)
-    if samples is None:
-        samples = d_samples
-    t_max = window_end(d_t_max if t_max is None else t_max, "t-max")
-    return params, t_max, samples
-
-
-def _oracle_config(args, samples, scale: float) -> PropagatorConfig:
+    doc = _overlay(_load_json(args.config) if args.config else {}, {
+        "family": args.scenario,
+        "split_fraction": cli_params.pop("split_fraction", None),
+        "params": cli_params,
+        "window": {"t_max": args.t_max, "samples": args.samples}})
+    check_keys("the scenario config", doc,
+               ("family", "params", "window", "split_fraction"))
+    check_keys("the scenario config's window", doc["window"],
+               ("t_max", "samples"))
+    if "family" not in doc:
+        raise ConfigError("missing field: family")
+    params = ScenarioParams(family=doc["family"], params=doc["params"],
+                            split_fraction=doc.get("split_fraction", 0.0))
+    d_t_max, d_samples = default_window(params.family)
+    window = {"t_max": d_t_max, "samples": d_samples, **doc["window"]}
+    t_max = window_end(window["t_max"], "t-max")
+    check_numbers(window)  # float() in window_end takes "4" and true
+    scale = scenario_time_scale(params)
     # PropagatorConfig checks the step and the sample count; without a
     # step the propagator picks one from the profile
-    step = None if args.step is None else args.step / scale  # axis units
-    return PropagatorConfig(scheme=args.scheme, step=step, samples=samples)
+    config = PropagatorConfig(
+        scheme=args.scheme,
+        step=None if args.step is None else args.step / scale,  # axis units
+        samples=window["samples"])
+    return params, make_scenario(params), scale, t_max, config
 
 
 def _write_text(path: str | None, lines) -> None:
@@ -198,11 +181,8 @@ def _serialize(columns: dict, fmt: str, out: str | None) -> None:
 # run
 
 def _cmd_run(args) -> int:
-    params, t_max_axis, samples = _scenario_from_args(args)
-    profile = make_scenario(params)
-    scale = scenario_time_scale(params)
+    params, profile, scale, t_max_axis, config = _scenario_from_args(args)
     t_max_phys = t_max_axis / scale
-    config = _oracle_config(args, samples, scale)
     ts = np.linspace(0.0, t_max_phys, config.samples)
     axis_t = scale * ts
 
@@ -259,9 +239,7 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     check_tolerance("--residual-tol", args.residual_tol)
     check_tolerance("--entries-tol", args.entries_tol)
-    params, t_max_axis, samples = _scenario_from_args(args)
-    profile = make_scenario(params)
-    scale = scenario_time_scale(params)
+    params, profile, scale, t_max_axis, config = _scenario_from_args(args)
     t_max_phys = t_max_axis / scale
 
     if args.ansatz:
@@ -276,7 +254,6 @@ def _cmd_verify(args) -> int:
     else:
         ansatz = default_ansatz(params)
 
-    config = _oracle_config(args, samples, scale)
     report = verify_ansatz(ansatz, profile, t_max_phys,
                            tol=args.residual_tol,
                            entries_tol=args.entries_tol,
@@ -314,21 +291,16 @@ def _parse_initial(text: str):
 def _cmd_modes(args) -> int:
     if bool(args.config) == bool(args.coupling):
         raise ConfigError("give exactly one of --config or --coupling")
-    if args.config:
-        doc = _load_json(args.config)
-        spec = coupling_from_config(doc)
-    else:
-        if args.delta is None:
-            raise ConfigError("--delta is required with --coupling")
-        spec = coupling_from_config({
-            "delta": args.delta,
-            "coupling": {"family": args.coupling,
-                         "params": _parse_params(args.params)},
-        })
+    spec = coupling_from_config(_overlay(
+        _load_json(args.config) if args.config else {},
+        {"delta": args.delta,
+         "coupling": {"family": args.coupling,
+                      "params": _parse_params(args.params)}}))
     z_max = window_end(args.z_max, "--z-max")
 
     a0, b0 = _parse_initial(args.initial)
-    config = _oracle_config(args, args.samples, 1.0)
+    config = PropagatorConfig(scheme=args.scheme, step=args.step,
+                              samples=args.samples)
     traj = propagate_modes(spec, (a0, b0), z_max, config)
 
     _serialize({"z": traj.z, "re_A": traj.amp_a.real,

@@ -190,7 +190,7 @@ def resonance_triple(tau):
     return zero, tau + 0.0, zero
 
 
-def resonance_entries(profile: FieldProfile, t: float, *, check: bool = True,
+def resonance_entries(profile: FieldProfile, t: float, *,
                       tol: float = 1e-10) -> EvolutionEntries:
     """Entries for a generalized-resonant profile (zero detuning).
 
@@ -198,16 +198,14 @@ def resonance_entries(profile: FieldProfile, t: float, *, check: bool = True,
     tau the accumulated transverse area; the flip probability is sin^2(tau)
     independent of the phase realization.
     """
-    return last_entries(resonance_series(profile, check_grid(t), check=check,
-                                         tol=tol), t)
+    return last_entries(resonance_series(profile, check_grid(t), tol=tol), t)
 
 
 def resonance_series(profile: FieldProfile, ts: np.ndarray, *,
-                     check: bool = True, tol: float = 1e-10):
+                     tol: float = 1e-10):
     """Vectorized resonance entries over an ascending time grid."""
     return entry_series(profile, ts, resonance_triple, lambda tau: 0.0,
-                        check=check, tol=tol,
-                        what="the generalized resonance condition")
+                        tol=tol, what="the generalized resonance condition")
 
 
 def resonance_asymptote(alpha: float) -> float:
@@ -269,23 +267,22 @@ def beta0_triple(beta0: float):
 
 
 def beta0_entries(profile: FieldProfile, beta0: float, t: float, *,
-                  check: bool = True, tol: float = 1e-10) -> EvolutionEntries:
+                  tol: float = 1e-10) -> EvolutionEntries:
     """Entries when the detuning is locked to beta0 |omega(t)|.
 
     The flip probability is sin^2(sqrt(1+beta0^2) tau) / (1+beta0^2): the
     resonant law with the area axis stretched by sqrt(1+beta0^2) and the
     amplitude capped at 1/(1+beta0^2). beta0 = 0 recovers resonance exactly.
     """
-    return last_entries(beta0_series(profile, beta0, check_grid(t),
-                                     check=check, tol=tol), t)
+    return last_entries(beta0_series(profile, beta0, check_grid(t), tol=tol),
+                        t)
 
 
 def beta0_series(profile: FieldProfile, beta0: float, ts: np.ndarray, *,
-                 check: bool = True, tol: float = 1e-10):
+                 tol: float = 1e-10):
     beta0 = float(beta0)
     return entry_series(profile, ts, beta0_triple(beta0), lambda tau: beta0,
-                        check=check, tol=tol,
-                        what=f"detuning = {beta0:g} * |omega|")
+                        tol=tol, what=f"detuning = {beta0:g} * |omega|")
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +365,9 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
     return _area_entries(case1_triple, omega_mag, phi_omega, t, tau)
 
 
-def case1_series(profile: FieldProfile, ts: np.ndarray, *,
-                 check: bool = True, tol: float = 1e-8):
+def case1_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):
     return entry_series(profile, ts, case1_triple, case1_detuning_ratio,
-                        check=check, tol=tol, what="the case1 detuning")
+                        tol=tol, what="the case1 detuning")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +421,6 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
     return _area_entries(case2_triple, omega_mag, phi_omega, t, tau)
 
 
-def case2_series(profile: FieldProfile, ts: np.ndarray, *,
-                 check: bool = True, tol: float = 1e-8):
+def case2_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):
     return entry_series(profile, ts, case2_triple, case2_detuning_ratio,
-                        check=check, tol=tol, what="the case2 detuning")
+                        tol=tol, what="the case2 detuning")

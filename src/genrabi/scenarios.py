@@ -1,7 +1,8 @@
 """Built-in drive scenario catalog.
 
-Each family fixes the three profile functions from a handful of numbers.
-Parameter names double as config keys:
+Each family fixes the three profile functions from a handful of numbers,
+resolved once, when ScenarioParams is built (every function here reads the
+resolved dict). Parameter names double as config keys:
 
 - rabi: omega_z0, omega_mag0, phi_dot0 (all constant; generic off-resonance)
 - sech_resonant: omega_mag0, phi_dot0 (hyperbolic-secant pulse, resonant)
@@ -59,8 +60,10 @@ class ScenarioParams:
     """Family name plus its numeric parameters.
 
     family is one of FAMILIES, else a ConfigError offers close matches.
-    params holds only keys the family defines; omitted ones take their
-    defaults. split_fraction is meaningful for case1/case2 only.
+    params may hold only keys the family defines; construction resolves them
+    once (idempotently), so params holds every key, defaults filled in and
+    domains enforced (exp's alpha becomes gamma, modulated's n an int).
+    split_fraction is meaningful for case1/case2 only.
     """
 
     family: str
@@ -69,7 +72,6 @@ class ScenarioParams:
 
     def __post_init__(self):
         check_name("scenario", self.family, FAMILIES)
-        object.__setattr__(self, "params", dict(self.params))
         f = self.split_fraction
         check_numbers({"split_fraction": f})
         _require(0.0 <= f <= 1.0, "split_fraction", "must be in [0, 1]")
@@ -78,6 +80,8 @@ class ScenarioParams:
             raise ConfigError(
                 f"split_fraction applies to {splits} only, not "
                 f"{self.family!r}")
+        object.__setattr__(self, "params",
+                           _CATALOG[self.family].resolver(self.params))
 
 
 def _require(cond: bool, name: str, msg: str) -> None:
@@ -355,7 +359,7 @@ FAMILIES = tuple(_CATALOG)
 
 def resolved_params(params: ScenarioParams) -> dict:
     """Family parameters with defaults filled in and domains enforced."""
-    return _CATALOG[params.family].resolver(params.params)
+    return params.params
 
 
 def make_scenario(params: ScenarioParams | str) -> FieldProfile:
@@ -367,16 +371,15 @@ def make_scenario(params: ScenarioParams | str) -> FieldProfile:
     """
     if isinstance(params, str):
         params = ScenarioParams(family=params)
-    fam = _CATALOG[params.family]
-    return fam.builder(fam.resolver(params.params), params.split_fraction)
+    return _CATALOG[params.family].builder(params.params,
+                                           params.split_fraction)
 
 
 def scenario_time_scale(params: ScenarioParams | str) -> float:
     """Factor u mapping physical time to the family's plot axis u*t."""
     if isinstance(params, str):
         params = ScenarioParams(family=params)
-    fam = _CATALOG[params.family]
-    return float(fam.resolver(params.params)[fam.time_scale_key])
+    return float(params.params[_CATALOG[params.family].time_scale_key])
 
 
 def default_window(family: str) -> tuple[float, int]:
@@ -397,10 +400,9 @@ def family_summary() -> list[dict]:
 def closed_form_series(params: ScenarioParams, profile: FieldProfile, ts):
     """The family's closed-form entries on a time grid, detuning checked."""
     fam = _CATALOG[params.family]
-    return fam.closed_form(profile, fam.resolver(params.params), ts, fam.tol)
+    return fam.closed_form(profile, params.params, ts, fam.tol)
 
 
 def default_ansatz(params: ScenarioParams) -> ThetaAnsatz:
     """The Theta ansatz that solves the family's profiles."""
-    fam = _CATALOG[params.family]
-    return fam.ansatz(fam.resolver(params.params))
+    return _CATALOG[params.family].ansatz(params.params)

@@ -350,6 +350,42 @@ def test_modes_config_file_equivalence(tmp_path, capsys):
     assert by_cfg.read_bytes() == by_flags.read_bytes()
 
 
+# per command: a config document, the command line that reads it (the
+# --config flag is added) and the flags-only command line it must equal
+FLAGS_OVER_CONFIG = {
+    "run": ({"family": "case2", "params": {"omega_mag0": 2.0},
+             "window": {"t_max": 4.0, "samples": 9}, "split_fraction": 0.5},
+            ["run", "--t-max", "2", "--params",
+             "omega_mag0=1,split_fraction=0.25"],
+            ["run", "--scenario", "case2", "--t-max", "2", "--samples", "9",
+             "--params", "omega_mag0=1,split_fraction=0.25"]),
+    "verify": ({"family": "exp_resonant", "params": {"alpha": 3.0},
+                "window": {"t_max": 4.0, "samples": 17}},
+               ["verify", "--samples", "9", "--params", "alpha=2"],
+               ["verify", "--scenario", "exp_resonant", "--t-max", "4",
+                "--samples", "9", "--params", "alpha=2"]),
+    # --delta and --params with --config were once dropped silently
+    "modes": ({"delta": 0.5, "coupling": {"family": "sech",
+                                          "params": {"k0": 1.0}}},
+              ["modes", "--delta", "5", "--params", "k0=3", "--z-max", "1",
+               "--samples", "9"],
+              ["modes", "--coupling", "sech", "--delta", "5", "--params",
+               "k0=3", "--z-max", "1", "--samples", "9"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_OVER_CONFIG))
+def test_flags_override_the_config_of_every_command(command, tmp_path,
+                                                    capsys):
+    doc, with_config, flags_only = FLAGS_OVER_CONFIG[command]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(with_config + ["--config", str(cfg)]) == 0
+    by_config = capsys.readouterr()
+    assert main(flags_only) == 0
+    assert capsys.readouterr() == by_config
+
+
 def test_modes_reverse_launch_and_power_note(capsys):
     z_end = repr(math.pi / 2.0)
     assert main(["modes", "--coupling", "constant", "--params", "k0=1",
@@ -400,6 +436,12 @@ def _run_samples(tmp_path, text):
     return ["run", "--config", str(cfg)]
 
 
+def _run_config(tmp_path, doc):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    return ["run", "--config", str(cfg)]
+
+
 def _modes_initial(text):
     return ["modes", "--coupling", "sech", "--delta", "0", "--z-max", "1",
             "--initial", text]
@@ -447,6 +489,17 @@ BAD_INPUTS = {
         "modes", "--coupling", "sech", "--params", "kO=3", "--delta", "0",
         "--z-max", "1", "--samples", "3"],
     "modes_config_unknown_field": lambda p: _modes_delta(p, '0, "z_max": 3'),
+    # --params with --config was once dropped silently (exit 0)
+    "modes_config_param_typo": lambda p: _modes_config(
+        p, {"family": "sech"}) + ["--params", "bogus=1"],
+    # float() takes a string and a bool, so the window needs its own
+    # number rule
+    "run_config_t_max_string": lambda p: _run_config(
+        p, {"family": "case2", "window": {"t_max": "4"}}),
+    "run_config_t_max_true": lambda p: _run_config(
+        p, {"family": "case2", "window": {"t_max": True}}),
+    "run_config_split_string": lambda p: _run_config(
+        p, {"family": "case2", "split_fraction": "0.5"}),
     "run_config_unknown_window_field": lambda p: _run_samples(
         p, '5, "t_mx": 4'),
     "string_k0": lambda p: _modes_config(p, {
@@ -520,7 +573,11 @@ BAD_INPUTS = {
 }
 
 SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
-BAD_INPUT_MESSAGES = {"modes_samples_1e20": SAMPLES_RANGE,
+BAD_INPUT_MESSAGES = {"modes_config_param_typo": "unknown key 'bogus'",
+                      "run_config_t_max_string": "t_max",
+                      "run_config_t_max_true": "t_max",
+                      "run_config_split_string": "split_fraction",
+                      "modes_samples_1e20": SAMPLES_RANGE,
                       "modes_samples_1": SAMPLES_RANGE,
                       "samples_1e20": SAMPLES_RANGE,
                       "verify_entries_tol_inf":

@@ -53,6 +53,22 @@ def test_exp_alpha_parametrization():
             "exp_resonant", {"gamma": 0.1, "alpha": 2.0}))
 
 
+def test_params_are_resolved_once_and_resolving_is_idempotent():
+    params = ScenarioParams("exp_resonant", {"alpha": 3.0 * math.pi})
+    gamma = 1.0 / (3.0 * math.pi)
+    assert params.params == {"omega_mag0": 1.0, "gamma": gamma,
+                             "phi_dot0": 10.0 * gamma}
+    assert resolved_params(params) == params.params
+    assert ScenarioParams("exp_resonant", params.params).params == \
+        params.params
+    modulated = ScenarioParams("modulated_resonant", {"n": 4.0}).params
+    assert type(modulated["n"]) is int
+    assert ScenarioParams("modulated_resonant", modulated).params == modulated
+    for family in FAMILIES:
+        once = ScenarioParams(family).params
+        assert ScenarioParams(family, once).params == once, family
+
+
 @pytest.mark.parametrize("family,params", [
     ("exp_resonant", {"gamma": 0.0}),
     ("exp_resonant", {"alpha": -1.0}),
