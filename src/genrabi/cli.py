@@ -119,8 +119,8 @@ def _scenario_from_args(args):
                             split_fraction=doc.get("split_fraction", 0.0))
     d_t_max, d_samples = default_window(params.family)
     window = {"t_max": d_t_max, "samples": d_samples, **doc["window"]}
+    check_numbers(window)
     t_max = window_end(window["t_max"], "t-max")
-    check_numbers(window)  # float() in window_end takes "4" and true
     scale = scenario_time_scale(params)
     # PropagatorConfig checks the step and the sample count; without a
     # step the propagator picks one from the profile

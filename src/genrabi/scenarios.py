@@ -43,7 +43,6 @@ __all__ = [
     "FAMILIES",
     "ScenarioParams",
     "make_scenario",
-    "resolved_params",
     "scenario_time_scale",
     "default_window",
     "default_ansatz",
@@ -355,11 +354,6 @@ _CATALOG = {
 }
 
 FAMILIES = tuple(_CATALOG)
-
-
-def resolved_params(params: ScenarioParams) -> dict:
-    """Family parameters with defaults filled in and domains enforced."""
-    return params.params
 
 
 def make_scenario(params: ScenarioParams | str) -> FieldProfile:

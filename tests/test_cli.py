@@ -13,7 +13,7 @@ from genrabi.modes import COUPLING_FAMILIES, coupling_from_config
 from genrabi.propagator import SCHEMES, PropagatorConfig
 from genrabi.scenarios import (FAMILIES, ScenarioParams, default_ansatz,
                                default_window, make_scenario,
-                               resolved_params, scenario_time_scale)
+                               scenario_time_scale)
 from genrabi.theta import (ANSATZ_NAMES, case2_ansatz, named_ansatz,
                            verify_ansatz)
 
@@ -220,8 +220,8 @@ UNKNOWN_NAMES = {
                  "case1", FAMILIES),
     "default_window": (lambda: default_window("nope"),
                        "unknown scenario 'nope'", None, FAMILIES),
-    "key": (lambda: resolved_params(ScenarioParams(
-        "sech_resonant", {"omega_mag": 1.0})), "unknown key 'omega_mag' for "
+    "key": (lambda: ScenarioParams(
+        "sech_resonant", {"omega_mag": 1.0}), "unknown key 'omega_mag' for "
         "family 'sech_resonant'", "omega_mag0", ("omega_mag0", "phi_dot0")),
     "coupling_family": (lambda: coupling_from_config(
         {"delta": 0.0, "coupling": {"family": "sec"}}),
@@ -493,11 +493,15 @@ BAD_INPUTS = {
     "modes_config_param_typo": lambda p: _modes_config(
         p, {"family": "sech"}) + ["--params", "bogus=1"],
     # float() takes a string and a bool, so the window needs its own
-    # number rule
+    # number rule, checked before float() sees a word or an object
     "run_config_t_max_string": lambda p: _run_config(
         p, {"family": "case2", "window": {"t_max": "4"}}),
     "run_config_t_max_true": lambda p: _run_config(
         p, {"family": "case2", "window": {"t_max": True}}),
+    "run_config_t_max_word": lambda p: _run_config(
+        p, {"family": "case2", "window": {"t_max": "abc"}}),
+    "run_config_t_max_object": lambda p: _run_config(
+        p, {"family": "case2", "window": {"t_max": {}}}),
     "run_config_split_string": lambda p: _run_config(
         p, {"family": "case2", "split_fraction": "0.5"}),
     "run_config_unknown_window_field": lambda p: _run_samples(
@@ -576,6 +580,8 @@ SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
 BAD_INPUT_MESSAGES = {"modes_config_param_typo": "unknown key 'bogus'",
                       "run_config_t_max_string": "t_max",
                       "run_config_t_max_true": "t_max",
+                      "run_config_t_max_word": "t_max",
+                      "run_config_t_max_object": "t_max",
                       "run_config_split_string": "split_fraction",
                       "modes_samples_1e20": SAMPLES_RANGE,
                       "modes_samples_1": SAMPLES_RANGE,

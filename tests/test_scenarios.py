@@ -14,7 +14,6 @@ from genrabi.scenarios import (
     default_window,
     family_summary,
     make_scenario,
-    resolved_params,
     scenario_time_scale,
 )
 
@@ -41,16 +40,15 @@ def test_modulated_profile_functions():
 
 
 def test_exp_alpha_parametrization():
-    by_alpha = resolved_params(
-        ScenarioParams("exp_resonant", {"alpha": 3.0 * math.pi}))
+    by_alpha = ScenarioParams(
+        "exp_resonant", {"alpha": 3.0 * math.pi}).params
     assert by_alpha["gamma"] == pytest.approx(1.0 / (3.0 * math.pi))
     # default alpha is 4.5 pi
-    default = resolved_params(ScenarioParams("exp_resonant"))
+    default = ScenarioParams("exp_resonant").params
     assert default["omega_mag0"] / default["gamma"] == pytest.approx(
         4.5 * math.pi)
     with pytest.raises(ConfigError):
-        resolved_params(ScenarioParams(
-            "exp_resonant", {"gamma": 0.1, "alpha": 2.0}))
+        ScenarioParams("exp_resonant", {"gamma": 0.1, "alpha": 2.0})
 
 
 def test_params_are_resolved_once_and_resolving_is_idempotent():
@@ -58,7 +56,6 @@ def test_params_are_resolved_once_and_resolving_is_idempotent():
     gamma = 1.0 / (3.0 * math.pi)
     assert params.params == {"omega_mag0": 1.0, "gamma": gamma,
                              "phi_dot0": 10.0 * gamma}
-    assert resolved_params(params) == params.params
     assert ScenarioParams("exp_resonant", params.params).params == \
         params.params
     modulated = ScenarioParams("modulated_resonant", {"n": 4.0}).params
@@ -83,7 +80,7 @@ def test_params_are_resolved_once_and_resolving_is_idempotent():
 ])
 def test_parameter_domain_violations(family, params):
     with pytest.raises(ConfigError) as err:
-        resolved_params(ScenarioParams(family, params))
+        ScenarioParams(family, params)
     # the offending parameter is named in the message
     assert any(key in str(err.value) for key in params)
 
