@@ -75,6 +75,8 @@ class FieldProfile:
         Analytic accumulated transverse area, integral of |omega| from 0 to t.
         Consumers fall back to panel quadrature of omega_mag when absent;
         the numerical propagator never uses it.
+    detuning : callable, optional
+        Analytic Omega + phi_omega_dot/2, which the resonance frame reads.
 
     Every callable takes a numpy array of t and returns an array of its
     shape, and depends on t alone: the propagator probes a profile object's
@@ -87,6 +89,7 @@ class FieldProfile:
     label: str = "custom"
     phi_omega_dot: ArrayFunc | None = None
     tau_of_t: ArrayFunc | None = None
+    detuning: ArrayFunc | None = None
 
 
 def phase_derivative(profile: FieldProfile, t):
@@ -111,7 +114,10 @@ def phase_derivative(profile: FieldProfile, t):
 def detuning(profile: FieldProfile, t):
     """Omega(t) + phi_omega_dot(t)/2, the residual longitudinal drive."""
     arr, scalar = _as_array(t)
-    out = np.asarray(profile.omega_z(arr), dtype=float) + 0.5 * phase_derivative(profile, arr)
+    if profile.detuning is not None:
+        out = np.asarray(profile.detuning(arr), dtype=float)
+    else:
+        out = np.asarray(profile.omega_z(arr), dtype=float) + 0.5 * phase_derivative(profile, arr)
     return float(out) if scalar else out
 
 

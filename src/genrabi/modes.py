@@ -10,7 +10,7 @@ transformation A_t = A e^{i delta z/2}, B_t = B e^{-i delta z/2} this is a
 two-level problem with z as time: Omega = -delta/2 and off-diagonal
 gamma(z) = i k(z), so |omega| = |k| and phi_omega = arg(k) + pi/2. The form
 above conserves |A|^2 + |B|^2 exactly; only this conservative case is
-supported.
+supported. A coupling of one stated phase runs in the resonance frame.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, check_name
-from .fields import FieldProfile, drive_profile, read_table
+from .fields import FieldProfile, drive_profile, read_table, window_end
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
 from .propagator import suggested_step  # noqa: F401
 from .quadrature import on_arrays
-from .scenarios import _resolver as resolver, check_keys, check_numbers
+from .scenarios import _const, _resolver as resolver, check_keys, check_numbers
 
 __all__ = [
     "ModeState",
@@ -64,13 +64,15 @@ class CouplingSpec:
     per point. k_ba, on the same contract, defaults to the power-conserving
     partner -conj(k_ab) and may be passed explicitly only to assert that
     same relation; anything else is rejected, since v1 supports only the
-    conservative case.
+    conservative case. phase, when given, states that arg k_ab is this one
+    constant (zero lies on every ray), so the drive i k never turns.
     """
 
     k_ab: Callable
     delta: float
     label: str = "coupling"
     k_ba: Callable | None = None
+    phase: float | None = None
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,12 @@ class ModeTrajectory:
     delta: float
     label: str
     base: Trajectory
+
+
+def _off_ray(k, phase: float) -> np.ndarray:
+    # k off the ray e^{i phase} beyond round-off, or NaN; 0 is on every ray
+    mag = np.abs(k)
+    return ~(np.abs(k - mag * np.exp(1j * phase)) <= 1e-12 * mag)
 
 
 def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
@@ -106,15 +114,24 @@ def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
 def to_su2_profile(spec: CouplingSpec, *, window: float = 1.0) -> FieldProfile:
     """The two-level profile equivalent to the tilded mode problem.
 
-    window is only used to probe an explicitly supplied k_ba for power
-    conservation; the returned profile itself is evaluable anywhere.
+    window, checked as by window_end, is only used to probe an explicitly
+    supplied k_ba and phase; the returned profile is evaluable anywhere.
     """
-    _check_conservative(spec, float(window))
-    half = -0.5 * float(spec.delta)
+    window = window_end(window, "integration window")
+    _check_conservative(spec, window)
+    omega_z = _const(-0.5 * float(spec.delta))
     k = on_arrays(spec.k_ab, complex)
-    return drive_profile(
-        lambda z: np.full_like(np.asarray(z, dtype=float), half),
-        lambda z: 1j * k(z), f"modes:{spec.label}")
+    label = f"modes:{spec.label}"
+    if spec.phase is None:
+        return drive_profile(omega_z, lambda z: 1j * k(z), label)
+    if np.any(_off_ray(k(np.linspace(0.0, window, 33)), spec.phase)):
+        raise ConfigError(f"coupling {spec.label!r} leaves its stated phase "
+                          f"{spec.phase:g} on [0, {window:g}]")
+    # no drive_phase: i k has the constant phase (principal) phase + pi/2
+    return FieldProfile(
+        omega_z=omega_z, omega_mag=lambda z: np.abs(k(z)),
+        phi_omega=_const(float(np.angle(1j * np.exp(1j * spec.phase)))),
+        phi_omega_dot=_const(0.0), detuning=omega_z, label=label)
 
 
 def detilde(v, z: float, delta: float) -> ModeState:
@@ -188,33 +205,41 @@ _CONSTANT = resolver("constant", {"k0": 1.0, "phase": 0.0},
 _SECH = resolver("sech", {"k0": 1.0}, positive=("k0",))
 
 
-def _constant_coupling(params: dict) -> tuple[Callable, str]:
+def _constant_coupling(params: dict) -> tuple[Callable, str, float]:
     k0, phase = _CONSTANT(params).values()
     value = complex(k0 * np.exp(1j * phase))
-    return (lambda z: np.full(np.shape(z), value)), f"constant(k0={k0:g})"
+    return ((lambda z: np.full(np.shape(z), value)), f"constant(k0={k0:g})",
+            phase)
 
 
-def _sech_coupling(params: dict) -> tuple[Callable, str]:
+def _sech_coupling(params: dict) -> tuple[Callable, str, float]:
     k0 = _SECH(params)["k0"]
 
     def fn(z):
         return k0 / np.cosh(k0 * z)
 
-    return fn, f"sech(k0={k0:g})"
+    return fn, f"sech(k0={k0:g})", 0.0
 
 
-def _table_coupling(params: dict) -> tuple[Callable, str]:
+def _table_coupling(params: dict) -> tuple[Callable, str, float | None]:
     check_keys("family 'custom_table'", params, ("path",))
     path = params.get("path")
     if not (path and isinstance(path, str)):
         raise ConfigError("custom_table needs a file name in params.path")
     zs, re, *im = read_table(path, "coupling table")
+    if len(im) > 1:
+        raise ConfigError(f"coupling table {path} has {len(im) + 2} "
+                          "columns; it takes z, re_k and an optional im_k")
     im = im[0] if im else np.zeros_like(re)
 
     def fn(z):
         return np.interp(z, zs, re) + 1j * np.interp(z, zs, im)
 
-    return fn, f"custom_table({path})"
+    # a ray holding every knot holds the interpolant (one-sign real tables)
+    knots = re + 1j * im
+    phase = float(np.angle(knots[np.argmax(knots != 0)]))
+    return fn, f"custom_table({path})", (
+        None if np.any(_off_ray(knots, phase)) else phase)
 
 
 _BUILDERS = {"constant": _constant_coupling, "sech": _sech_coupling,
@@ -245,5 +270,5 @@ def coupling_from_config(cfg: dict) -> CouplingSpec:
     if not isinstance(params, dict):
         raise ConfigError("field coupling.params must be an object")
     check_name("coupling family", family, COUPLING_FAMILIES)
-    fn, label = _BUILDERS[family](params)
-    return CouplingSpec(k_ab=fn, delta=delta, label=label)
+    fn, label, phase = _BUILDERS[family](params)
+    return CouplingSpec(k_ab=fn, delta=delta, label=label, phase=phase)

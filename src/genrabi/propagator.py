@@ -21,21 +21,22 @@ exp(-i h sum_k w_jk H(t + x_k h)). Adding a scheme means adding one row.
 midpoint_exponential: one exponential at the interval midpoint, O(step^2);
 commutator_free_4th: two from the two Gauss nodes, O(step^4), no commutators.
 
-A profile with an analytic phi_omega_dot (every catalog family) is
-integrated in the frame rotating with phi/2 (_in_frame), where the step need
-not resolve the turning drive and a constant detuning is integrated exactly;
-propagate maps the entries back at the samples. Others run in the lab frame.
-The frame's drive is real, H = [[Delta, |omega|], [|omega|, -Delta]]: the
-sweep evaluates Delta and |omega| only, and no phase. While every rotation
-vector lies on the axis of the first nonzero one (an exact zero cross
-product), the exponentials commute, so each lane keeps the sum of its
-vectors and takes one exponential of it when the axis breaks or the run
-ends. That serves a constant drive in either frame (rabi, constant_beta0,
-a constant coupling or field) and generalized resonance, Delta = 0 (sech,
-exp and modulated resonant); case1, case2 and turning lab-frame drives
-leave the axis in their first tile and run the chain below. The sums span
-the run: multiplied one by one, identical factors round alike, and rabi
-over 4M midpoint substeps drifted 1.7e-10 from unitarity.
+A profile with an analytic phi_omega_dot (every catalog family and coupling of
+one stated phase) is integrated in the frame rotating with phi/2 (_in_frame),
+where the step need not resolve the turning drive and a constant detuning is
+integrated exactly; propagate maps the entries back at the samples. Others run
+in the lab frame. The frame's drive is real, H = [[Delta, |omega|], [|omega|,
+-Delta]]: the sweep evaluates Delta (a stated detuning when given) and |omega|
+only, and no phase. While every rotation vector lies on the axis of the first
+nonzero one (an exact zero cross product), the exponentials commute, so each
+lane keeps the sum of its vectors and takes one exponential of it when the axis
+breaks or the run ends. That serves a constant drive in either frame (rabi,
+constant_beta0, a constant coupling or field) and generalized resonance, Delta
+= 0 (sech, exp and modulated resonant, such a coupling at delta = 0); case1,
+case2 and turning lab-frame drives leave the axis in their first tile and run
+the chain below. The sums span the run: multiplied one by one, identical
+factors round alike, and rabi over 4M midpoint substeps drifted 1.7e-10 from
+unitarity.
 
 With step=None each scheme takes its own automatic step from one error
 target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
@@ -248,8 +249,9 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     """The largest over the window, in the sweep's frame, of |Omega| +
     |omega|, the slew sqrt((max |change| of Omega + that of |omega|) / probe
     spacing) and, in the lab frame, the phase rate. A scale that is not
-    finite raises NumericError; then a phi_omega_dot that misses the stencil
-    of phi_omega by more than _RATE_TOL (1 + |rate| + |phi|), ConfigError.
+    finite raises NumericError; then ConfigError where phi_omega_dot (rate)
+    misses the stencil of phi_omega by _RATE_TOL (1 + |rate| + |phi|), or the
+    detuning Omega + rate/2 (Delta) by _RATE_TOL (1 + |rate| + |Delta|).
 
     A stencil phase rate is left out at a probe where |omega| is no larger
     than its own change across the stencil: there the drive passes through
@@ -280,21 +282,26 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     scale = float(np.max(np.append(np.maximum(np.abs(om) + mg, rate), slew)))
     if not math.isfinite(scale):
         raise NumericError(f"profile {profile.label!r} has no finite scale")
-    if frame is not profile:  # the frame trusts phi_omega_dot
+    if frame is not profile:  # the frame trusts phi_omega_dot and Delta (om)
         given = np.asarray(profile.phi_omega_dot(grid), dtype=float)
         # not unwrapped: that aliases a rate past pi / DIFF_STEP
         s = [np.asarray(profile.phi_omega(x), dtype=float) for x in near]
         stencil = (s[0] - 8.0 * s[1] + 8.0 * s[2] - s[3]) / (12.0 * DIFF_STEP)
         phi = np.abs(np.asarray(profile.phi_omega(grid), dtype=float))
+        delta = np.asarray(profile.omega_z(grid), dtype=float) + 0.5 * given
         # the stencil's round-off is about 2e-11 |phi|
-        bad = np.flatnonzero(np.abs(given - stencil)
-                             > _RATE_TOL * (1.0 + np.abs(given) + phi))
-        if bad.size:
-            i = bad[0]
-            raise ConfigError(
-                f"profile {profile.label!r}: phi_omega_dot {given[i]:.9g} at "
-                f"t={grid[i]:g} is not the derivative of phi_omega (stencil "
-                f"{stencil[i]:.9g})")
+        for name, value, ref, bound, law in (
+                ("phi_omega_dot", given, stencil, phi,
+                 "the derivative of phi_omega"),
+                ("detuning", om, delta, np.abs(delta),
+                 "Omega + phi_omega_dot/2")):
+            bad = np.flatnonzero(np.abs(value - ref) > _RATE_TOL * (
+                1.0 + np.abs(given) + bound))
+            if bad.size:
+                i = bad[0]
+                raise ConfigError(
+                    f"profile {profile.label!r}: {name} {value[i]:.9g} at "
+                    f"t={grid[i]:g} is not {law} ({ref[i]:.9g})")
     _last_scale = (profile, t_max, scale)
     return scale
 

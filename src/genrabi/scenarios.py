@@ -172,26 +172,21 @@ def _label(family: str, resolved: dict, split: float) -> str:
     return f"{family}({', '.join(parts)})"
 
 
-def _constant(family: str, r: dict, omega_z: float, w0: float,
-              rate: float) -> FieldProfile:
-    # constant Omega and |omega| with a linear phase sweep at rate
+def _swept(family: str, r: dict, omega_z: float, rate: float, mag,
+           tau) -> FieldProfile:
+    # constant Omega against a linear phase sweep at rate: Delta = Omega +
+    # rate/2, exactly 0 under generalized resonance (Omega = -rate/2)
     return FieldProfile(
-        omega_z=_const(omega_z), omega_mag=_const(w0),
+        omega_z=_const(omega_z), omega_mag=mag,
         phi_omega=_linear(rate), phi_omega_dot=_const(rate),
-        tau_of_t=_linear(w0), label=_label(family, r, 0.0))
-
-
-def _resonant(family: str, r: dict, rate: float, mag, tau) -> FieldProfile:
-    # generalized resonance: Omega = -rate/2 against a linear phase sweep
-    return FieldProfile(
-        omega_z=_const(-0.5 * rate), omega_mag=mag,
-        phi_omega=_linear(rate), phi_omega_dot=_const(rate),
-        tau_of_t=tau, label=_label(family, r, 0.0))
+        tau_of_t=tau, detuning=_const(omega_z + 0.5 * rate),
+        label=_label(family, r, 0.0))
 
 
 def _build_rabi(r: dict, split: float) -> FieldProfile:
-    return _constant("rabi", r, r["omega_z0"], r["omega_mag0"],
-                     r["phi_dot0"])
+    w0 = r["omega_mag0"]
+    return _swept("rabi", r, r["omega_z0"], r["phi_dot0"], _const(w0),
+                  _linear(w0))
 
 
 def _build_sech(r: dict, split: float) -> FieldProfile:
@@ -203,7 +198,8 @@ def _build_sech(r: dict, split: float) -> FieldProfile:
     def tau(t):
         return np.arctan(np.sinh(w0 * np.asarray(t, dtype=float)))
 
-    return _resonant("sech_resonant", r, r["phi_dot0"], mag, tau)
+    rate = r["phi_dot0"]
+    return _swept("sech_resonant", r, -0.5 * rate, rate, mag, tau)
 
 
 def _build_exp(r: dict, split: float) -> FieldProfile:
@@ -216,7 +212,8 @@ def _build_exp(r: dict, split: float) -> FieldProfile:
     def tau(t):
         return alpha * (1.0 - np.exp(-gamma * np.asarray(t, dtype=float)))
 
-    return _resonant("exp_resonant", r, r["phi_dot0"], mag, tau)
+    rate = r["phi_dot0"]
+    return _swept("exp_resonant", r, -0.5 * rate, rate, mag, tau)
 
 
 def _build_modulated(r: dict, split: float) -> FieldProfile:
@@ -232,12 +229,13 @@ def _build_modulated(r: dict, split: float) -> FieldProfile:
         arr = np.asarray(t, dtype=float)
         return w0 * (arr + (k / lam) * np.sin(lam * arr))
 
-    return _resonant("modulated_resonant", r, rate, mag, tau)
+    return _swept("modulated_resonant", r, -0.5 * rate, rate, mag, tau)
 
 
 def _build_beta0(r: dict, split: float) -> FieldProfile:
     w0 = r["omega_mag0"]
-    return _constant("constant_beta0", r, r["beta0"] * w0, w0, 0.0)
+    return _swept("constant_beta0", r, r["beta0"] * w0, 0.0, _const(w0),
+                  _linear(w0))
 
 
 def _build_case(family: str, ratio, integral):
@@ -254,12 +252,16 @@ def _build_case(family: str, ratio, integral):
         def phi_dot(t):
             return 2.0 * f * w0 * ratio(w0 * np.asarray(t, dtype=float))
 
+        def detuning(t):  # one ratio per node, not two
+            return w0 * ratio(w0 * np.asarray(t, dtype=float))
+
         return FieldProfile(
             omega_z=omega_z,
             omega_mag=_const(w0),
             phi_omega=phi,
             phi_omega_dot=phi_dot,
             tau_of_t=_linear(w0),
+            detuning=detuning,
             label=_label(family, r, split))
     return builder
 
@@ -360,8 +362,8 @@ def make_scenario(params: ScenarioParams | str) -> FieldProfile:
     """Build the FieldProfile of a named family.
 
     A bare family name means all-default parameters. Every built-in profile
-    carries analytic phase derivative and transverse area, so nothing
-    downstream needs numerical differentiation for these.
+    carries analytic phase derivative, detuning and transverse area, so
+    nothing downstream needs numerical differentiation for these.
     """
     if isinstance(params, str):
         params = ScenarioParams(family=params)

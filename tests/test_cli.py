@@ -467,6 +467,10 @@ BAD_INPUTS = {
     "ragged_table": lambda p: _modes_config(p, {
         "family": "custom_table",
         "params": {"path": _table(p, "0,1\n1,1,0,7\n2,1\n")}}),
+    # a fourth column was once dropped without a word
+    "four_column_table": lambda p: _modes_config(p, {
+        "family": "custom_table",
+        "params": {"path": _table(p, "0,1,0,7\n1,1,0,7\n2,1,0,7\n")}}),
     # a non-finite cell once ran to NaN amplitudes with exit 0
     "nan_cell": lambda p: _modes_config(p, {
         "family": "custom_table",
@@ -578,6 +582,7 @@ BAD_INPUTS = {
 
 SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
 BAD_INPUT_MESSAGES = {"modes_config_param_typo": "unknown key 'bogus'",
+                      "four_column_table": "k.csv has 4 columns",
                       "run_config_t_max_string": "t_max",
                       "run_config_t_max_true": "t_max",
                       "run_config_t_max_word": "t_max",

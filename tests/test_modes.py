@@ -154,6 +154,56 @@ def test_only_conservative_couplings_are_accepted():
     to_su2_profile(good, window=2.0)
 
 
+def test_a_wrong_stated_phase_is_a_config_error():
+    # a stated phase sends the coupling to the resonance frame, which drops
+    # any part of k off that phase: a k that leaves it is refused
+    for k, phase in ((lambda z: 1.0 - z, 0.0),  # changes sign at z = 1
+                     (lambda z: np.exp(0.1j * z), 0.0),  # turns
+                     (lambda z: complex(1.0, 1e-9), 0.0),
+                     (lambda z: 1.0 + 0.0 * z, math.nan)):
+        with pytest.raises(ConfigError, match="stated phase"):
+            propagate_modes(CouplingSpec(k_ab=k, delta=0.0, phase=phase),
+                            (1.0, 0.0), 2.0)
+    # compared on the unit circle: -pi and pi are one phase, and a zero k
+    # lies on every ray
+    for phase in (-math.pi, math.pi, 3.0 * math.pi):
+        out = propagate_modes(CouplingSpec(
+            k_ab=lambda z: np.minimum(z - 1.0, 0.0), delta=0.0, phase=phase),
+            (1.0, 0.0), 2.0)
+        assert out.base.phi_omega[0] == pytest.approx(-math.pi / 2.0)
+
+
+def _table_profile(tmp_path, text):
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    return to_su2_profile(coupling_from_config(
+        {"delta": 0.3, "coupling": {"family": "custom_table",
+                                    "params": {"path": str(path)}}}),
+        window=2.0)
+
+
+def test_couplings_of_one_constant_phase_run_in_the_frame(tmp_path):
+    def catalog(family, params):
+        return to_su2_profile(coupling_from_config(
+            {"delta": 0.3, "coupling": {"family": family, "params": params}}),
+            window=2.0)
+
+    framed = [catalog("constant", {"k0": 1.2, "phase": -2.0}),
+              catalog("sech", {"k0": 1.0}),
+              _table_profile(tmp_path, "z,re_k\n0,0.5\n1,0\n2,1.5\n"),
+              _table_profile(tmp_path, "0,-0.5\n1,-1\n2,0\n"),
+              _table_profile(tmp_path, "0,1,-1\n1,0,0\n2,3,-3\n")]
+    for prof in framed:
+        assert prof.phi_omega_dot is not None, prof.label
+        assert prof.detuning(np.zeros(1))[0] == -0.15
+    lab = [_table_profile(tmp_path, "0,1\n2,-1\n"),  # changes sign
+           _table_profile(tmp_path, "0,1,0\n2,1,1\n"),  # off one ray
+           to_su2_profile(CouplingSpec(k_ab=lambda z: 1.0 + 0 * z,
+                                       delta=0.3))]
+    for prof in lab:
+        assert prof.phi_omega_dot is None, prof.label
+
+
 def test_coupling_config_catalog(tmp_path):
     assert COUPLING_FAMILIES == ("constant", "sech", "custom_table")
     spec = coupling_from_config(
@@ -265,18 +315,24 @@ def test_automatic_step_costs_no_extra_coupling_calls():
 
 def test_scalar_only_coupling_is_called_per_point_with_the_same_result():
     config = PropagatorConfig(step=2e-3, samples=51)
-    builtin = propagate_modes(_sech_builtin(0.5), (1.0, 0.0), 3.0, config)
+    builtin_spec = _sech_builtin(0.5)
+    # the built-in's callable without its phase runs in the lab frame
+    array = propagate_modes(CouplingSpec(k_ab=builtin_spec.k_ab, delta=0.5),
+                            (1.0, 0.0), 3.0, config)
     # float(z) raises TypeError on an array: one call per point, the same
-    # numpy cosh per point as the array-native built-in
+    # numpy cosh per point as the array-native callable
     scalar = propagate_modes(
         CouplingSpec(k_ab=lambda z: 1.0 / np.cosh(float(z)), delta=0.5),
         (1.0, 0.0), 3.0, config)
-    assert np.array_equal(scalar.amp_a, builtin.amp_a)
-    assert np.array_equal(scalar.amp_b, builtin.amp_b)
+    assert np.array_equal(scalar.amp_a, array.amp_a)
+    assert np.array_equal(scalar.amp_b, array.amp_b)
+    # the built-in runs in the resonance frame, which rounds differently;
     # math.cosh differs from numpy's cosh in the last bit at some points
+    builtin = propagate_modes(builtin_spec, (1.0, 0.0), 3.0, config)
     mathcosh = propagate_modes(sech_spec(0.5), (1.0, 0.0), 3.0, config)
-    assert np.max(np.abs(mathcosh.amp_a - builtin.amp_a)) <= 1e-13
-    assert np.max(np.abs(mathcosh.amp_b - builtin.amp_b)) <= 1e-13
+    for other in (builtin, mathcosh):
+        assert np.max(np.abs(other.amp_a - array.amp_a)) <= 1e-13
+        assert np.max(np.abs(other.amp_b - array.amp_b)) <= 1e-13
 
 
 def test_constant_returning_coupling_is_broadcast():
@@ -287,12 +343,18 @@ def test_constant_returning_coupling_is_broadcast():
     assert np.array_equal(prof.phi_omega(grid), np.full(7, math.pi / 2.0))
     config = PropagatorConfig(step=1e-3, samples=21)
     lam = propagate_modes(constant_spec(k0, 0.2), (1.0, 0.0), 2.0, config)
-    builtin = propagate_modes(coupling_from_config(
+    builtin_spec = coupling_from_config(
         {"delta": 0.2, "coupling": {"family": "constant",
-                                    "params": {"k0": k0}}}),
-        (1.0, 0.0), 2.0, config)
-    assert np.array_equal(lam.amp_a, builtin.amp_a)
-    assert np.array_equal(lam.amp_b, builtin.amp_b)
+                                    "params": {"k0": k0}}})
+    # the built-in's callable without its phase runs in the lab frame
+    array = propagate_modes(CouplingSpec(k_ab=builtin_spec.k_ab, delta=0.2),
+                            (1.0, 0.0), 2.0, config)
+    assert np.array_equal(lam.amp_a, array.amp_a)
+    assert np.array_equal(lam.amp_b, array.amp_b)
+    # the built-in itself runs in the resonance frame
+    builtin = propagate_modes(builtin_spec, (1.0, 0.0), 2.0, config)
+    assert np.max(np.abs(builtin.amp_a - array.amp_a)) <= 1e-13
+    assert np.max(np.abs(builtin.amp_b - array.amp_b)) <= 1e-13
 
 
 def test_sign_changing_coupling_propagates():

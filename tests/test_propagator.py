@@ -970,6 +970,22 @@ def test_a_wrong_analytic_phase_rate_is_a_config_error():
     assert suggested_step(fast, 200.0) == pytest.approx(0.0015 / 10.01)
 
 
+def test_a_wrong_stated_detuning_is_a_config_error():
+    # the frame integrates a stated detuning in place of Omega +
+    # phi_omega_dot/2, so every entry point checks it against the two first
+    config = PropagatorConfig(step=0.01, samples=11)
+    for family, split in (("case2", 0.4), ("sech_resonant", 0.0)):
+        prof = make_scenario(ScenarioParams(family, split_fraction=split))
+        wrong = dataclasses.replace(
+            prof, detuning=lambda t, p=prof: 1.01 * p.detuning(t) + 1e-6)
+        for run in (lambda: suggested_step(wrong, 6.0),
+                    lambda: propagate(wrong, PropagatorConfig(), 6.0),
+                    lambda: richardson_check(wrong, config, 6.0)):
+            with pytest.raises(ConfigError, match=r"detuning .* at t=0 is "
+                               r"not Omega \+ phi_omega_dot/2"):
+                run()
+
+
 @pytest.mark.parametrize("family, bound", [("sech_resonant", 1e-7),
                                            ("exp_resonant", 1e-8)])
 def test_a_carrier_past_the_stencil_step_runs_in_the_frame(family, bound):
