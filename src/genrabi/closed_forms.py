@@ -24,7 +24,7 @@ phi(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,13 +121,15 @@ def entry_map(theta, phi_int, r_int, phi_t, phi_0):
 
 
 def detuning_deviation(profile: FieldProfile, ts, ratio) -> float:
-    """max over the grid ts of |Delta(t) - ratio |omega(t)||.
+    """max over the grid ts of |Delta(t) - ratio |omega(t)||, Delta from
+    Omega and phi_omega_dot (a stated detuning would only check itself).
 
     ratio is the detuning in units of |omega| that a representation solves,
     a scalar or an array on ts.
     """
     mag = np.asarray(profile.omega_mag(ts), dtype=float)
-    return float(np.max(np.abs(detuning(profile, ts) - ratio * mag)))
+    lab = detuning(replace(profile, detuning=None), ts)
+    return float(np.max(np.abs(lab - ratio * mag)))
 
 
 def entry_series(profile: FieldProfile, ts, triple, ratio, *,

@@ -93,8 +93,7 @@ class ModeTrajectory:
 
 def _off_ray(k, phase: float) -> np.ndarray:
     # k off the ray e^{i phase} beyond round-off, or NaN; 0 is on every ray
-    mag = np.abs(k)
-    return ~(np.abs(k - mag * np.exp(1j * phase)) <= 1e-12 * mag)
+    return ~(np.abs(k - np.abs(k) * np.exp(1j * phase)) <= 1e-12 * np.abs(k))
 
 
 def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
@@ -228,8 +227,7 @@ def _table_coupling(params: dict) -> tuple[Callable, str, float | None]:
         raise ConfigError("custom_table needs a file name in params.path")
     zs, re, *im = read_table(path, "coupling table")
     if len(im) > 1:
-        raise ConfigError(f"coupling table {path} has {len(im) + 2} "
-                          "columns; it takes z, re_k and an optional im_k")
+        raise ConfigError(f"coupling table {path}: more than 3 columns")
     im = im[0] if im else np.zeros_like(re)
 
     def fn(z):

@@ -582,7 +582,7 @@ BAD_INPUTS = {
 
 SAMPLES_RANGE = "samples must be an integer in [2, 16777217]"
 BAD_INPUT_MESSAGES = {"modes_config_param_typo": "unknown key 'bogus'",
-                      "four_column_table": "k.csv has 4 columns",
+                      "four_column_table": "k.csv: more than 3 columns",
                       "run_config_t_max_string": "t_max",
                       "run_config_t_max_true": "t_max",
                       "run_config_t_max_word": "t_max",

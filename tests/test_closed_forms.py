@@ -7,6 +7,7 @@ arbitrary-precision quadrature. Each constant records the profile that
 produced it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -208,6 +209,22 @@ def test_case1_frozen_entries():
 def test_case1_series_rejects_wrong_profile():
     with pytest.raises(InconsistentProfileError):
         case1_series(make_scenario("case2"), np.linspace(0.0, 3.0, 7))
+
+
+def test_closed_forms_check_the_lab_fields_not_a_stated_detuning():
+    # a replaced Omega leaves the catalog's stated detuning stale; checked
+    # against that, the check would pass a profile that is not resonant
+    prof = make_scenario("sech_resonant")
+    stale = dataclasses.replace(
+        prof, omega_z=lambda t: np.full_like(np.asarray(t, dtype=float), -4.7))
+    with pytest.raises(InconsistentProfileError):
+        resonance_series(stale, np.linspace(0.0, 6.0, 7))
+    for family in ("case1", "case2"):
+        prof = make_scenario(ScenarioParams(family, split_fraction=0.4))
+        stale = dataclasses.replace(prof, omega_z=prof.detuning)
+        with pytest.raises(InconsistentProfileError):
+            (case1_series if family == "case1" else case2_series)(
+                stale, np.linspace(0.0, 3.0, 7))
 
 
 def test_elliptic_phase_frozen_values():

@@ -403,8 +403,8 @@ def test_one_phase_couplings_run_in_the_frame_as_in_the_lab(
 @settings(max_examples=10)
 @given(data=st.data())
 def test_stated_detuning_is_omega_plus_half_the_phase_rate(family, data):
-    # the frame and the closed forms' detuning check read the stated
-    # detuning; this keeps it equal to the lab fields it stands for
+    # the resonance frame and fields.detuning read the stated detuning;
+    # this keeps it equal to the lab fields it stands for
     values = data.draw(st.fixed_dictionaries(DOMAINS[family]), label="params")
     for split in (0.0, 0.4) if _CATALOG[family].split else (0.0,):
         params = ScenarioParams(family, values, split_fraction=split)
