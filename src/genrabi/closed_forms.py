@@ -24,7 +24,7 @@ phi(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def detuning_deviation(profile: FieldProfile, ts, ratio) -> float:
     a scalar or an array on ts.
     """
     mag = np.asarray(profile.omega_mag(ts), dtype=float)
-    lab = detuning(replace(profile, detuning=None), ts)
-    return float(np.max(np.abs(lab - ratio * mag)))
+    return float(np.max(np.abs(detuning(profile, ts) - ratio * mag)))
 
 
 def entry_series(profile: FieldProfile, ts, triple, ratio, *,

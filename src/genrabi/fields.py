@@ -112,12 +112,10 @@ def phase_derivative(profile: FieldProfile, t):
 
 
 def detuning(profile: FieldProfile, t):
-    """Omega(t) + phi_omega_dot(t)/2, the residual longitudinal drive."""
+    """Omega(t) + phi_omega_dot(t)/2, the residual longitudinal drive, from
+    the lab fields (a stated profile.detuning is read by the frame only)."""
     arr, scalar = _as_array(t)
-    if profile.detuning is not None:
-        out = np.asarray(profile.detuning(arr), dtype=float)
-    else:
-        out = np.asarray(profile.omega_z(arr), dtype=float) + 0.5 * phase_derivative(profile, arr)
+    out = np.asarray(profile.omega_z(arr), dtype=float) + 0.5 * phase_derivative(profile, arr)
     return float(out) if scalar else out
 
 

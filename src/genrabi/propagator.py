@@ -236,13 +236,13 @@ class ConvergenceReport:
 def _in_frame(profile: FieldProfile) -> FieldProfile:
     """The profile the sweep integrates: with an analytic phi_omega_dot,
     as seen from the frame rotating with phi/2, where H = [[Delta, |omega|],
-    [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2: a real drive, which
-    carries no phase (phi_omega and phi_omega_dot None); else the profile
-    itself."""
+    [|omega|, -Delta]], Delta = Omega + phi_omega_dot/2 or the stated
+    detuning: a real drive, which carries no phase (phi_omega and
+    phi_omega_dot None); else the profile itself."""
     if profile.phi_omega_dot is None:
         return profile
-    return replace(profile, omega_z=partial(detuning, profile),
-                   phi_omega=None, phi_omega_dot=None)
+    delta = profile.detuning or partial(detuning, profile)
+    return replace(profile, omega_z=delta, phi_omega=None, phi_omega_dot=None)
 
 
 def profile_scale(profile: FieldProfile, t_max: float) -> float:

@@ -11,10 +11,14 @@ resolved dict). Parameter names double as config keys:
 - constant_beta0: beta0, omega_mag0 (detuning locked to beta0 |omega|)
 - case1, case2: omega_mag0 plus the split_fraction knob
 
-For case1/case2 the required detuning may be divided between the diagonal
-entry and the phase velocity: Omega = (1 - f) Delta and phi_omega_dot =
-2 f Delta with f the split fraction. The entry moduli are invariant under f;
-the entry phases are not.
+Every family is the paper's one construction. An envelope gives |omega(t)|
+and tau(t), its integral from 0; a Theta(tau) induces the ratio r(tau) =
+Theta'/2 + sin Theta cot 2 phi_int, R its integral over tau, and Delta =
+r(tau) |omega| is solvable. With a constant phase rate rho and the split
+fraction f (case1/case2), Omega = (1 - f) Delta - rho/2, phi_omega_dot = rho
++ 2 f Delta and phi_omega = rho t + 2 f R(tau); f leaves the entry moduli
+unchanged, not their phases. rabi, constant_beta0 and the resonant families
+state their constant Delta as one number.
 
 Each family also declares a dimensionless time axis (the natural abscissa
 for plots: |omega0| t for most, gamma t for the decaying drive, phi_dot0 t
@@ -30,8 +34,6 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms
-from .closed_forms import (case1_detuning_integral, case1_detuning_ratio,
-                           case2_detuning_integral, case2_detuning_ratio)
 # unused here; benchmarks/gbench/tracer.py patches scenarios.case1_series
 from .closed_forms import case1_series  # noqa: F401
 from .errors import ConfigError, check_name
@@ -151,7 +153,7 @@ def _resolve_modulated(p: dict) -> dict:
     return r
 
 
-# -- builders ---------------------------------------------------------------
+# -- the construction -------------------------------------------------------
 
 def _const(value: float):
     def fn(t):
@@ -159,68 +161,30 @@ def _const(value: float):
     return fn
 
 
-def _linear(rate: float):
-    def fn(t):
-        return rate * np.asarray(t, dtype=float)
-    return fn
+# envelopes: resolved params -> (|omega|, tau = integral of |omega| from 0)
 
-
-def _label(family: str, resolved: dict, split: float) -> str:
-    parts = [f"{k}={v:g}" for k, v in resolved.items()]
-    if split:
-        parts.append(f"split={split:g}")
-    return f"{family}({', '.join(parts)})"
-
-
-def _swept(family: str, r: dict, omega_z: float, rate: float, mag,
-           tau) -> FieldProfile:
-    # constant Omega against a linear phase sweep at rate: Delta = Omega +
-    # rate/2, exactly 0 under generalized resonance (Omega = -rate/2)
-    return FieldProfile(
-        omega_z=_const(omega_z), omega_mag=mag,
-        phi_omega=_linear(rate), phi_omega_dot=_const(rate),
-        tau_of_t=tau, detuning=_const(omega_z + 0.5 * rate),
-        label=_label(family, r, 0.0))
-
-
-def _build_rabi(r: dict, split: float) -> FieldProfile:
+def _flat(r: dict):
     w0 = r["omega_mag0"]
-    return _swept("rabi", r, r["omega_z0"], r["phi_dot0"], _const(w0),
-                  _linear(w0))
+    return _const(w0), lambda t: w0 * np.asarray(t, dtype=float)
 
 
-def _build_sech(r: dict, split: float) -> FieldProfile:
+def _sech(r: dict):
     w0 = r["omega_mag0"]
-
-    def mag(t):
-        return w0 / np.cosh(w0 * np.asarray(t, dtype=float))
-
-    def tau(t):
-        return np.arctan(np.sinh(w0 * np.asarray(t, dtype=float)))
-
-    rate = r["phi_dot0"]
-    return _swept("sech_resonant", r, -0.5 * rate, rate, mag, tau)
+    return (lambda t: w0 / np.cosh(w0 * np.asarray(t, dtype=float)),
+            lambda t: np.arctan(np.sinh(w0 * np.asarray(t, dtype=float))))
 
 
-def _build_exp(r: dict, split: float) -> FieldProfile:
+def _exp(r: dict):
     w0, gamma = r["omega_mag0"], r["gamma"]
     alpha = w0 / gamma
+    return (lambda t: w0 * np.exp(-gamma * np.asarray(t, dtype=float)),
+            lambda t: alpha * (1.0 - np.exp(
+                -gamma * np.asarray(t, dtype=float))))
 
-    def mag(t):
-        return w0 * np.exp(-gamma * np.asarray(t, dtype=float))
 
-    def tau(t):
-        return alpha * (1.0 - np.exp(-gamma * np.asarray(t, dtype=float)))
-
+def _modulated(r: dict):
     rate = r["phi_dot0"]
-    return _swept("exp_resonant", r, -0.5 * rate, rate, mag, tau)
-
-
-def _build_modulated(r: dict, split: float) -> FieldProfile:
-    rate = r["phi_dot0"]
-    w0 = r["C"] * rate
-    lam = r["n"] * rate
-    k = r["k"]
+    w0, lam, k = r["C"] * rate, r["n"] * rate, r["k"]
 
     def mag(t):
         return w0 * (1.0 + k * np.cos(lam * np.asarray(t, dtype=float)))
@@ -228,72 +192,71 @@ def _build_modulated(r: dict, split: float) -> FieldProfile:
     def tau(t):
         arr = np.asarray(t, dtype=float)
         return w0 * (arr + (k / lam) * np.sin(lam * arr))
-
-    return _swept("modulated_resonant", r, -0.5 * rate, rate, mag, tau)
-
-
-def _build_beta0(r: dict, split: float) -> FieldProfile:
-    w0 = r["omega_mag0"]
-    return _swept("constant_beta0", r, r["beta0"] * w0, 0.0, _const(w0),
-                  _linear(w0))
+    return mag, tau
 
 
-def _build_case(family: str, ratio, integral):
-    def builder(r: dict, split: float) -> FieldProfile:
-        w0 = r["omega_mag0"]
-        f = split
+def _build(fam: _Family, r: dict, f: float, label: str) -> FieldProfile:
+    # the construction of the module docstring, for record fam at resolved
+    # params r and split f
+    mag, tau = fam.envelope(r)
+    rate = r[fam.rate_key] if fam.rate_key else 0.0
+    if isinstance(fam.detuning, tuple):
+        ratio, integral = fam.detuning
 
-        def omega_z(t):
-            return (1.0 - f) * w0 * ratio(w0 * np.asarray(t, dtype=float))
+        def detuning(t):
+            out = ratio(tau(t))
+            out *= mag(t)  # in place: one array less per node
+            return out
+    else:  # a number, so the frame calls no envelope for Delta
+        detuning = _const(fam.detuning(r))
 
-        def phi(t):
-            return 2.0 * f * integral(w0 * np.asarray(t, dtype=float))
+    def omega_z(t):
+        return (1.0 - f) * detuning(t) - 0.5 * rate
 
-        def phi_dot(t):
-            return 2.0 * f * w0 * ratio(w0 * np.asarray(t, dtype=float))
+    def phi_dot(t):
+        return rate + 2.0 * f * detuning(t)
 
-        def detuning(t):  # one ratio per node, not two
-            return w0 * ratio(w0 * np.asarray(t, dtype=float))
-
-        return FieldProfile(
-            omega_z=omega_z,
-            omega_mag=_const(w0),
-            phi_omega=phi,
-            phi_omega_dot=phi_dot,
-            tau_of_t=_linear(w0),
-            detuning=detuning,
-            label=_label(family, r, split))
-    return builder
+    def phi(t):  # R(tau(t)) integrates Delta, as dtau = |omega| dt
+        t = np.asarray(t, dtype=float)
+        return rate * t + 2.0 * f * integral(tau(t)) if f else rate * t
+    return FieldProfile(omega_z=omega_z, omega_mag=mag, phi_omega=phi,
+                        phi_omega_dot=phi_dot, tau_of_t=tau,
+                        detuning=detuning, label=label)
 
 
 @dataclass(frozen=True)
 class _Family:
     """Everything the package knows about one family, looked up by name.
 
+    _build makes its profiles from envelope (_flat, _sech, _exp or
+    _modulated), detuning, either delta(resolved), a constant Delta, or the
+    pair (r, R) of the ratio over tau and its integral, which a family with
+    split must give, and rate_key, the parameter that is the constant phase
+    rate (None: 0).
     closed_form(profile, resolved, ts, tol) evaluates the family's closed
     form, its (Theta, phi_int, r_int) triple through the shared entry map of
     closed_forms, with the profile's detuning checked against the ratio the
     triple solves within tol; it looks the series up on the closed_forms
     module at call time. ansatz(resolved) is the Theta ansatz of the same
-    Theta. split marks families that take split_fraction. Every record
-    builds its profiles.
+    Theta. split marks families that take split_fraction.
     """
 
     resolver: Callable[[dict], dict]
-    builder: Callable[[dict, float], FieldProfile]
+    envelope: Callable[[dict], tuple[Callable, Callable]]
     time_scale_key: str
     default_t_max: float  # on the dimensionless axis
     axis: str
     description: str
+    detuning: Callable[[dict], float] | tuple[Callable, Callable]
     closed_form: Callable
     tol: float
     ansatz: Callable[[dict], ThetaAnsatz]
+    rate_key: str | None = None
     split: bool = False
 
 
-def _rabi_beta(r: dict) -> float:
-    # a constant triple locks the detuning ratio at this beta
-    return (r["omega_z0"] + 0.5 * r["phi_dot0"]) / r["omega_mag0"]
+def _rabi_delta(r: dict) -> float:
+    return r["omega_z0"] + 0.5 * r["phi_dot0"]
 
 
 def _locked(beta, tol: float) -> dict:
@@ -305,51 +268,57 @@ def _locked(beta, tol: float) -> dict:
 
 _RESONANT = {"closed_form": lambda p, r, ts, tol: closed_forms.resonance_series(
                  p, ts, tol=tol),
-             "ansatz": lambda r: zero_ansatz(), "tol": 1e-10}
+             "ansatz": lambda r: zero_ansatz(), "tol": 1e-10,
+             "detuning": lambda r: 0.0, "rate_key": "phi_dot0"}
 
 _CATALOG = {
     "rabi": _Family(
         _resolver("rabi", {"omega_z0": 0.5, "omega_mag0": 1.0,
                            "phi_dot0": 1.0}, positive=("omega_mag0",)),
-        _build_rabi, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
+        _flat, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
         "constant (omega_z0, omega_mag0, phi_dot0) triple; oscillation at "
         "the stretched rate sqrt(1+beta^2)|omega0| capped by 1/(1+beta^2)",
-        **_locked(_rabi_beta, 1e-9)),
+        detuning=_rabi_delta, rate_key="phi_dot0",
+        # a constant triple locks the detuning ratio at Delta / omega_mag0
+        **_locked(lambda r: _rabi_delta(r) / r["omega_mag0"], 1e-9)),
     "sech_resonant": _Family(
         _resolver("sech_resonant", {"omega_mag0": 1.0, "phi_dot0": 10.0},
                   positive=("omega_mag0",)),
-        _build_sech, "omega_mag0", 6.0, "omega_mag0*t",
+        _sech, "omega_mag0", 6.0, "omega_mag0*t",
         "resonant hyperbolic-secant pulse; flip probability tanh^2",
         **_RESONANT),
     "exp_resonant": _Family(
-        _resolve_exp, _build_exp, "gamma", 20.0, "gamma*t",
+        _resolve_exp, _exp, "gamma", 20.0, "gamma*t",
         "resonant exponentially decaying drive; flip probability saturates "
         "at sin^2(alpha), alpha = omega_mag0/gamma", **_RESONANT),
     "modulated_resonant": _Family(
-        _resolve_modulated, _build_modulated, "phi_dot0", 4.0 * math.pi,
+        _resolve_modulated, _modulated, "phi_dot0", 4.0 * math.pi,
         "phi_dot0*t",
         "resonant cosine-modulated drive; flip probability periodic on the "
         "phi_dot0*t axis when n is an integer", **_RESONANT),
     "constant_beta0": _Family(
         _resolver("constant_beta0", {"beta0": 1.0, "omega_mag0": 1.0},
                   positive=("omega_mag0",), nonnegative=("beta0",)),
-        _build_beta0, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
+        _flat, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
         "detuning locked to beta0*|omega|; flip probability capped at "
-        "1/(1+beta0^2)", **_locked(lambda r: r["beta0"], 1e-10)),
+        "1/(1+beta0^2)", detuning=lambda r: r["beta0"] * r["omega_mag0"],
+        **_locked(lambda r: r["beta0"], 1e-10)),
     "case1": _Family(
         _resolver("case1", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
-        _build_case("case1", case1_detuning_ratio, case1_detuning_integral),
-        "omega_mag0", 50.0, "omega_mag0*t",
+        _flat, "omega_mag0", 50.0, "omega_mag0*t",
         "arctangent-ansatz detuning; flip probability saturates at 1/2 with "
         "elliptic entry phases",
+        detuning=(closed_forms.case1_detuning_ratio,
+                  closed_forms.case1_detuning_integral),
         closed_form=lambda p, r, ts, tol: closed_forms.case1_series(
             p, ts, tol=tol),
         tol=1e-8, ansatz=lambda r: case1_ansatz(), split=True),
     "case2": _Family(
         _resolver("case2", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
-        _build_case("case2", case2_detuning_ratio, case2_detuning_integral),
-        "omega_mag0", 20.0, "omega_mag0*t",
+        _flat, "omega_mag0", 20.0, "omega_mag0*t",
         "arctangent-ansatz detuning; full asymptotic inversion",
+        detuning=(closed_forms.case2_detuning_ratio,
+                  closed_forms.case2_detuning_integral),
         closed_form=lambda p, r, ts, tol: closed_forms.case2_series(
             p, ts, tol=tol),
         tol=1e-8, ansatz=lambda r: case2_ansatz(), split=True),
@@ -367,8 +336,12 @@ def make_scenario(params: ScenarioParams | str) -> FieldProfile:
     """
     if isinstance(params, str):
         params = ScenarioParams(family=params)
-    return _CATALOG[params.family].builder(params.params,
-                                           params.split_fraction)
+    r, f = params.params, params.split_fraction
+    parts = [f"{k}={v:g}" for k, v in r.items()]
+    if f:
+        parts.append(f"split={f:g}")
+    return _build(_CATALOG[params.family], r, f,
+                  f"{params.family}({', '.join(parts)})")
 
 
 def scenario_time_scale(params: ScenarioParams | str) -> float:

@@ -18,6 +18,18 @@ def test_running_integral_matches_analytic():
         == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="defect: on 33 points of the window "
+                   "running_integral misses this integral by 1.3 and raises "
+                   "nothing (see CHANGES.md)")
+def test_running_integral_resolves_a_fast_modulation():
+    # |omega| of modulated_resonant at C = 5, k = 1, n = 19, phi_dot0 = 6.4
+    # over its default window
+    w0, lam = 5.0 * 6.4, 19 * 6.4
+    xs = np.linspace(0.0, 4.0 * math.pi / 6.4, 33)
+    got = running_integral(lambda t: w0 * (1.0 + np.cos(lam * t)), xs)
+    assert np.max(np.abs(got - w0 * (xs + np.sin(lam * xs) / lam))) <= 1e-10
+
+
 def test_running_integral_over_zero_width_is_zero():
     assert running_integral(math.sin, [0.0, 0.0]).tolist() == [0.0, 0.0]
 

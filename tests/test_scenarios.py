@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from genrabi.closed_forms import beta0_series
 from genrabi.errors import ConfigError
 from genrabi.fields import detuning, is_generalized_resonant
+from genrabi.propagator import Trajectory
 from genrabi.scenarios import (
     DEFAULT_SAMPLES,
     FAMILIES,
@@ -18,7 +20,6 @@ from genrabi.scenarios import (
 )
 
 RESONANT = ("sech_resonant", "exp_resonant", "modulated_resonant")
-BUILT_IN = tuple(f for f in FAMILIES if f != "custom")
 
 
 def test_sech_profile_functions():
@@ -121,8 +122,22 @@ def test_resonant_families_have_zero_detuning():
         assert is_generalized_resonant(prof, t_max, tol=1e-12), family
 
 
+def test_detuning_reads_the_lab_fields_not_a_stated_detuning():
+    # a catalog profile whose Omega is replaced keeps its stated Delta = 0,
+    # which only the resonance frame reads (and profile_scale checks); the
+    # lab fields give Omega + phi_omega_dot/2 = -4.7 + 10/2 = 0.3
+    stale = dataclasses.replace(
+        make_scenario("sech_resonant"),
+        omega_z=lambda t: np.full_like(np.asarray(t, dtype=float), -4.7))
+    ts = np.linspace(0.0, 6.0, 7)
+    assert np.max(np.abs(detuning(stale, ts) - 0.3)) < 1e-12
+    assert not is_generalized_resonant(stale, 6.0)
+    traj = Trajectory.from_entries(stale, ts, np.ones(7), np.zeros(7))
+    assert np.max(np.abs(traj.detuning - 0.3)) < 1e-12
+
+
 def test_phase_is_continuous_at_default_sampling():
-    for family in BUILT_IN:
+    for family in FAMILIES:
         prof = make_scenario(family)
         t_max, samples = default_window(family)
         grid = np.linspace(0.0, t_max / scenario_time_scale(family), samples)
