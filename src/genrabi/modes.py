@@ -61,17 +61,15 @@ class CouplingSpec:
     k_ab maps a float array of z to a complex array of its shape; a constant
     (0-d) result is broadcast, and a scalar-only callable (one that raises
     TypeError or ValueError on an array, such as math.cosh) is called once
-    per point. k_ba, on the same contract, defaults to the power-conserving
-    partner -conj(k_ab) and may be passed explicitly only to assert that
-    same relation; anything else is rejected, since v1 supports only the
-    conservative case. phase, when given, states that arg k_ab is this one
-    constant (zero lies on every ray), so the drive i k never turns.
+    per point. The reverse coupling is always the power-conserving partner
+    -conj(k_ab) of the equations above. phase, when given, states that
+    arg k_ab is this one constant (zero lies on every ray), so the drive
+    i k never turns.
     """
 
     k_ab: Callable
     delta: float
     label: str = "coupling"
-    k_ba: Callable | None = None
     phase: float | None = None
 
 
@@ -96,28 +94,13 @@ def _off_ray(k, phase: float) -> np.ndarray:
     return ~(np.abs(k - np.abs(k) * np.exp(1j * phase)) <= 1e-12 * np.abs(k))
 
 
-def _check_conservative(spec: CouplingSpec, z_max: float) -> None:
-    if spec.k_ba is None:
-        return
-    grid = np.linspace(0.0, z_max, 33)
-    kab, kba = (on_arrays(k, complex)(grid) for k in (spec.k_ab, spec.k_ba))
-    dev = float(np.max(np.abs(kba + np.conj(kab))))
-    bound = 1e-12 * max(1.0, float(np.max(np.abs(kab))))
-    if dev > bound:
-        raise ConfigError(
-            f"coupling {spec.label!r} is not power-conserving: "
-            f"max |k_ba + conj(k_ab)| = {dev:.3e} on [0, {z_max:g}]; "
-            "only k_ba = -conj(k_ab) is supported")
-
-
 def to_su2_profile(spec: CouplingSpec, *, window: float = 1.0) -> FieldProfile:
     """The two-level profile equivalent to the tilded mode problem.
 
-    window, checked as by window_end, is only used to probe an explicitly
-    supplied k_ba and phase; the returned profile is evaluable anywhere.
+    window, checked as by window_end, is only used to probe a stated phase;
+    the returned profile is evaluable anywhere.
     """
     window = window_end(window, "integration window")
-    _check_conservative(spec, window)
     omega_z = _const(-0.5 * float(spec.delta))
     k = on_arrays(spec.k_ab, complex)
     label = f"modes:{spec.label}"

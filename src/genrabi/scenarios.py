@@ -18,11 +18,13 @@ r(tau) |omega| is solvable. With a constant phase rate rho and the split
 fraction f (case1/case2), Omega = (1 - f) Delta - rho/2, phi_omega_dot = rho
 + 2 f Delta and phi_omega = rho t + 2 f R(tau); f leaves the entry moduli
 unchanged, not their phases. rabi, constant_beta0 and the resonant families
-state their constant Delta as one number.
+lock the ratio at a constant beta: (omega_z0 + phi_dot0/2) / omega_mag0,
+beta0 and 0.
 
-Each family also declares a dimensionless time axis (the natural abscissa
-for plots: |omega0| t for most, gamma t for the decaying drive, phi_dot0 t
-for the modulated one) and a default window on that axis.
+Each family also names the parameter u of its dimensionless time axis u t
+(the natural abscissa for plots: |omega0| t for most, gamma t for the
+decaying drive, phi_dot0 t for the modulated one) and a default window on
+that axis.
 """
 
 from __future__ import annotations
@@ -200,15 +202,17 @@ def _build(fam: _Family, r: dict, f: float, label: str) -> FieldProfile:
     # params r and split f
     mag, tau = fam.envelope(r)
     rate = r[fam.rate_key] if fam.rate_key else 0.0
-    if isinstance(fam.detuning, tuple):
-        ratio, integral = fam.detuning
+    if fam.split:
+        _, ratio, integral = fam.solution
 
         def detuning(t):
             out = ratio(tau(t))
             out *= mag(t)  # in place: one array less per node
             return out
-    else:  # a number, so the frame calls no envelope for Delta
-        detuning = _const(fam.detuning(r))
+    else:
+        beta = fam.solution(r)
+        # at resonance the frame calls no envelope for Delta
+        detuning = (lambda t: beta * mag(t)) if beta else _const(0.0)
 
     def omega_z(t):
         return (1.0 - f) * detuning(t) - 0.5 * rate
@@ -228,100 +232,80 @@ def _build(fam: _Family, r: dict, f: float, label: str) -> FieldProfile:
 class _Family:
     """Everything the package knows about one family, looked up by name.
 
-    _build makes its profiles from envelope (_flat, _sech, _exp or
-    _modulated), detuning, either delta(resolved), a constant Delta, or the
-    pair (r, R) of the ratio over tau and its integral, which a family with
-    split must give, and rate_key, the parameter that is the constant phase
-    rate (None: 0).
-    closed_form(profile, resolved, ts, tol) evaluates the family's closed
-    form, its (Theta, phi_int, r_int) triple through the shared entry map of
-    closed_forms, with the profile's detuning checked against the ratio the
-    triple solves within tol; it looks the series up on the closed_forms
-    module at call time. ansatz(resolved) is the Theta ansatz of the same
-    Theta. split marks families that take split_fraction.
+    solution is the family's Theta solution, the one place _build,
+    closed_form_series and default_ansatz read it from: either beta, a
+    function of the resolved params giving the locked ratio Delta/|omega|,
+    which closed_forms.beta0_triple solves, or (triple, r, R), the closed
+    triple over tau with the ratio r(tau) it solves and R, the integral of r
+    over tau. The split phase needs R, so exactly the families with a pair
+    take split_fraction. _build makes the profiles from that ratio, envelope
+    (_flat, _sech, _exp or _modulated) and rate_key, the parameter that is
+    the constant phase rate (None: 0). The closed form checks the profile's
+    detuning against the ratio within tol. ansatz builds the default Theta
+    ansatz; None means beta0_ansatz of the locked ratio. The plot axis is
+    time_scale_key*t.
     """
 
     resolver: Callable[[dict], dict]
     envelope: Callable[[dict], tuple[Callable, Callable]]
     time_scale_key: str
     default_t_max: float  # on the dimensionless axis
-    axis: str
     description: str
-    detuning: Callable[[dict], float] | tuple[Callable, Callable]
-    closed_form: Callable
+    solution: Callable[[dict], float] | tuple[Callable, Callable, Callable]
     tol: float
-    ansatz: Callable[[dict], ThetaAnsatz]
+    ansatz: Callable[[], ThetaAnsatz] | None = None
     rate_key: str | None = None
-    split: bool = False
+
+    @property
+    def split(self) -> bool:
+        return isinstance(self.solution, tuple)
 
 
-def _rabi_delta(r: dict) -> float:
-    return r["omega_z0"] + 0.5 * r["phi_dot0"]
-
-
-def _locked(beta, tol: float) -> dict:
-    # closed form and ansatz of a detuning locked to beta(resolved) |omega|
-    return {"closed_form": lambda p, r, ts, tol: closed_forms.beta0_series(
-                p, beta(r), ts, tol=tol),
-            "ansatz": lambda r: beta0_ansatz(beta(r)), "tol": tol}
-
-
-_RESONANT = {"closed_form": lambda p, r, ts, tol: closed_forms.resonance_series(
-                 p, ts, tol=tol),
-             "ansatz": lambda r: zero_ansatz(), "tol": 1e-10,
-             "detuning": lambda r: 0.0, "rate_key": "phi_dot0"}
+_RESONANT = {"solution": lambda r: 0.0, "tol": 1e-10, "ansatz": zero_ansatz,
+             "rate_key": "phi_dot0"}
 
 _CATALOG = {
     "rabi": _Family(
         _resolver("rabi", {"omega_z0": 0.5, "omega_mag0": 1.0,
                            "phi_dot0": 1.0}, positive=("omega_mag0",)),
-        _flat, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
+        _flat, "omega_mag0", 4.0 * math.pi,
         "constant (omega_z0, omega_mag0, phi_dot0) triple; oscillation at "
         "the stretched rate sqrt(1+beta^2)|omega0| capped by 1/(1+beta^2)",
-        detuning=_rabi_delta, rate_key="phi_dot0",
-        # a constant triple locks the detuning ratio at Delta / omega_mag0
-        **_locked(lambda r: _rabi_delta(r) / r["omega_mag0"], 1e-9)),
+        lambda r: (r["omega_z0"] + 0.5 * r["phi_dot0"]) / r["omega_mag0"],
+        1e-9, rate_key="phi_dot0"),
     "sech_resonant": _Family(
         _resolver("sech_resonant", {"omega_mag0": 1.0, "phi_dot0": 10.0},
                   positive=("omega_mag0",)),
-        _sech, "omega_mag0", 6.0, "omega_mag0*t",
+        _sech, "omega_mag0", 6.0,
         "resonant hyperbolic-secant pulse; flip probability tanh^2",
         **_RESONANT),
     "exp_resonant": _Family(
-        _resolve_exp, _exp, "gamma", 20.0, "gamma*t",
+        _resolve_exp, _exp, "gamma", 20.0,
         "resonant exponentially decaying drive; flip probability saturates "
         "at sin^2(alpha), alpha = omega_mag0/gamma", **_RESONANT),
     "modulated_resonant": _Family(
         _resolve_modulated, _modulated, "phi_dot0", 4.0 * math.pi,
-        "phi_dot0*t",
         "resonant cosine-modulated drive; flip probability periodic on the "
         "phi_dot0*t axis when n is an integer", **_RESONANT),
     "constant_beta0": _Family(
         _resolver("constant_beta0", {"beta0": 1.0, "omega_mag0": 1.0},
                   positive=("omega_mag0",), nonnegative=("beta0",)),
-        _flat, "omega_mag0", 4.0 * math.pi, "omega_mag0*t",
+        _flat, "omega_mag0", 4.0 * math.pi,
         "detuning locked to beta0*|omega|; flip probability capped at "
-        "1/(1+beta0^2)", detuning=lambda r: r["beta0"] * r["omega_mag0"],
-        **_locked(lambda r: r["beta0"], 1e-10)),
+        "1/(1+beta0^2)", lambda r: r["beta0"], 1e-10),
     "case1": _Family(
         _resolver("case1", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
-        _flat, "omega_mag0", 50.0, "omega_mag0*t",
+        _flat, "omega_mag0", 50.0,
         "arctangent-ansatz detuning; flip probability saturates at 1/2 with "
         "elliptic entry phases",
-        detuning=(closed_forms.case1_detuning_ratio,
-                  closed_forms.case1_detuning_integral),
-        closed_form=lambda p, r, ts, tol: closed_forms.case1_series(
-            p, ts, tol=tol),
-        tol=1e-8, ansatz=lambda r: case1_ansatz(), split=True),
+        (closed_forms.case1_triple, closed_forms.case1_detuning_ratio,
+         closed_forms.case1_detuning_integral), 1e-8, case1_ansatz),
     "case2": _Family(
         _resolver("case2", {"omega_mag0": 1.0}, positive=("omega_mag0",)),
-        _flat, "omega_mag0", 20.0, "omega_mag0*t",
+        _flat, "omega_mag0", 20.0,
         "arctangent-ansatz detuning; full asymptotic inversion",
-        detuning=(closed_forms.case2_detuning_ratio,
-                  closed_forms.case2_detuning_integral),
-        closed_form=lambda p, r, ts, tol: closed_forms.case2_series(
-            p, ts, tol=tol),
-        tol=1e-8, ansatz=lambda r: case2_ansatz(), split=True),
+        (closed_forms.case2_triple, closed_forms.case2_detuning_ratio,
+         closed_forms.case2_detuning_integral), 1e-8, case2_ansatz),
 }
 
 FAMILIES = tuple(_CATALOG)
@@ -359,7 +343,7 @@ def default_window(family: str) -> tuple[float, int]:
 
 def family_summary() -> list[dict]:
     """Catalog rows for the CLI listing."""
-    return [{"family": name, "axis": fam.axis,
+    return [{"family": name, "axis": f"{fam.time_scale_key}*t",
              "default_t_max": fam.default_t_max,
              "defaults": fam.resolver({}),
              "description": fam.description}
@@ -369,9 +353,20 @@ def family_summary() -> list[dict]:
 def closed_form_series(params: ScenarioParams, profile: FieldProfile, ts):
     """The family's closed-form entries on a time grid, detuning checked."""
     fam = _CATALOG[params.family]
-    return fam.closed_form(profile, params.params, ts, fam.tol)
+    if fam.split:
+        triple, ratio, _ = fam.solution
+        what = f"the {params.family} detuning"
+    else:
+        beta = fam.solution(params.params)
+        triple, ratio = closed_forms.beta0_triple(beta), lambda tau: beta
+        what = f"detuning = {beta:g} * |omega|"
+    return closed_forms.entry_series(profile, ts, triple, ratio, tol=fam.tol,
+                                     what=what)
 
 
 def default_ansatz(params: ScenarioParams) -> ThetaAnsatz:
     """The Theta ansatz that solves the family's profiles."""
-    return _CATALOG[params.family].ansatz(params.params)
+    fam = _CATALOG[params.family]
+    if fam.ansatz:
+        return fam.ansatz()
+    return beta0_ansatz(fam.solution(params.params))

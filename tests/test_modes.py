@@ -144,16 +144,6 @@ def test_non_finite_initial_power_is_a_config_error(initial):
         propagate_modes(constant_spec(1.0, 0.0), initial, 1.0)
 
 
-def test_only_conservative_couplings_are_accepted():
-    bad = CouplingSpec(k_ab=lambda z: 1.0 + 0.0j, delta=0.0,
-                       k_ba=lambda z: 1.0 + 0.0j, label="gain")
-    with pytest.raises(ConfigError):
-        to_su2_profile(bad, window=2.0)
-    good = CouplingSpec(k_ab=lambda z: 1.0 + 0.5j, delta=0.0,
-                        k_ba=lambda z: -(1.0 - 0.5j), label="ok")
-    to_su2_profile(good, window=2.0)
-
-
 def test_a_wrong_stated_phase_is_a_config_error():
     # a stated phase sends the coupling to the resonance frame, which drops
     # any part of k off that phase: a k that leaves it is refused

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from genrabi.closed_forms import (beta0_series, beta0_triple, case1_triple,
                                   case2_detuning_ratio, case2_triple)
-from genrabi.errors import NumericError
+from genrabi.errors import ConfigError, NumericError
 from genrabi.fields import FieldProfile, transverse_area_series
 from genrabi.modes import coupling_from_config, propagate_modes
 from genrabi.propagator import (SCHEMES, PropagatorConfig, propagate,
@@ -438,19 +438,24 @@ ENVELOPES = {_sech: "sech_resonant", _exp: "exp_resonant",
              _modulated: "modulated_resonant"}
 
 
-@pytest.mark.parametrize("family", ("case1", "case2"))
+@pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=20)
 @given(data=st.data())
 def test_the_case_ratios_over_any_envelope_are_solved_by_their_ansatz(
         family, data):
-    # the paper's construction: Delta = r(tau) |omega| with the case ratio
-    # r is solvable by the case's Theta whatever the envelope |omega|, so
-    # the stock ansatz must verify against the profile the catalog's one
-    # builder makes from the case record over another envelope
+    # the paper's construction: Delta = r(tau) |omega| with the record's
+    # ratio r (a locked beta or a case's r(tau)) is solvable by its Theta
+    # whatever the envelope |omega|, so the record's default ansatz must
+    # verify against the profile the one builder makes from the record over
+    # another envelope; the envelope's draw overlays the family's, and the
+    # merged params fix the ratio, the phase rate and the envelope alike
     envelope = data.draw(st.sampled_from(tuple(ENVELOPES)), label="envelope")
-    values = data.draw(st.fixed_dictionaries(DOMAINS[ENVELOPES[envelope]]),
-                       label="params")
-    split = data.draw(_span(0.0, 1.0), label="split_fraction")
+    values = data.draw(st.fixed_dictionaries(DOMAINS[family]),
+                       label="family params")
+    values = {**values, **data.draw(
+        st.fixed_dictionaries(DOMAINS[ENVELOPES[envelope]]), label="params")}
+    split = data.draw(_span(0.0, 1.0), label="split_fraction") \
+        if _CATALOG[family].split else 0.0
     record = dataclasses.replace(_CATALOG[family], envelope=envelope)
     profile = _build(record, values, split,
                      f"{family} over {envelope.__name__}")
@@ -461,8 +466,11 @@ def test_the_case_ratios_over_any_envelope_are_solved_by_their_ansatz(
     # 2); at most t_max / 2^13 keeps the oracle the reference here
     step = min(suggested_step(profile, t_max, "commutator_free_4th"),
                t_max / 2 ** 13)
-    ansatz = case1_ansatz() if family == "case1" else case2_ansatz()
-    report = verify_ansatz(ansatz, profile, t_max, samples=33,
+    try:  # an envelope may draw a shared key outside the family's domain
+        params = ScenarioParams(family, {k: values[k] for k in DOMAINS[family]})
+    except ConfigError:
+        assume(False)
+    report = verify_ansatz(default_ansatz(params), profile, t_max, samples=33,
                            config=PropagatorConfig(
                                scheme="commutator_free_4th", step=step))
     assert report.passed, report

@@ -8,11 +8,13 @@ from genrabi.closed_forms import beta0_series
 from genrabi.errors import ConfigError
 from genrabi.fields import detuning, is_generalized_resonant
 from genrabi.propagator import Trajectory
+from genrabi.theta import ThetaAnsatz
 from genrabi.scenarios import (
     DEFAULT_SAMPLES,
     FAMILIES,
     ScenarioParams,
     closed_form_series,
+    default_ansatz,
     default_window,
     family_summary,
     make_scenario,
@@ -159,8 +161,27 @@ def test_time_scales_and_default_windows():
 def test_family_summary_covers_catalog():
     rows = family_summary()
     assert [row["family"] for row in rows] == list(FAMILIES)
-    by_name = {row["family"]: row for row in rows}
-    assert by_name["exp_resonant"]["axis"] == "gamma*t"
+    assert {row["family"]: row["axis"] for row in rows} == {
+        "rabi": "omega_mag0*t", "sech_resonant": "omega_mag0*t",
+        "exp_resonant": "gamma*t", "modulated_resonant": "phi_dot0*t",
+        "constant_beta0": "omega_mag0*t", "case1": "omega_mag0*t",
+        "case2": "omega_mag0*t"}
+
+
+def test_building_and_closed_forms_construct_no_ansatz(monkeypatch):
+    # a ThetaAnsatz costs microseconds to build; only default_ansatz may
+    built = []
+    check = ThetaAnsatz.__post_init__
+    monkeypatch.setattr(ThetaAnsatz, "__post_init__",
+                        lambda self: (built.append(self.label), check(self)))
+    ts = np.linspace(0.0, 2.0, 9)
+    for family in FAMILIES:
+        for split in (0.0, 0.4) if family in ("case1", "case2") else (0.0,):
+            params = ScenarioParams(family, split_fraction=split)
+            closed_form_series(params, make_scenario(params), ts)
+    assert built == []
+    default_ansatz(ScenarioParams("rabi"))  # the count sees a construction
+    assert built == ["beta0=1"]
 
 
 def test_labels_name_family_and_parameters():
