@@ -322,41 +322,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exactly solvable driven two-level dynamics: scenario "
                     "runner, ansatz verifier, coupled-mode front end.")
     sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="evaluate a scenario and export series")
+    p_list = sub.add_parser("list-scenarios", help="show the family catalog")
+    p_ver = sub.add_parser("verify",
+                           help="check an ansatz against a scenario profile")
+    p_modes = sub.add_parser("modes", help="coupled-waveguide propagation")
 
-    def add_common(p, with_engine: bool):
-        p.add_argument("--scenario", help="built-in family name")
-        p.add_argument("--config", help="path to a scenario JSON config")
-        p.add_argument("--t-max", type=float, default=None,
-                       help="window end on the scenario's dimensionless axis")
-        p.add_argument("--samples", type=int, default=None,
-                       help="output samples (default per family)")
+    # each subparser gets its own actions, so set_defaults below changes
+    # one command's default only
+    for p in (p_run, p_ver, p_modes):
+        p.add_argument("--config", help="path to a JSON config: a scenario "
+                       "(run, verify) or {delta, coupling:{family, params}} "
+                       "(modes)")
         p.add_argument("--params", default=None,
-                       help="comma-separated name=value overrides; "
-                            "split_fraction is accepted here for case1/case2")
+                       help="comma-separated name=value parameter "
+                            "overrides; run and verify also take "
+                            "split_fraction for case1/case2")
+        p.add_argument("--samples", type=int, default=None,
+                       help="output samples (default: the family's window; "
+                            f"{DEFAULT_SAMPLES} for modes)")
         p.add_argument("--step", type=float, default=None,
-                       help="oracle substep bound, dimensionless axis units "
-                            "(default: automatic, from the profile's fastest "
-                            "scale and the scheme's order)")
+                       help="oracle substep bound, in dimensionless axis "
+                            "units or z (default: automatic, from the "
+                            "profile's fastest scale and the scheme's order)")
         p.add_argument("--scheme", choices=list(SCHEMES),
                        default="midpoint_exponential",
                        help="oracle integrator (default: %(default)s)")
-        if with_engine:
-            p.add_argument("--engine", choices=list(ENGINE_CHOICES),
-                           default="closed_form")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.add_argument("--out", default=None,
-                           help="output path (default stdout)")
+    for p in (p_run, p_modes):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None,
+                       help="output path (default stdout)")
+    for p in (p_run, p_ver):
+        p.add_argument("--scenario", help="built-in family name")
+        p.add_argument("--t-max", type=float, default=None,
+                       help="window end on the scenario's dimensionless axis")
 
-    p_run = sub.add_parser("run", help="evaluate a scenario and export series")
-    add_common(p_run, with_engine=True)
+    p_run.add_argument("--engine", choices=list(ENGINE_CHOICES),
+                       default="closed_form")
     p_run.set_defaults(handler=_cmd_run)
-
-    p_list = sub.add_parser("list-scenarios", help="show the family catalog")
     p_list.set_defaults(handler=_cmd_list)
 
-    p_ver = sub.add_parser("verify",
-                           help="check an ansatz against a scenario profile")
-    add_common(p_ver, with_engine=False)
     p_ver.add_argument("--ansatz", default=None,
                        help="zero | case1 | case2 | path to a (tau, theta) "
                             "CSV table (default: the family's own ansatz)")
@@ -365,23 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the oracle verify_ansatz defaults to
     p_ver.set_defaults(handler=_cmd_verify, scheme="commutator_free_4th")
 
-    p_modes = sub.add_parser("modes", help="coupled-waveguide propagation")
-    p_modes.add_argument("--config", help="mode JSON config "
-                                          "{delta, coupling:{family, params}}")
     p_modes.add_argument("--coupling", choices=COUPLING_FAMILIES)
     p_modes.add_argument("--delta", type=float, default=None)
-    p_modes.add_argument("--params", default=None,
-                         help="coupling params, e.g. k0=1")
     p_modes.add_argument("--z-max", type=float, default=None)
-    p_modes.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_modes.add_argument("--initial", default="1,0,0,0",
                          help="re_A,im_A,re_B,im_B at z=0")
-    p_modes.add_argument("--step", type=float, default=None)
-    p_modes.add_argument("--scheme", choices=list(SCHEMES),
-                         default="midpoint_exponential")
-    p_modes.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_modes.add_argument("--out", default=None)
-    p_modes.set_defaults(handler=_cmd_modes)
+    p_modes.set_defaults(handler=_cmd_modes, samples=DEFAULT_SAMPLES)
 
     return parser
 

@@ -3,8 +3,8 @@
 Every family fixes the detuning Delta(t) = Omega(t) + phi_omega_dot(t)/2 in a
 way that makes the two-level Cauchy problem integrable, and every family is a
 choice of the generating function Theta(tau) on the clock tau = integral of
-|omega|. The entries follow from one map of the phase triple
-(Theta, phi_int, r_int)(tau) (see entry_map):
+|omega|. The entries follow from one map (entry_map) of one solution (see
+entry_series): the phase triple (Theta, phi_int, r_int)(tau) and its ratio.
 
 - generalized resonance: Delta = 0, Theta = 0, phi_int = tau;
 - constant ratio: Delta(t) = beta0 |omega(t)|, a rescaled resonance with
@@ -38,6 +38,7 @@ __all__ = [
     "EvolutionEntries",
     "entry_map",
     "entry_series",
+    "closed_solution",
     "detuning_deviation",
     "resonance_triple",
     "beta0_triple",
@@ -131,33 +132,39 @@ def detuning_deviation(profile: FieldProfile, ts, ratio) -> float:
     return float(np.max(np.abs(detuning(profile, ts) - ratio * mag)))
 
 
-def entry_series(profile: FieldProfile, ts, triple, ratio, *,
-                 check: bool = True, tol: float, what: str):
-    """Entries on an ascending time grid from a phase triple.
+def entry_series(profile: FieldProfile, ts, solve, *, check: bool = True,
+                 tol: float, what: str):
+    """Entries on an ascending time grid from one solution.
 
-    triple maps an array of tau to (Theta, phi_int, r_int); ratio maps it to
-    the detuning in units of |omega| that the triple solves. With check the
-    profile's own detuning must match that within tol on the grid, else
-    InconsistentProfileError names what the profile fails to satisfy.
-    Entries that are not finite raise NumericError.
+    solve maps an array of tau to (Theta, phi_int, r_int, ratio): the phase
+    triple and the detuning in units of |omega| that it solves (an array or
+    a constant). With check the profile's own detuning must match that
+    within tol on the grid, else InconsistentProfileError names what the
+    profile fails to satisfy. Entries that are not finite raise NumericError.
     """
     ts = np.asarray(ts, dtype=float)
-    tau = transverse_area_series(profile, ts)
+    theta, phi_int, r_int, ratio = solve(transverse_area_series(profile, ts))
     if check and ts.size:
-        dev = detuning_deviation(profile, ts, ratio(tau))
+        dev = detuning_deviation(profile, ts, ratio)
         if not dev <= tol:
             raise InconsistentProfileError(
                 f"profile {profile.label!r} does not satisfy {what}: max "
                 f"detuning deviation {dev:.3e} > {tol:.1e} on "
                 f"[0, {ts[-1]:g}]")
     phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    a, b = entry_map(*triple(tau), phi, float(profile.phi_omega(0.0)))
+    a, b = entry_map(theta, phi_int, r_int, phi, float(profile.phi_omega(0.0)))
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if np.any(bad):
         raise NumericError(
             f"entries for profile {profile.label!r} are not finite at "
             f"t={ts[np.argmax(bad)]:g}: the phases overflow")
     return a, b
+
+
+def closed_solution(triple, ratio):
+    """The solve of entry_series from a closed triple over tau and the ratio
+    it solves, a function of tau or a constant."""
+    return lambda tau: (*triple(tau), ratio(tau) if callable(ratio) else ratio)
 
 
 def check_grid(t: float) -> np.ndarray:
@@ -205,7 +212,7 @@ def resonance_entries(profile: FieldProfile, t: float, *,
 def resonance_series(profile: FieldProfile, ts: np.ndarray, *,
                      tol: float = 1e-10):
     """Vectorized resonance entries over an ascending time grid."""
-    return entry_series(profile, ts, resonance_triple, lambda tau: 0.0,
+    return entry_series(profile, ts, closed_solution(resonance_triple, 0.0),
                         tol=tol, what="the generalized resonance condition")
 
 
@@ -282,7 +289,8 @@ def beta0_entries(profile: FieldProfile, beta0: float, t: float, *,
 def beta0_series(profile: FieldProfile, beta0: float, ts: np.ndarray, *,
                  tol: float = 1e-10):
     beta0 = float(beta0)
-    return entry_series(profile, ts, beta0_triple(beta0), lambda tau: beta0,
+    return entry_series(profile, ts,
+                        closed_solution(beta0_triple(beta0), beta0),
                         tol=tol, what=f"detuning = {beta0:g} * |omega|")
 
 
@@ -367,7 +375,8 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
 
 
 def case1_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):
-    return entry_series(profile, ts, case1_triple, case1_detuning_ratio,
+    return entry_series(profile, ts,
+                        closed_solution(case1_triple, case1_detuning_ratio),
                         tol=tol, what="the case1 detuning")
 
 
@@ -423,5 +432,6 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
 
 
 def case2_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):
-    return entry_series(profile, ts, case2_triple, case2_detuning_ratio,
+    return entry_series(profile, ts,
+                        closed_solution(case2_triple, case2_detuning_ratio),
                         tol=tol, what="the case2 detuning")

@@ -217,8 +217,8 @@ def _build(fam: _Family, r: dict, f: float, label: str) -> FieldProfile:
     def omega_z(t):
         return (1.0 - f) * detuning(t) - 0.5 * rate
 
-    def phi_dot(t):
-        return rate + 2.0 * f * detuning(t)
+    # at split 0 Delta sits in Omega alone, so phi_dot evaluates no ratio
+    phi_dot = (lambda t: rate + 2.0 * f * detuning(t)) if f else _const(rate)
 
     def phi(t):  # R(tau(t)) integrates Delta, as dtau = |omega| dt
         t = np.asarray(t, dtype=float)
@@ -357,10 +357,11 @@ def closed_form_series(params: ScenarioParams, profile: FieldProfile, ts):
         triple, ratio, _ = fam.solution
         what = f"the {params.family} detuning"
     else:
-        beta = fam.solution(params.params)
-        triple, ratio = closed_forms.beta0_triple(beta), lambda tau: beta
-        what = f"detuning = {beta:g} * |omega|"
-    return closed_forms.entry_series(profile, ts, triple, ratio, tol=fam.tol,
+        ratio = fam.solution(params.params)
+        triple = closed_forms.beta0_triple(ratio)
+        what = f"detuning = {ratio:g} * |omega|"
+    solve = closed_forms.closed_solution(triple, ratio)
+    return closed_forms.entry_series(profile, ts, solve, tol=fam.tol,
                                      what=what)
 
 

@@ -12,26 +12,26 @@ closed representation by the pair of phase integrals (phi_int, r_int), where
 r_int integrates sin(Theta)/sin(2 phi_int). Ansaetze are expressed in tau,
 not t, which makes them agnostic to the transverse envelope.
 
-Both phase integrals are taken in one vectorized pass over all requested
-tau (ThetaEvaluator) by the numpy panel quadrature of the quadrature
-module, which tests one panel per 16 tau intervals and reaches the tau in
-between by one Gauss-Legendre rule each; no scalar quadrature runs on this
-route. The r integrand is a 0/0 ratio at tau = 0; on a panel that lies
-below a small split point it is replaced by its Taylor form Theta(s)/(2s),
-which is exact to O(s^2) there. The Gauss-Legendre rule from 0 to the
-smallest tau keeps phi_int to relative accuracy, so the cotangent of the
-induced detuning stays accurate there.
-An interior zero of sin(2 phi_int) with nonvanishing sin(Theta) makes the
-induced detuning non-integrable and is reported as SingularAnsatzError, not
-patched by principal values: for the built-in families 2 phi_int stays
-strictly inside (0, pi), so an interior zero marks an invalid user ansatz.
+ThetaEvaluator.solve gives (Theta, phi_int, r_int, ratio) at all requested
+tau, the one solution closed_forms.entry_series takes: one pass of the
+numpy panel quadrature (one panel per 16 tau intervals, one Gauss-Legendre
+rule for each tau in between) gives phi_int, which the ratio reads and then
+r_int, a second pass over the same mesh; no scalar quadrature runs. The r
+integrand is a 0/0 ratio at tau = 0; on a panel that lies below a small
+split point it is replaced by its Taylor form Theta(s)/(2s), exact to
+O(s^2) there. The Gauss-Legendre rule from 0 to the smallest tau keeps
+phi_int to relative accuracy, so the cotangent of the ratio stays accurate.
+One regularity rule serves the ratio and the r integrand: their term
+sin(Theta)/sin(2 phi_int) is 0 where sin(Theta) = 0; elsewhere a
+non-integrable sin(2 phi_int) <= _SIN_FLOOR raises SingularAnsatzError and
+is not patched by principal values. For the built-in families 2 phi_int
+stays strictly inside (0, pi), so such a point marks an invalid user ansatz.
 Where the phases close (generalized resonance, the locked ratio) the ansatz
-carries the closed form's own (triple, ratio) pair and nothing is integrated.
+carries the closed form's own solution and nothing is integrated.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -40,8 +40,9 @@ from typing import Callable
 import numpy as np
 
 from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
-                           case2_theta, check_grid, detuning_deviation,
-                           entry_series, last_entries, resonance_triple)
+                           case2_theta, check_grid, closed_solution,
+                           detuning_deviation, entry_series, last_entries,
+                           resonance_triple)
 from .errors import (ConfigError, NumericError, SingularAnsatzError,
                      check_name, check_tolerance)
 # unused here; benchmarks/gbench/tracer.py patches theta.detuning
@@ -86,7 +87,7 @@ scipy = SimpleNamespace(integrate=SimpleNamespace(quad=None))
 # Below this the r integrand switches to its Taylor form (tau units).
 EPS_TAYLOR = 1e-6
 
-# sin(2 phi_int) at or below this inside the window is treated as singular.
+# sin(2 phi_int) at or below this where sin(Theta) != 0 is singular.
 _SIN_FLOOR = 1e-14
 
 
@@ -103,11 +104,11 @@ class ThetaAnsatz:
         Catalog or user-facing name.
     theta_prime : callable, optional
         dTheta/dtau. A 5-point stencil substitutes when absent.
-    closed : (triple, ratio), optional
-        The closed form's own pair, as closed_forms passes it to
-        entry_series: triple maps tau to (Theta, phi_int, r_int) and ratio
-        is the constant detuning, in units of |omega|, that it solves. When
-        present the evaluator returns this pair instead of integrating.
+    closed : callable, optional
+        The closed form's own solution, as closed_forms.closed_solution
+        builds it for entry_series: tau to (Theta, phi_int, r_int, ratio),
+        ratio the constant detuning, in units of |omega|, the triple solves.
+        When present the evaluator returns it instead of integrating.
 
     Every callable takes a numpy array of tau and returns an array of its
     shape.
@@ -116,7 +117,7 @@ class ThetaAnsatz:
     theta: Callable
     label: str
     theta_prime: Callable | None = None
-    closed: tuple[Callable, float] | None = None
+    closed: Callable | None = None
 
     def __post_init__(self):
         at_zero = float(np.asarray(self.theta(0.0)))
@@ -149,19 +150,19 @@ def _numeric_theta_prime(theta: Callable, tau: np.ndarray) -> np.ndarray:
 class ThetaEvaluator:
     """Vectorized tau-domain evaluation of one ansatz.
 
-    triple and ratios integrate the phase pair in one pass over all the
-    requested tau, or read the ansatz's closed pair when it has one.
-    panel_quad integrates cos(Theta) over the sorted tau; the running sum
-    is phi_int on its mesh, which holds every tau. r_int is a second
-    panel_quad over that mesh. On a panel that lies at or below EPS_TAYLOR
-    its integrand is the Taylor form Theta(s)/(2s), elsewhere
-    sin(Theta)/sin(2 phi_int). An r panel may span several mesh panels, and
-    phi_int at its 8 Gauss nodes is phi_int at the panel start (the value
-    at the mesh edge at or below it, plus one 8-point rule when the panel
-    starts past that edge) plus quadrature.node_integrals of cos(Theta)
-    over the whole r panel: 16 values and a fixed integration matrix, exact
-    to degree 15 on the panel. Nothing is cached between calls; the scalar
-    methods are one-point calls of the same path.
+    solve gives (Theta, phi_int, r_int, ratio) over all the requested tau,
+    or reads the ansatz's closed solution when it has one. panel_quad
+    integrates cos(Theta) over the sorted tau; the running sum is phi_int
+    on its mesh, which holds every tau. The ratio reads phi_int at the tau,
+    and r_int is a second panel_quad over that mesh. On a panel that lies
+    at or below EPS_TAYLOR its integrand is the Taylor form Theta(s)/(2s),
+    elsewhere sin(Theta)/sin(2 phi_int). An r panel may span several mesh
+    panels, and phi_int at its 8 Gauss nodes is phi_int at the panel start
+    (the value at the mesh edge at or below it, plus one 8-point rule when
+    the panel starts past that edge) plus quadrature.node_integrals of
+    cos(Theta) over the whole r panel: 16 values and a fixed integration
+    matrix, exact to degree 15 on the panel. Nothing is cached between
+    calls; the scalar methods are one-point calls of solve.
     """
 
     def __init__(self, ansatz: ThetaAnsatz, *, quad_tol: float = 1e-10):
@@ -180,15 +181,33 @@ class ThetaEvaluator:
     def _cos_theta(self, s):
         return np.cos(self.ansatz.theta(s))
 
-    def _phi(self, edges: np.ndarray):
-        """phi_int at the edges from edges_from_zero, plus the mesh it was
-        integrated on and phi_int at every mesh edge."""
-        mesh, running = panel_quad(self._cos_theta, edges, self.quad_tol)
-        return running[np.searchsorted(mesh, edges)], mesh, running
+    def _over_sin(self, sin_theta, phi, tau, factor=1.0) -> np.ndarray:
+        """sin(Theta) factor / sin(2 phi_int) by the regularity rule: 0 where
+        sin(Theta) = 0, else SingularAnsatzError where sin(2 phi_int) <=
+        _SIN_FLOOR."""
+        s2 = np.sin(2.0 * phi)
+        live = sin_theta != 0.0
+        bad = live & (s2 <= _SIN_FLOOR)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise SingularAnsatzError(
+                f"sin(2 phi_int) = {s2[i]:g} at tau={tau[i]:g} while "
+                f"sin(Theta) = {sin_theta[i]:g}: ansatz {self.ansatz.label!r} "
+                "induces no integrable detuning there")
+        num = sin_theta * factor
+        return np.divide(num, s2, out=np.zeros_like(num), where=live)
 
-    def _phases(self, edges: np.ndarray):
-        """(phi_int, r_int) at the edges from edges_from_zero."""
-        phi, mesh, running = self._phi(edges)
+    def _integrate(self, edges: np.ndarray) -> tuple:
+        """(Theta, phi_int, r_int, ratio) at the edges from edges_from_zero;
+        the ratio and its rule come before the r pass."""
+        mesh, running = panel_quad(self._cos_theta, edges, self.quad_tol)
+        phi = running[np.searchsorted(mesh, edges)]
+        theta = np.asarray(self.ansatz.theta(edges), dtype=float)
+        half_slope = 0.5 * self.theta_prime(edges)
+        # edges[0] = 0, where sin(Theta) cot(2 phi_int) -> Theta'(0)/2
+        ratio = 2.0 * half_slope
+        ratio[1:] = half_slope[1:] + self._over_sin(
+            np.sin(theta[1:]), phi[1:], edges[1:], np.cos(2.0 * phi[1:]))
 
         def integrand(s):
             # gauss_legendre hands over the nodes panel by panel; a panel
@@ -206,7 +225,7 @@ class ThetaEvaluator:
             return out.ravel()
 
         r_mesh, r_running = panel_quad(integrand, mesh, self.quad_tol)
-        return phi, r_running[np.searchsorted(r_mesh, edges)]
+        return theta, phi, r_running[np.searchsorted(r_mesh, edges)], ratio
 
     def _r_tail(self, rows: np.ndarray, mesh: np.ndarray,
                 running: np.ndarray) -> np.ndarray:
@@ -227,62 +246,32 @@ class ThetaEvaluator:
                                             lo[inside])
         phi = start[:, None] + node_integrals(self._cos_theta, lo, hi)
         s = rows.ravel()
-        th = np.asarray(self.ansatz.theta(s), dtype=float)
-        denom = np.sin(2.0 * phi.ravel())
-        bad = np.abs(denom) <= _SIN_FLOOR
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SingularAnsatzError(
-                f"sin(2 phi_int) vanishes at tau={s[i]:g} while "
-                f"sin(Theta)={math.sin(th[i]):g}; the ansatz "
-                f"{self.ansatz.label!r} does not induce an integrable "
-                "detuning there")
-        return (np.sin(th) / denom).reshape(rows.shape)
+        sin_theta = np.sin(np.asarray(self.ansatz.theta(s), dtype=float))
+        return self._over_sin(sin_theta, phi.ravel(), s).reshape(rows.shape)
 
     # -- array path ----------------------------------------------------------
 
-    def triple(self, taus) -> tuple:
-        """(Theta, phi_int, r_int) arrays over an array of tau >= 0."""
+    def solve(self, taus) -> tuple:
+        """(Theta, phi_int, r_int, ratio) arrays over an array of tau >= 0,
+        ratio the induced detuning in units of |omega|."""
         edges, index = edges_from_zero(taus)
-        if self.ansatz.closed is not None:
-            parts = self.ansatz.closed[0](edges)
-        else:
-            parts = (self.ansatz.theta(edges), *self._phases(edges))
-        return tuple(np.asarray(p, dtype=float)[index] for p in parts)
-
-    def ratios(self, taus) -> np.ndarray:
-        """Induced detuning in units of |omega| over an array of tau >= 0."""
-        edges, index = edges_from_zero(taus)
-        if self.ansatz.closed is not None:
-            return np.full(index.shape, float(self.ansatz.closed[1]))
-        half_slope = 0.5 * self.theta_prime(edges)
-        phi = self._phi(edges)[0]
-        # edges[0] = 0, where sin(Theta) cot(2 phi_int) -> Theta'(0)/2
-        s2 = np.sin(2.0 * phi[1:])
-        bad = s2 <= _SIN_FLOOR
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SingularAnsatzError(
-                f"sin(2 phi_int) = {s2[i]:g} at tau={edges[1 + i]:g}; the "
-                f"induced detuning of ansatz {self.ansatz.label!r} is "
-                "singular there")
-        th = np.asarray(self.ansatz.theta(edges[1:]), dtype=float)
-        out = 2.0 * half_slope
-        out[1:] = half_slope[1:] + np.sin(th) * np.cos(2.0 * phi[1:]) / s2
-        return out[index]
+        closed = self.ansatz.closed
+        parts = closed(edges) if closed is not None else self._integrate(edges)
+        return tuple(np.broadcast_to(np.asarray(p, dtype=float),
+                                     edges.shape)[index] for p in parts)
 
     # -- scalar wrappers of the array path -----------------------------------
     # (benchmarks/gbench/tracer.py counts calls of these three on the class)
 
     def phi_int(self, tau: float) -> float:
-        return float(self.triple(float(tau))[1])
+        return float(self.solve(float(tau))[1])
 
     def r_int(self, tau: float) -> float:
-        return float(self.triple(float(tau))[2])
+        return float(self.solve(float(tau))[2])
 
     def detuning_ratio(self, tau: float) -> float:
         """Induced detuning in units of |omega| at this tau."""
-        return float(self.ratios(float(tau)))
+        return float(self.solve(float(tau))[3])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +297,7 @@ def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
     """Both accumulated phases at time t. omega_mag is taken as in
     induced_detuning."""
     tau = running_integral(omega_mag, float(t), name="t")
-    _, phi, r = ThetaEvaluator(ansatz, quad_tol=quad_tol).triple(tau)
+    _, phi, r, _ = ThetaEvaluator(ansatz, quad_tol=quad_tol).solve(tau)
     return PhaseIntegrals(phi_int=float(phi), r_int=float(r))
 
 
@@ -334,7 +323,7 @@ def general_entries_series(ansatz: ThetaAnsatz, profile: FieldProfile, ts, *,
         raise ConfigError("time grid must be ascending and start at t >= 0")
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     return entry_series(
-        profile, ts, ev.triple, ev.ratios, check=check, tol=1e-8,
+        profile, ts, ev.solve, check=check, tol=1e-8,
         what=f"the detuning induced by ansatz {ansatz.label!r}")
 
 
@@ -370,11 +359,13 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
 
     Two independent figures: the detuning residual (does the profile's
     detuning equal the induced one?) and the deviation of the closed
-    representation from the numerical oracle. Numeric failures inside either
-    figure are captured in the note rather than raised. quad_tol defaults
-    to two decades below the stricter tolerance, floored at 1e-12: loose
-    tolerances then admit the kinks of a table ansatz's interpolant. tol
-    and entries_tol must be finite and > 0.
+    representation from the numerical oracle, both from one
+    ThetaEvaluator.solve. Numeric failures inside either figure are
+    captured in the note rather than raised; when the Theta evaluation
+    fails, the oracle is skipped and entries_deviation_max is inf. quad_tol
+    defaults to two decades below the stricter tolerance, floored at 1e-12:
+    loose tolerances then admit the kinks of a table ansatz's interpolant.
+    tol and entries_tol must be finite and > 0.
     """
     check_tolerance("tol", tol)
     check_tolerance("entries_tol", entries_tol)
@@ -385,24 +376,21 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     notes = []
 
-    residual = float("inf")
+    residual = deviation = float("inf")
+    stage = "residual evaluation"
     try:
-        taus = transverse_area_series(profile, grid)
-        residual = detuning_deviation(profile, grid, ev.ratios(taus))
-    except NumericError as exc:
-        notes.append(f"residual evaluation failed: {exc}")
-
-    deviation = float("inf")
-    try:
-        a_closed, b_closed = general_entries_series(
-            ansatz, profile, grid, check=False, quad_tol=quad_tol)
+        solution = ev.solve(transverse_area_series(profile, grid))
+        residual = detuning_deviation(profile, grid, solution[3])
+        stage = "entries comparison"
+        a_closed, b_closed = entry_series(profile, grid, lambda tau: solution,
+                                          check=False, tol=tol, what="")
         config = replace(config or PropagatorConfig(
             scheme="commutator_free_4th"), samples=samples)
         traj = propagate(profile, config, t_max)
         deviation = float(max(np.max(np.abs(a_closed - traj.a)),
                               np.max(np.abs(b_closed - traj.b))))
     except NumericError as exc:
-        notes.append(f"entries comparison failed: {exc}")
+        notes.append(f"{stage} failed: {exc}")
 
     residual_ok = residual <= tol
     entries_ok = deviation <= entries_tol
@@ -419,9 +407,9 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
 # ansatz catalog
 
 def _closed_ansatz(triple, ratio: float, label: str) -> ThetaAnsatz:
-    # the closed form's own (triple, ratio) pair; Theta is its first member
+    # the closed form's own solution; Theta is the triple's first member
     return ThetaAnsatz(theta=lambda x: triple(x)[0], label=label,
-                       closed=(triple, ratio))
+                       closed=closed_solution(triple, ratio))
 
 
 def zero_ansatz() -> ThetaAnsatz:

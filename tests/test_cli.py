@@ -295,6 +295,17 @@ def test_verify_pass_and_fail_paths(capsys):
     capsys.readouterr()
 
 
+def test_verify_passes_a_zero_table_past_a_quarter_turn(tmp_path, capsys):
+    # Theta = 0 gives phi_int = tau, past pi/2 on this window, where
+    # sin(2 phi_int) < 0 but sin(Theta) = 0: a regular point, not singular
+    table = tmp_path / "zeros.csv"
+    table.write_text("tau,theta\n0,0\n3,0\n30,0\n")
+    assert main(["verify", "--scenario", "exp_resonant", "--ansatz",
+                 str(table)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 2 and "note" not in out
+
+
 @pytest.mark.parametrize("family", ["exp_resonant", "rabi"])
 def test_verify_defaults_to_the_oracle_of_verify_ansatz(family, capsys):
     # the CLI once defaulted to midpoint (deviation 3.7e-7 on exp_resonant

@@ -11,10 +11,10 @@ exact finite-time Landau-Zener entries; the resonance frame and the lab
 frame must give the same entries.
 The one-pass phase quadrature of the Theta route must
 reproduce closed-form phase integrals on random grids, down to the smallest
-tau and within its own quad_tol, and the locked-ratio ansatz is the closed form's own (triple, ratio)
-pair for any beta0. Coupled modes conserve power for random constant, sech
-and table couplings, and the launched-mode transfer equals the mapped flip
-curve.
+tau and within its own quad_tol, and the locked-ratio ansatz is the closed
+form's own solution for any beta0. Coupled modes conserve power for random
+constant, sech and table couplings, and the launched-mode transfer equals
+the mapped flip curve.
 """
 
 import dataclasses
@@ -229,13 +229,13 @@ def test_oracle_matches_the_finite_time_landau_zener_entries(a, g, t0, c):
 
 
 def _generic_beta0_phases(beta0, reach):
-    # beta0_ansatz without its closed pair: only Theta remains, so
+    # beta0_ansatz without its closed solution: only Theta remains, so
     # (phi_int, r_int) come from the panel quadrature; below
     # 0.9 pi / sqrt(1 + beta0^2) sin(2 phi_int) stays clear of zero
     generic = ThetaAnsatz(theta=beta0_ansatz(beta0).theta,
                           label="beta0 generic")
     taus = np.linspace(0.0, reach * 0.9 * math.pi / math.hypot(1.0, beta0), 17)
-    _, phi, r = ThetaEvaluator(generic).triple(taus)
+    _, phi, r, _ = ThetaEvaluator(generic).solve(taus)
     _, phi_ref, r_ref = beta0_triple(beta0)(taus)
     assert np.max(np.abs(phi - phi_ref)) <= 1e-9
     assert np.max(np.abs(r - r_ref)) <= 1e-9
@@ -276,7 +276,8 @@ def test_locked_ratio_ansatz_is_the_closed_form_pair(beta0):
         "omega_z0": beta0, "omega_mag0": 1.0, "phi_dot0": 0.0}))
     ts = np.linspace(0.0, WINDOW, SAMPLES)
     ansatz = beta0_ansatz(beta0)
-    ratios = ThetaEvaluator(ansatz).ratios(transverse_area_series(profile, ts))
+    ratios = ThetaEvaluator(ansatz).solve(
+        transverse_area_series(profile, ts))[3]
     assert np.all(ratios == beta0)
     a, b = general_entries_series(ansatz, profile, ts)
     a_closed, b_closed = beta0_series(profile, beta0, ts)
@@ -291,11 +292,11 @@ def test_generic_quadrature_matches_case2_on_nonuniform_grids(first, gaps,
     taus = first + np.concatenate(([0.0], np.cumsum(gaps)))
     if with_zero:
         taus = np.concatenate(([0.0], taus))
-    ev = ThetaEvaluator(case2_ansatz())
-    for got, ref in zip(ev.triple(taus), case2_triple(taus)):
+    *triple, ratio = ThetaEvaluator(case2_ansatz()).solve(taus)
+    for got, ref in zip(triple, case2_triple(taus)):
         assert np.max(np.abs(got - ref)) <= 1e-9
     # the cotangent needs phi_int to relative accuracy at the smallest tau
-    assert np.max(np.abs(ev.ratios(taus) - case2_detuning_ratio(taus))) <= 1e-9
+    assert np.max(np.abs(ratio - case2_detuning_ratio(taus))) <= 1e-9
 
 
 @st.composite
@@ -316,7 +317,7 @@ def test_generic_phases_stay_within_quad_tol_of_closed_forms(family, taus,
                                                              quad_tol):
     ansatz, triple = {"case1": (case1_ansatz, case1_triple),
                       "case2": (case2_ansatz, case2_triple)}[family]
-    _, phi, r = ThetaEvaluator(ansatz(), quad_tol=quad_tol).triple(taus)
+    _, phi, r, _ = ThetaEvaluator(ansatz(), quad_tol=quad_tol).solve(taus)
     _, phi_ref, r_ref = triple(taus)
     assert np.max(np.abs(phi - phi_ref)) <= quad_tol
     assert np.max(np.abs(r - r_ref)) <= quad_tol

@@ -13,6 +13,7 @@ from genrabi.scenarios import (
     DEFAULT_SAMPLES,
     FAMILIES,
     ScenarioParams,
+    _CATALOG,
     closed_form_series,
     default_ansatz,
     default_window,
@@ -182,6 +183,26 @@ def test_building_and_closed_forms_construct_no_ansatz(monkeypatch):
     assert built == []
     default_ansatz(ScenarioParams("rabi"))  # the count sees a construction
     assert built == ["beta0=1"]
+
+
+def test_split_zero_evaluates_the_ratio_once_per_grid(monkeypatch):
+    # at split 0 phi_dot is the constant rate: the detuning check reads the
+    # ratio once from the solution and once through Omega, and the
+    # trajectory's Omega and Delta columns read it once each
+    calls = []
+    fam = _CATALOG["case2"]
+    triple, ratio, integral = fam.solution
+    counted = lambda tau: (calls.append(1), ratio(tau))[1]
+    monkeypatch.setitem(_CATALOG, "case2", dataclasses.replace(
+        fam, solution=(triple, counted, integral)))
+    params = ScenarioParams("case2")
+    profile = make_scenario(params)
+    ts = np.linspace(0.0, 2.0, 9)
+    a, b = closed_form_series(params, profile, ts)
+    assert len(calls) == 2
+    calls.clear()
+    Trajectory.from_entries(profile, ts, a, b)
+    assert len(calls) == 2
 
 
 def test_labels_name_family_and_parameters():

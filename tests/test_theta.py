@@ -89,7 +89,7 @@ def test_induced_detuning_scales_with_envelope():
 
 
 def test_locked_ratio_ansatz_is_constant_across_branches():
-    # the closed pair has no cotangent, so crossing the points where the
+    # the closed solution has no cotangent, so crossing the points where the
     # stretched clock passes multiples of pi must be smooth
     for beta in (1.0, -0.7):
         ev = ThetaEvaluator(beta0_ansatz(beta))
@@ -225,6 +225,32 @@ def test_interior_singularity_is_reported():
     assert math.isfinite(ev.r_int(1.0))
 
 
+def test_vanishing_theta_is_regular_past_a_quarter_turn():
+    # phi_int = tau crosses pi/2 where sin(2 phi_int) < 0, but sin(Theta) =
+    # 0 there, so the ratio's and the r integrand's term is 0, not singular
+    flat = ThetaAnsatz(theta=lambda x: 0 * x, label="flat")
+    taus = np.linspace(0.0, 3.0, 31)
+    theta_, phi, r, ratio = ThetaEvaluator(flat).solve(taus)
+    assert np.all(theta_ == 0.0) and np.all(r == 0.0) and np.all(ratio == 0.0)
+    assert np.max(np.abs(phi - taus)) <= 1e-12
+
+
+def test_theta_route_integrates_phi_int_once(monkeypatch):
+    # the ratio and the r pass read one phi_int panel_quad, and verify
+    # takes its residual and its entries from one solve
+    calls = []
+    count = lambda *args, **kwargs: (calls.append(1),
+                                     quadrature.panel_quad(*args, **kwargs))[1]
+    monkeypatch.setattr(theta, "panel_quad", count)
+    general_entries_series(case1_ansatz(), make_scenario("case1"),
+                           np.linspace(0.0, 3.0, 33))
+    assert len(calls) == 2
+    calls.clear()
+    assert verify_ansatz(case2_ansatz(), make_scenario("case2"), 5.0,
+                         samples=33).passed
+    assert len(calls) == 2
+
+
 def test_tabulated_ansatz_validation():
     with pytest.raises(ConfigError):
         ansatz_from_table([0.0, 1.0, 0.5], [0.0, 0.1, 0.2])
@@ -266,8 +292,8 @@ def test_tabulated_phi_int_meets_quad_tol_across_knots():
 def _table_phi_int_error(x, taus):
     """Largest phi_int error at quad_tol 1e-12 of the case2 table on x."""
     th = case2_theta(x)
-    _, phi, _ = ThetaEvaluator(ansatz_from_table(x, th),
-                               quad_tol=1e-12).triple(taus)
+    _, phi, _, _ = ThetaEvaluator(ansatz_from_table(x, th),
+                                  quad_tol=1e-12).solve(taus)
     # cos(Theta) on a linear piece integrates to the difference of
     # sin(Theta) over the slope
     slope = np.diff(th) / np.diff(x)
@@ -298,7 +324,7 @@ def test_phase_integrals_take_no_rule_per_node():
 
     ansatz = dataclasses.replace(case1_ansatz(), theta=theta_counted)
     points.clear()
-    ThetaEvaluator(ansatz).triple(np.linspace(0.0, 5.0, 1001))
+    ThetaEvaluator(ansatz).solve(np.linspace(0.0, 5.0, 1001))
     assert sum(points) <= 60_000
 
 
@@ -506,11 +532,11 @@ def test_interior_singularity_surfaces_through_series_and_verify():
 
 def test_locked_ratio_ansatz_survives_huge_beta0():
     # sqrt(1 + beta0^2) overflowed at beta0 = 1e300, so Theta(0) was NaN
-    ev = ThetaEvaluator(beta0_ansatz(1e300))
     taus = np.linspace(0.0, 1e-299, 5)
-    for values in ev.triple(taus):
+    *triple, ratio = ThetaEvaluator(beta0_ansatz(1e300)).solve(taus)
+    for values in triple:
         assert np.all(np.isfinite(values))
-    assert np.allclose(ev.ratios(taus), 1e300, rtol=1e-12)
+    assert np.allclose(ratio, 1e300, rtol=1e-12)
 
 
 def _stencil_reference(theta, tau):
