@@ -28,7 +28,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GenrabiError, NumericError, check_tolerance
+from .errors import (ConfigError, GenrabiError, NumericError, check_numbers,
+                     check_tolerance)
 from .fields import window_end
 from .modes import COUPLING_FAMILIES, coupling_from_config, propagate_modes
 # unused here; benchmarks/gbench/tracer.py patches these two names on cli
@@ -36,9 +37,8 @@ from .modes import to_su2_profile  # noqa: F401
 from .propagator import SCHEMES, PropagatorConfig, Trajectory, propagate
 from .propagator import suggested_step  # noqa: F401
 from .scenarios import (DEFAULT_SAMPLES, ScenarioParams, check_keys,
-                        check_numbers, closed_form_series, default_ansatz,
-                        default_window, family_summary, make_scenario,
-                        scenario_time_scale)
+                        closed_form_series, default_ansatz, default_window,
+                        family_summary, make_scenario, scenario_time_scale)
 from .theta import (ANSATZ_NAMES, load_ansatz_table, named_ansatz,
                     verify_ansatz)
 

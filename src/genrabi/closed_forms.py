@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentProfileError, NumericError
+from .errors import (ConfigError, InconsistentProfileError, check_entries,
+                     check_numbers, require)
 from .fields import FieldProfile, detuning, transverse_area_series
 # unused here; benchmarks/gbench/tracer.py patches closed_forms.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
@@ -38,6 +39,7 @@ __all__ = [
     "EvolutionEntries",
     "entry_map",
     "entry_series",
+    "solution_entries",
     "closed_solution",
     "detuning_deviation",
     "resonance_triple",
@@ -140,24 +142,27 @@ def entry_series(profile: FieldProfile, ts, solve, *, check: bool = True,
     triple and the detuning in units of |omega| that it solves (an array or
     a constant). With check the profile's own detuning must match that
     within tol on the grid, else InconsistentProfileError names what the
-    profile fails to satisfy. Entries that are not finite raise NumericError.
+    profile fails to satisfy. Then solution_entries maps the solution.
     """
     ts = np.asarray(ts, dtype=float)
-    theta, phi_int, r_int, ratio = solve(transverse_area_series(profile, ts))
+    solution = solve(transverse_area_series(profile, ts))
     if check and ts.size:
-        dev = detuning_deviation(profile, ts, ratio)
+        dev = detuning_deviation(profile, ts, solution[3])
         if not dev <= tol:
             raise InconsistentProfileError(
                 f"profile {profile.label!r} does not satisfy {what}: max "
                 f"detuning deviation {dev:.3e} > {tol:.1e} on "
                 f"[0, {ts[-1]:g}]")
+    return solution_entries(profile, ts, solution)
+
+
+def solution_entries(profile: FieldProfile, ts, solution):
+    """entry_series' entries from a solution (Theta, phi_int, r_int, ratio)
+    already evaluated on ts; entries that are not finite raise NumericError."""
+    ts = np.asarray(ts, dtype=float)
     phi = np.asarray(profile.phi_omega(ts), dtype=float)
-    a, b = entry_map(theta, phi_int, r_int, phi, float(profile.phi_omega(0.0)))
-    bad = ~(np.isfinite(a) & np.isfinite(b))
-    if np.any(bad):
-        raise NumericError(
-            f"entries for profile {profile.label!r} are not finite at "
-            f"t={ts[np.argmax(bad)]:g}: the phases overflow")
+    a, b = entry_map(*solution[:3], phi, float(profile.phi_omega(0.0)))
+    check_entries(a, b, ts, f"profile {profile.label!r}")
     return a, b
 
 
@@ -179,12 +184,15 @@ def last_entries(pair, t: float) -> EvolutionEntries:
     return EvolutionEntries(a=complex(a[-1]), b=complex(b[-1]), t=float(t))
 
 
-def _area_entries(triple, omega_mag, phi_omega, t: float,
+def _area_entries(triple, family: str, omega_mag, phi_omega, t: float,
                   tau: float | None) -> EvolutionEntries:
     if tau is None:
         tau = running_integral(omega_mag, float(t), name="t")
+    else:
+        check_numbers({"tau": tau}, nonnegative=("tau",))
     pair = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
                      float(phi_omega(0.0)))
+    check_entries(*pair, [float(t)], f"the {family} closed form")
     return last_entries(pair, t)
 
 
@@ -232,12 +240,8 @@ def modulated_probability(C: float, k: float, n: int, tau_tilde):
     P = sin^2[ C (tau_tilde + (k/n) sin(n tau_tilde)) ] on the dimensionless
     axis tau_tilde; periodic with period 2 pi when n is an integer.
     """
-    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
-        raise ConfigError("n must be a positive integer")
-    if n <= 0:
-        raise ConfigError("n must be a positive integer")
-    if k < 0:
-        raise ConfigError("k must be >= 0")
+    check_numbers({"C": C, "k": k, "n": n}, nonnegative=("k",))
+    require(float(n).is_integer() and n > 0, "n", "must be a positive integer")
     x = np.asarray(tau_tilde, dtype=float)
     arg = C * (x + (k / float(n)) * np.sin(float(n) * x))
     out = np.sin(arg) ** 2
@@ -340,8 +344,7 @@ def elliptic_phase(tau: float) -> float:
     ansatz; the variable and integrand differ from case1_triple's tau form,
     so the two provide an independent cross-check.
     """
-    if tau < 0:
-        raise ConfigError("tau must be >= 0")
+    check_numbers({"tau": tau}, nonnegative=("tau",))
     upper = float(np.arcsinh(2.0 * tau))
     integral = running_integral(
         lambda u: np.sqrt(1.0 + 0.5 * np.sinh(u) ** 2), upper, tol=1e-12)
@@ -371,7 +374,7 @@ def case1_entries(omega_mag, phi_omega, t: float, *,
     quadrature of tau (a constant or a scalar-only callable serves too, see
     quadrature.on_arrays); passing tau skips it.
     """
-    return _area_entries(case1_triple, omega_mag, phi_omega, t, tau)
+    return _area_entries(case1_triple, "case1", omega_mag, phi_omega, t, tau)
 
 
 def case1_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):
@@ -428,7 +431,7 @@ def case2_entries(omega_mag, phi_omega, t: float, *,
     Pair with a profile following case2_detuning_ratio; use case2_series for
     a checked evaluation. omega_mag is taken as in case1_entries.
     """
-    return _area_entries(case2_triple, omega_mag, phi_omega, t, tau)
+    return _area_entries(case2_triple, "case2", omega_mag, phi_omega, t, tau)
 
 
 def case2_series(profile: FieldProfile, ts: np.ndarray, *, tol: float = 1e-8):

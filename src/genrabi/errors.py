@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from numbers import Rational, Real
+
+import numpy as np
+
 __all__ = [
     "GenrabiError",
     "ConfigError",
@@ -69,6 +75,34 @@ def check_name(what: str, name, choices: tuple, owner: str = "") -> None:
     hint = f"; did you mean: {', '.join(near)}" if near else ""
     raise ConfigError(f"unknown {what} {name!r}{where}{hint}; choose from "
                       f"{', '.join(choices)}")
+
+
+def require(cond: bool, name: str, msg: str) -> None:
+    """ConfigError "parameter 'name' msg" unless cond."""
+    if not cond:
+        raise ConfigError(f"parameter {name!r} {msg}")
+
+
+def check_numbers(values: dict, positive=(), nonnegative=()) -> None:
+    """ConfigError naming the first value that is not a finite real number,
+    NumPy scalars included (a bool is not a number), then the first key of
+    nonnegative whose value is < 0 and the first of positive <= 0."""
+    for k, v in values.items():  # math.isfinite overflows on a huge int
+        require(isinstance(v, Real) and not isinstance(v, bool) and (
+            abs(v) <= sys.float_info.max if isinstance(v, Rational)
+            else math.isfinite(v)), k, "must be a finite number")
+    for k in nonnegative:
+        require(values[k] >= 0, k, "must be >= 0")
+    for k in positive:
+        require(values[k] > 0, k, "must be > 0")
+
+
+def check_entries(a, b, ts, what: str) -> None:
+    """NumericError at the first t of ts where entry a or b is not finite."""
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if np.any(bad):
+        raise NumericError(f"entries for {what} are not finite at "
+                           f"t={ts[np.argmax(bad)]:g}")
 
 
 def check_tolerance(name: str, value) -> None:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, check_tolerance
+from .errors import ConfigError, check_numbers, check_tolerance
 from .quadrature import running_integral
 
 __all__ = [
@@ -251,8 +251,7 @@ def to_profile(field: PhysicalField) -> FieldProfile:
     drive_profile, so phi_omega = atan2(-B_y, B_x), unwrapped continuously
     along array input. Scalar phase queries return the principal value.
     """
-    if not field.mu0_g > 0:
-        raise ConfigError("mu0_g must be > 0")
+    check_numbers({"mu0_g": field.mu0_g}, positive=("mu0_g",))
     half = 0.5 * field.mu0_g
 
     def omega_z(t):
@@ -273,8 +272,7 @@ def to_profile(field: PhysicalField) -> FieldProfile:
 
 def from_profile(profile: FieldProfile, mu0_g: float) -> PhysicalField:
     """Reconstruct the laboratory field that produces ``profile``."""
-    if not mu0_g > 0:
-        raise ConfigError("mu0_g must be > 0")
+    check_numbers({"mu0_g": mu0_g}, positive=("mu0_g",))
     scale = 2.0 / mu0_g
 
     def b_x(t):

@@ -21,13 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, check_name
+from .errors import ConfigError, check_name, check_numbers
 from .fields import FieldProfile, drive_profile, read_table, window_end
 from .propagator import PropagatorConfig, Trajectory, propagate
 # unused here; benchmarks/gbench/tracer.py patches modes.suggested_step
 from .propagator import suggested_step  # noqa: F401
 from .quadrature import on_arrays
-from .scenarios import _const, _resolver as resolver, check_keys, check_numbers
+from .scenarios import _const, _resolver as resolver, check_keys
 
 __all__ = [
     "ModeState",

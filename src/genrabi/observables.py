@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_forms import EvolutionEntries
-from .errors import ConfigError
+from .errors import check_name
 
 __all__ = [
     "transition_probability",
@@ -20,12 +20,9 @@ __all__ = [
     "pauli_series",
 ]
 
-_INITIALS = ("+", "-")
-
 
 def _sign(initial: str) -> float:
-    if initial not in _INITIALS:
-        raise ConfigError(f"initial must be '+' or '-', got {initial!r}")
+    check_name("initial", initial, ("+", "-"))
     return 1.0 if initial == "+" else -1.0
 
 
@@ -47,8 +44,7 @@ def sigma_xy_expectation(e: EvolutionEntries, axis: str, initial: str = "+") -> 
     for the initial - state. Unlike the flip probability these depend on the
     phase realization of the drive, not only on its modulus.
     """
-    if axis not in ("x", "y"):
-        raise ConfigError(f"axis must be 'x' or 'y', got {axis!r}")
+    check_name("axis", axis, ("x", "y"))
     return float(pauli_series(e.a, e.b, initial)["xy".index(axis)])
 
 

@@ -61,8 +61,7 @@ real form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
 |Omega| + |omega|, mixes the scheme rows with the step folded into the
 weights into rotation vectors, zero in padded cells, and, off a shared axis,
 checks that they are finite, writes the Euler-form factors and multiplies
-them into its lanes' running products, one update per position through two
-preallocated pairs of lane buffers that take turns (_chain). The lane
+them into its lanes' running products, one update per position. The lane
 products are folded into the running operator two levels deep: running
 products inside groups of about sqrt(lanes) lanes, vectorized across groups,
 then a short scalar fold of the group totals. A sequential order inside each
@@ -79,7 +78,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import (ConfigError, NumericError, StepResolutionError,
-                     UnitarityDriftError, check_name)
+                     UnitarityDriftError, check_entries, check_name)
 from .fields import (DIFF_STEP, FieldProfile, detuning, phase_derivative,
                      window_end)
 from .observables import pauli_series
@@ -249,9 +248,10 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
     """The largest over the window, in the sweep's frame, of |Omega| +
     |omega|, the slew sqrt((max |change| of Omega + that of |omega|) / probe
     spacing) and, in the lab frame, the phase rate. A scale that is not
-    finite raises NumericError; then ConfigError where phi_omega_dot (rate)
-    misses the stencil of phi_omega by _RATE_TOL (1 + |rate| + |phi|), or the
-    detuning Omega + rate/2 (Delta) by _RATE_TOL (1 + |rate| + |Delta|).
+    finite, or in the frame a phase, rate or Omega that is not, raises
+    NumericError; then ConfigError where phi_omega_dot (rate) misses the
+    stencil of phi_omega by _RATE_TOL (1 + |rate| + |phi|), or the detuning
+    Omega + rate/2 (Delta) by _RATE_TOL (1 + |rate| + |Delta|).
 
     A stencil phase rate is left out at a probe where |omega| is no larger
     than its own change across the stencil: there the drive passes through
@@ -289,6 +289,11 @@ def profile_scale(profile: FieldProfile, t_max: float) -> float:
         stencil = (s[0] - 8.0 * s[1] + 8.0 * s[2] - s[3]) / (12.0 * DIFF_STEP)
         phi = np.abs(np.asarray(profile.phi_omega(grid), dtype=float))
         delta = np.asarray(profile.omega_z(grid), dtype=float) + 0.5 * given
+        # the sweep reads none of these, and a NaN passes the checks below
+        lost = ~np.isfinite([given, stencil, phi, delta]).all(axis=0)
+        if lost.any():
+            raise NumericError(f"profile {profile.label!r} has no finite "
+                               f"phase or detuning near t={grid[lost][0]:g}")
         # the stencil's round-off is about 2e-11 |phi|
         for name, value, ref, bound, law in (
                 ("phi_omega_dot", given, stencil, phi,
@@ -363,20 +368,6 @@ def _rotation_factors(ux, uy, uz, f, g, work) -> bool:
     return math.isfinite(top)
 
 
-def _chain(fs, gs, lf, lg, lanes):
-    # (lf, lg) times the factors [[F, G], [-G*, F*]] of rows fs, gs, later
-    # on the left; lanes: two (f, g) pairs that take turns, one temporary
-    pairs, tmp = (lanes[:2], lanes[2:4]), lanes[4]
-    for k, (fk, gk) in enumerate(zip(fs, gs)):
-        nf, ng = pairs[k % 2]
-        np.multiply(fk, lf, out=nf)
-        nf -= np.multiply(gk, np.conjugate(lg, out=tmp), out=tmp)
-        np.multiply(fk, lg, out=ng)
-        ng += np.multiply(gk, np.conjugate(lf, out=tmp), out=tmp)
-        lf, lg = nf, ng
-    return lf, lg
-
-
 def _check_resolution(h: float, scale: float, what: str) -> None:
     if h * scale > _RESOLUTION_BOUND:
         raise StepResolutionError(
@@ -440,15 +431,14 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
     # scratch rows: (Re omega, Im omega) per node, two for the factors, one
     # term, u per exponential; a tile's f[p, j, l], g[p, j, l] is
-    # exponential j of its position p of its lane l; five lane rows for
-    # _chain. One allocation: glibc's malloc keeps twice its largest freed
-    # block for reuse, so the sweep's memory stays mapped between calls (as
-    # three arrays it was faulted in again at most calls)
-    head = 4 * m * cut + 10 * cols
+    # exponential j of its position p of its lane l. One allocation:
+    # glibc's malloc keeps twice its largest freed block for reuse, so the
+    # sweep's memory stays mapped between calls (as three arrays it was
+    # faulted in again at most calls)
+    head = 4 * m * cut
     tail = head + (2 * len(nodes) + 3 + comps * m) * cut
     work = np.empty(tail + comps * len(nodes) * min(span, run) * lanes)
-    factors = work[:4 * m * cut].view(complex).reshape(2, -1)
-    buffers = work[4 * m * cut:head].view(complex).reshape(5, cols)
+    factors = work[:head].view(complex).reshape(2, -1)
     scratch = work[head:tail].reshape(-1, cut)
     drive = work[tail:].reshape(len(nodes), comps, -1, lanes)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
@@ -519,10 +509,11 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                 _raise_non_finite(profile, (
                     (b0, evaluate(b0, np.empty_like(drive)))
                     for b0 in range(p0 - q, run, span)), substep, h)
-        # multiply the tile's positions into its lanes' products
-        fl[l0:l0 + cols], gl[l0:l0 + cols] = _chain(
-            f.reshape(-1, shape[1]), g.reshape(-1, shape[1]),
-            fl[l0:l0 + cols], gl[l0:l0 + cols], buffers[:, :shape[1]])
+        # each position's factors [[F, G], [-G*, F*]] onto its lanes' products
+        lf, lg = fl[l0:l0 + cols], gl[l0:l0 + cols]
+        for fk, gk in zip(f.reshape(-1, shape[1]), g.reshape(-1, shape[1])):
+            lf, lg = fk * lf - gk * lg.conj(), fk * lg + gk * lf.conj()
+        fl[l0:l0 + cols], gl[l0:l0 + cols] = lf, lg
     if shared:  # the whole run turned about one axis
         products_from_sums()
 
@@ -617,8 +608,8 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
 
     window is t_max or a (0, t_max) pair. The per-step factors are exactly
     unitary; the accumulated round-off drift is checked against _MAX_DRIFT
-    and reported on the trajectory. A profile that is not finite where the
-    sweep samples it raises NumericError.
+    and reported on the trajectory. A profile value where the sweep samples
+    it, or an entry, that is not finite raises NumericError.
     """
     t_max, substeps, h = _prepare(profile, config, window)
     a, b = _integrate(_in_frame(profile), t_max, config.samples, substeps,
@@ -628,9 +619,10 @@ def propagate(profile: FieldProfile, config: PropagatorConfig,
         phi = np.broadcast_to(profile.phi_omega(ts), ts.shape)
         a = a * np.exp(0.5j * (phi - phi[0]))
         b = b * np.exp(0.5j * (phi + phi[0]))
+    check_entries(a, b, ts, f"profile {profile.label!r}")
     traj = Trajectory.from_entries(profile, ts, a, b, scheme=config.scheme,
                                    step=h)
-    if traj.unitarity_drift > _MAX_DRIFT:
+    if not traj.unitarity_drift <= _MAX_DRIFT:
         raise UnitarityDriftError(
             f"accumulated unitarity drift {traj.unitarity_drift:.3e} exceeds "
             f"the bound {_MAX_DRIFT:.1e}")

@@ -38,7 +38,7 @@ import numpy as np
 from . import closed_forms
 # unused here; benchmarks/gbench/tracer.py patches scenarios.case1_series
 from .closed_forms import case1_series  # noqa: F401
-from .errors import ConfigError, check_name
+from .errors import ConfigError, check_name, check_numbers, require
 from .fields import FieldProfile
 from .theta import (ThetaAnsatz, beta0_ansatz, case1_ansatz, case2_ansatz,
                     zero_ansatz)
@@ -77,7 +77,7 @@ class ScenarioParams:
         check_name("scenario", self.family, FAMILIES)
         f = self.split_fraction
         check_numbers({"split_fraction": f})
-        _require(0.0 <= f <= 1.0, "split_fraction", "must be in [0, 1]")
+        require(0.0 <= f <= 1.0, "split_fraction", "must be in [0, 1]")
         if f != 0.0 and not _CATALOG[self.family].split:
             splits = ", ".join(n for n, fam in _CATALOG.items() if fam.split)
             raise ConfigError(
@@ -85,19 +85,6 @@ class ScenarioParams:
                 f"{self.family!r}")
         object.__setattr__(self, "params",
                            _CATALOG[self.family].resolver(self.params))
-
-
-def _require(cond: bool, name: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"parameter {name!r} {msg}")
-
-
-def check_numbers(values: dict) -> None:
-    """ConfigError naming the first value that is not a finite number (a
-    bool is not a number)."""
-    for k, v in values.items():
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v), k, "must be a finite number")
 
 
 def check_keys(owner: str, mapping: dict, allowed: tuple) -> None:
@@ -114,11 +101,7 @@ def _resolver(family: str, defaults: dict, positive: tuple = (),
     def resolver(p: dict) -> dict:
         check_keys(f"family {family!r}", p, tuple(defaults))
         r = {k: p.get(k, v) for k, v in defaults.items()}
-        check_numbers(r)
-        for k in nonnegative:
-            _require(r[k] >= 0, k, "must be >= 0")
-        for k in positive:
-            _require(r[k] > 0, k, "must be > 0")
+        check_numbers(r, positive, nonnegative)
         return r
     return resolver
 
@@ -130,14 +113,12 @@ def _resolve_exp(p: dict) -> dict:
         raise ConfigError(
             "give either 'gamma' or 'alpha' (= omega_mag0/gamma), not both")
     w0, alpha = p.get("omega_mag0", 1.0), p.get("alpha", 4.5 * math.pi)
-    check_numbers({"omega_mag0": w0, "alpha": alpha})
-    _require(w0 > 0, "omega_mag0", "must be > 0")
-    _require(alpha > 0, "alpha", "must be > 0")
+    check_numbers({"omega_mag0": w0, "alpha": alpha},
+                  positive=("omega_mag0", "alpha"))
     gamma = p.get("gamma", w0 / alpha)
     r = {"omega_mag0": w0, "gamma": gamma,
          "phi_dot0": p.get("phi_dot0", 10.0 * gamma)}
-    check_numbers(r)
-    _require(r["gamma"] > 0, "gamma", "must be > 0")
+    check_numbers(r, positive=("gamma",))
     return r
 
 
@@ -148,9 +129,9 @@ _MODULATED = _resolver("modulated_resonant",
 
 def _resolve_modulated(p: dict) -> dict:
     r = _MODULATED(p)
-    _require(r["k"] <= 1.0, "k",
-             "must be in [0, 1] (the modulated |omega| must stay >= 0)")
-    _require(float(r["n"]).is_integer(), "n", "must be a positive integer")
+    require(r["k"] <= 1.0, "k",
+            "must be in [0, 1] (the modulated |omega| must stay >= 0)")
+    require(float(r["n"]).is_integer(), "n", "must be a positive integer")
     r["n"] = int(r["n"])
     return r
 

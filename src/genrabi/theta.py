@@ -42,9 +42,9 @@ import numpy as np
 from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
                            case2_theta, check_grid, closed_solution,
                            detuning_deviation, entry_series, last_entries,
-                           resonance_triple)
+                           resonance_triple, solution_entries)
 from .errors import (ConfigError, NumericError, SingularAnsatzError,
-                     check_name, check_tolerance)
+                     check_name, check_numbers, check_tolerance)
 # unused here; benchmarks/gbench/tracer.py patches theta.detuning
 from .fields import detuning  # noqa: F401
 from .fields import (FieldProfile, read_table, transverse_area_series,
@@ -371,8 +371,11 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     check_tolerance("entries_tol", entries_tol)
     if quad_tol is None:
         quad_tol = max(1e-12, 1e-2 * min(tol, entries_tol))
+    # its check names the valid sample counts, before any work
+    config = replace(config or PropagatorConfig(
+        scheme="commutator_free_4th"), samples=samples)
     t_max = window_end(window, "verification window")
-    grid = np.linspace(0.0, t_max, samples)
+    grid = np.linspace(0.0, t_max, config.samples)
     ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
     notes = []
 
@@ -382,10 +385,7 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
         solution = ev.solve(transverse_area_series(profile, grid))
         residual = detuning_deviation(profile, grid, solution[3])
         stage = "entries comparison"
-        a_closed, b_closed = entry_series(profile, grid, lambda tau: solution,
-                                          check=False, tol=tol, what="")
-        config = replace(config or PropagatorConfig(
-            scheme="commutator_free_4th"), samples=samples)
+        a_closed, b_closed = solution_entries(profile, grid, solution)
         traj = propagate(profile, config, t_max)
         deviation = float(max(np.max(np.abs(a_closed - traj.a)),
                               np.max(np.abs(b_closed - traj.b))))
@@ -396,7 +396,7 @@ def verify_ansatz(ansatz: ThetaAnsatz, profile: FieldProfile, window,
     entries_ok = deviation <= entries_tol
     return AnsatzVerification(
         ansatz_label=ansatz.label, profile_label=profile.label,
-        t_max=t_max, samples=samples,
+        t_max=t_max, samples=config.samples,
         residual_max=residual, residual_tol=tol,
         entries_deviation_max=deviation, entries_tol=entries_tol,
         residual_ok=residual_ok, entries_ok=entries_ok,
@@ -444,9 +444,10 @@ def beta0_ansatz(beta0: float) -> ThetaAnsatz:
     Theta is the continuous branch of atan((beta0/E) tan(E tau)) with
     E = sqrt(1 + beta0^2). The phases close (the closed-form beta0_triple),
     so the ansatz carries that triple with the ratio beta0 and induces
-    exactly beta0. Any real beta0 is accepted; beta0 = 0 is the resonance
-    triple.
+    exactly beta0. Any finite real beta0 is accepted; beta0 = 0 is the
+    resonance triple.
     """
+    check_numbers({"beta0": beta0})
     beta0 = float(beta0) + 0.0  # maps -0.0 to 0.0, labelled beta0=0
     return _closed_ansatz(beta0_triple(beta0), beta0, f"beta0={beta0:g}")
 

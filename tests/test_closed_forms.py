@@ -32,7 +32,7 @@ from genrabi.closed_forms import (
     resonance_entries,
     resonance_series,
 )
-from genrabi.errors import ConfigError, InconsistentProfileError
+from genrabi.errors import ConfigError, InconsistentProfileError, NumericError
 from genrabi.scenarios import ScenarioParams, make_scenario
 
 # sech_resonant defaults (omega_z = -5, |omega| = sech t, phi = 10 t) at t = 2
@@ -136,6 +136,18 @@ def test_modulated_probability_formula_and_domain():
         modulated_probability(1.0, -0.2, 3, 1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.5, 3), "C"), ((math.inf, 0.5, 3), "C"),
+    ((1.0, math.nan, 3), "k"), ((1.0, 0.5, True), "n")])
+def test_modulated_probability_takes_finite_real_numbers(args, name):
+    # each once returned nan or passed as a number
+    with pytest.raises(ConfigError, match=f"^parameter '{name}' must be a "
+                       "finite number$"):
+        modulated_probability(*args, 1.0)
+    assert modulated_probability(1.0, 0.5, np.int64(3), 1.0) == \
+        modulated_probability(1.0, 0.5, 3, 1.0)
+
+
 def test_beta0_probability_law():
     beta0 = 2.0
     prof = make_scenario(ScenarioParams("constant_beta0", {"beta0": beta0}))
@@ -233,6 +245,21 @@ def test_elliptic_phase_frozen_values():
     assert elliptic_phase(0.0) == 0.0
     with pytest.raises(ConfigError):
         elliptic_phase(-1.0)
+    # a NaN once raised NumericError from the quadrature
+    with pytest.raises(ConfigError, match="^parameter 'tau' must be a "
+                       "finite number$"):
+        elliptic_phase(math.nan)
+
+
+@pytest.mark.parametrize("entries", [case1_entries, case2_entries])
+def test_area_entries_share_the_tau_and_finiteness_rules(entries):
+    # case2 once returned entries for tau < 0, and a tau that overflows the
+    # phases failed as a unitarity ConfigError, not as a numeric failure
+    prof = make_scenario("case2")
+    with pytest.raises(ConfigError, match="^parameter 'tau' must be >= 0$"):
+        entries(prof.omega_mag, prof.phi_omega, 1.0, tau=-1.0)
+    with pytest.raises(NumericError):  # case1's r_int quadrature fails
+        entries(prof.omega_mag, prof.phi_omega, 1.0, tau=1e200)
 
 
 def test_case2_detuning_shape():

@@ -127,6 +127,18 @@ def test_mu0_g_must_be_positive():
         to_profile(field)
 
 
+@pytest.mark.parametrize("mu0_g", [math.inf, math.nan, True])
+def test_mu0_g_must_be_a_finite_real_number(mu0_g):
+    # an infinite mu0_g once made fields that evaluate to NaN
+    prof = make_scenario("sech_resonant")
+    field = dataclasses.replace(from_profile(prof, 2.0), mu0_g=mu0_g)
+    for convert in (lambda: to_profile(field),
+                    lambda: from_profile(prof, mu0_g)):
+        with pytest.raises(ConfigError, match="^parameter 'mu0_g' must be a "
+                           "finite number$"):
+            convert()
+
+
 def test_transverse_area_analytic_and_quadrature_agree():
     prof = make_scenario("sech_resonant")
     stripped = dataclasses.replace(prof, tau_of_t=None)

@@ -44,10 +44,13 @@ def test_known_probabilities():
 
 
 def test_invalid_axis_or_initial():
+    # both follow the package's one name rule
     e = EvolutionEntries(a=1.0 + 0.0j, b=0.0j, t=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown axis 'z'; choose from "
+                       "x, y$"):
         sigma_xy_expectation(e, "z")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown initial 'up'; choose "
+                       r"from \+, -$"):
         sigma_z_expectation(e, "up")
 
 

@@ -986,6 +986,36 @@ def test_a_wrong_stated_detuning_is_a_config_error():
                 run()
 
 
+def _frame_profile(phi=None, rate=None, omega_z=None, stated=None):
+    # a resonant unit drive in the frame, one of its functions replaced
+    zero = lambda t: 0 * np.asarray(t, dtype=float)
+    return FieldProfile(omega_z=omega_z or zero,
+                        omega_mag=lambda t: 1 + zero(t),
+                        phi_omega=phi or zero, phi_omega_dot=rate or zero,
+                        detuning=stated)
+
+
+def test_a_nan_phase_between_the_probes_is_a_numeric_failure():
+    # the frame's sweep never reads phi_omega, and the map back once gave a
+    # NaN entry whose NaN drift passed the drift bound
+    ts = np.linspace(0.0, 1.0, 11)
+    profile = _frame_profile(phi=lambda t: np.where(t == ts[3], np.nan, 0 * t))
+    with pytest.raises(NumericError, match=r"^entries for profile 'custom' "
+                       r"are not finite at t=0\.3$"):
+        propagate(profile, PropagatorConfig(samples=11), 1.0)
+
+
+def test_a_non_finite_phase_or_detuning_at_the_probes_is_a_numeric_failure():
+    # each once passed the probe checks, which a NaN compares false against
+    late = lambda t: np.where(np.asarray(t) > 0.5, np.nan, 0 * t)
+    for profile in (_frame_profile(phi=late),
+                    _frame_profile(rate=late, stated=lambda t: 0 * t),
+                    _frame_profile(omega_z=late, stated=lambda t: 0 * t)):
+        with pytest.raises(NumericError, match="no finite phase or detuning "
+                           r"near t=0\.5"):
+            propagate(profile, PropagatorConfig(samples=11), 1.0)
+
+
 @pytest.mark.parametrize("family, bound", [("sech_resonant", 1e-7),
                                            ("exp_resonant", 1e-8)])
 def test_a_carrier_past_the_stencil_step_runs_in_the_frame(family, bound):

@@ -89,6 +89,23 @@ def test_parameter_domain_violations(family, params):
     assert any(key in str(err.value) for key in params)
 
 
+def test_numpy_scalar_parameters_are_numbers():
+    # a NumPy integer n was once refused as "not a finite number", while
+    # modulated_probability took it
+    params = ScenarioParams("modulated_resonant", {
+        "n": np.int64(3), "C": np.float32(0.5)}).params
+    assert params["n"] == 3 and type(params["n"]) is int
+    assert params["C"] == 0.5
+    with pytest.raises(ConfigError, match="^parameter 'C' must be a finite "
+                       "number$"):
+        ScenarioParams("modulated_resonant", {"C": np.float64(math.inf)})
+    # an int past the float range once raised OverflowError (a traceback
+    # from a JSON config)
+    with pytest.raises(ConfigError, match="^parameter 'omega_mag0' must be "
+                       "a finite number$"):
+        ScenarioParams("rabi", {"omega_mag0": 10 ** 400})
+
+
 def test_unknown_family_and_custom_are_rejected():
     with pytest.raises(ConfigError):
         ScenarioParams("sech")

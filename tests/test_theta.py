@@ -399,6 +399,40 @@ def test_verify_probes_the_profile_scale_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_evaluates_tau_once(monkeypatch):
+    # the map from the solution to entries once took tau again through
+    # entry_series, a second running_integral of |omega| on this profile
+    calls = []
+    for owner in (theta, closed_forms):
+        area = owner.transverse_area_series
+        monkeypatch.setattr(owner, "transverse_area_series",
+                            lambda *a, f=area: calls.append(a) or f(*a))
+    prof = dataclasses.replace(make_scenario("case2"), tau_of_t=None)
+    report = verify_ansatz(case2_ansatz(), prof, 5.0, samples=33)
+    assert report.passed and len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", [0, 2.5, -3, 1])
+def test_verify_refuses_a_bad_sample_count_before_any_work(samples,
+                                                           monkeypatch):
+    # numpy's ValueError or TypeError escaped for three of these, and 1
+    # was refused only after the Theta evaluation
+    monkeypatch.setattr(theta, "transverse_area_series", None)
+    with pytest.raises(ConfigError, match=r"^samples must be an integer in "
+                       r"\[2, "):
+        verify_ansatz(case2_ansatz(), make_scenario("case2"), 5.0,
+                      samples=samples)
+
+
+def test_beta0_ansatz_takes_a_finite_real_ratio():
+    # a NaN once failed as "must vanish at tau=0, got nan"
+    for bad in (math.nan, math.inf, True):
+        with pytest.raises(ConfigError, match="^parameter 'beta0' must be a "
+                           "finite number$"):
+            beta0_ansatz(bad)
+    assert beta0_ansatz(np.float32(0.5)).label == "beta0=0.5"
+
+
 def test_verify_reports_mismatch_without_raising():
     prof = make_scenario("constant_beta0")  # detuning = |omega|, never zero
     report = verify_ansatz(zero_ansatz(), prof, 4.0)
