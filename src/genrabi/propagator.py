@@ -27,16 +27,19 @@ where the step need not resolve the turning drive and a constant detuning is
 integrated exactly; propagate maps the entries back at the samples. Others run
 in the lab frame. The frame's drive is real, H = [[Delta, |omega|], [|omega|,
 -Delta]]: the sweep evaluates Delta (a stated detuning when given) and |omega|
-only, and no phase. While every rotation vector lies on the axis of the first
-nonzero one (an exact zero cross product), the exponentials commute, so each
-lane keeps the sum of its vectors and takes one exponential of it when the axis
-breaks or the run ends. That serves a constant drive in either frame (rabi,
-constant_beta0, a constant coupling or field) and generalized resonance, Delta
-= 0 (sech, exp and modulated resonant, such a coupling at delta = 0); case1,
-case2 and turning lab-frame drives leave the axis in their first tile and run
-the chain below. The sums span the run: multiplied one by one, identical
-factors round alike, and rabi over 4M midpoint substeps drifted 1.7e-10 from
-unitarity.
+only, and no phase. While every drive sample lies on the axis of the first
+nonzero one (an exact zero cross product, stricter than one on the rotation
+vectors), the exponentials commute, so each lane keeps the sum of its rotation
+vectors. Where the axis breaks, each lane takes one exponential of its sum and
+the chain below goes on; a run that ends on it takes U at each sample as one
+exponential of the running sum over the lanes, with the rounding error of
+every addition added back (TwoSum), and no fold. That serves a constant drive
+in either frame (rabi, constant_beta0, a constant coupling or field) and
+generalized resonance, Delta = 0 (sech, exp and modulated resonant, such a
+coupling at delta = 0); case1, case2 and turning lab-frame drives leave the
+axis in their first tile and run the chain below. Over 4M midpoint substeps
+rabi drifts 6.7e-16 from unitarity: 3.2e-13 with one exponential per lane and
+the fold, 1.7e-10 with the factors multiplied one by one.
 
 With step=None each scheme takes its own automatic step from one error
 target, (step * fastest profile scale)^order = _STEP_MARGIN^2, the order read
@@ -54,14 +57,16 @@ feature wider than about a hundredth of the failing step.
 The exponentials of each output interval are split into lanes of about
 sqrt(total) in acting order, the last lane padded by repeating its last
 substep. The sweep evaluates each profile callable once per Gauss node per
-block of whole tile rows (about _DRIVE cells), with its times in order, and
+block of whole tile rows (about _DRIVE cells), a real drive's times in the
+block's position-major order, a lab drive's lane by lane in time order, and
 runs that block's tiles of about _BLOCK (position, lane) cells before the
 next, so its memory does not grow with the run. A tile takes the drive in
-real form (Omega, |omega| cos phi, |omega| sin phi), records its peak of
-|Omega| + |omega|, mixes the scheme rows with the step folded into the
-weights into rotation vectors, zero in padded cells, and, off a shared axis,
-checks that they are finite, writes the Euler-form factors and multiplies
-them into its lanes' running products, one update per position. The lane
+real form (Omega, |omega| cos phi, |omega| sin phi), zeroed in padded cells,
+and records its peak of |Omega| + |omega|. On a shared axis it adds its
+weighted drive sums to the lane sums; off it, it mixes the scheme rows with
+the step folded into the weights into rotation vectors, checks that they
+are finite, writes the Euler-form factors and multiplies them into its
+lanes' running products, one update per position. The lane
 products are folded into the running operator two levels deep: running
 products inside groups of about sqrt(lanes) lanes, vectorized across groups,
 then a short scalar fold of the group totals. A sequential order inside each
@@ -414,19 +419,21 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
 
     def evaluate(b0, drive):
         # drive[k] gets (Omega, |omega|, phi), or (Omega, |omega|) for a
-        # real drive, at t = substep * h + x_k h from position b0 on;
-        # callables get the times lane by lane, one sorted 1-d array, so a
-        # phase unwrapped along it stays continuous; the last node shifts
-        # them in place
+        # real drive, at t = substep * h + x_k h from position b0 on. A
+        # real drive's callables get the times in the block's own order,
+        # position by position; a lab drive's get them lane by lane, one
+        # sorted 1-d array, so a phase unwrapped along it stays continuous.
+        # The last node shifts them in place
         drive = drive[:, :, :run - b0]
-        times = substep(np.arange(b0, b0 + drive.shape[2]),
-                        np.arange(lanes)[:, None]).ravel() * h
+        p, l = np.arange(b0, b0 + drive.shape[2]), np.arange(lanes)
+        times = (substep(p[:, None], l) if real
+                 else substep(p, l[:, None])).ravel() * h
         for k, (node, x) in enumerate(zip(drive, nodes), 1 - len(nodes)):
             grid = np.add(times, x * h, out=None if k else times)
-            for out, fn in zip(node, (profile.omega_z, profile.omega_mag,
-                                      profile.phi_omega)):
-                out.T[...] = np.broadcast_to(np.asarray(fn(grid), dtype=float),
-                                             grid.shape).reshape(lanes, -1)
+            for out, fn in zip(node if real else node.transpose(0, 2, 1), (
+                    profile.omega_z, profile.omega_mag, profile.phi_omega)):
+                value = np.asarray(fn(grid), dtype=float)  # or a constant
+                out[...] = value.reshape(out.shape) if value.ndim else value
         return drive
 
     # scratch rows: (Re omega, Im omega) per node, two for the factors, one
@@ -445,9 +452,10 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k),
     # u = -h (|omega|, 0, Delta) for a real drive
     signs = (-h, -h) if real else (-h, h, -h)
+    weights = [sum(w) for w in zip(*rows)]  # node k's sum_j w_jk
     best = (0.0, 0, 0, 0)  # max |Omega| + |omega|, its node, position, lane
-    # while every u so far lies on the axis of the first nonzero one, the
-    # lanes hold their sums of u, not products
+    # while every drive sample so far lies on the axis of the first nonzero
+    # one, the lanes hold their sums of u, not products
     shared, axis = True, None
     sums = np.zeros((comps, lanes))
     # commuting exponentials: a lane's product is the exponential of its sum
@@ -464,12 +472,17 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         cells = scratch[:, :math.prod(shape)].reshape(-1, *shape)
         *nodal, w0, w1, term = cells[:2 * len(nodes) + 3]
         u = cells[2 * len(nodes) + 3:].reshape(m, comps, *shape)
+        # the padded positions of every interval's last lane turn by 0; they
+        # repeat a substep, so the peak stays
+        block[:, :, q:q + depth, l0:l0 + cols][
+            ..., max(substeps - (chunks - 1) * run - p0, 0):,
+            (chunks - 1 - l0) % chunks::chunks] = 0.0
         parts = []  # per node: the drive in u's components, up to -h w
         for k, (om, mg, *ph) in enumerate(block):
             om, mg = om[tile], mg[tile]
             peak = np.abs(om, out=w0)
             peak += np.abs(mg, out=w1)
-            p, l = np.unravel_index(peak.argmax(), shape)
+            p, l = divmod(int(peak.argmax()), shape[1])
             if peak[p, l] > best[0]:
                 best = (float(peak[p, l]), k, p0 + p, l0 + l)
             if real:
@@ -481,28 +494,30 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
             np.sin(ph[0][tile], out=im)
             im *= mg
             parts.append((re, im, om))
+        if shared:
+            for part in parts if axis is None else ():
+                moving = np.any(part, axis=0)
+                if moving.any():
+                    axis = [x.flat[moving.argmax()] for x in part]
+                    break
+            # an exact zero cross product of the drive samples; a
+            # non-finite one never passes
+            shared = axis is None or not any(
+                (part[c] * axis[d] - part[d] * axis[c]).any()
+                for part in parts for c, d in combinations(range(comps), 2))
+            if shared:  # the sum of the tile's u, lane by lane
+                for part, weight in zip(parts, weights):
+                    for c, sign in enumerate(signs):
+                        sums[c, l0:l0 + cols] += \
+                            sign * weight * part[c].sum(axis=0)
+                continue
+            if sums.any():  # else every lane product is still the identity
+                products_from_sums()
         for uj, row in zip(u, rows):
             for c, (out, sign) in enumerate(zip(uj, signs)):
                 np.multiply(parts[0][c], sign * row[0], out=out)
                 for w, part in zip(row[1:], parts[1:]):
                     out += np.multiply(part[c], sign * w, out=term)
-        # the padded positions of every interval's last lane turn by 0
-        u[..., max(substeps - (chunks - 1) * run - p0, 0):,
-          (chunks - 1 - l0) % chunks::chunks] = 0.0
-        if shared:
-            if axis is None:
-                moving = u.any(axis=1)
-                j, p, l = np.unravel_index(moving.argmax(), moving.shape)
-                if moving[j, p, l]:
-                    axis = u[j, :, p, l].tolist()
-            # an exact zero cross product; a non-finite u never passes
-            shared = axis is None or not any(
-                np.any(u[:, c] * axis[d] - u[:, d] * axis[c])
-                for c, d in combinations(range(comps), 2))
-            if shared:
-                sums[:, l0:l0 + cols] += u.sum(axis=(0, 2))
-                continue
-            products_from_sums()
         for j, uj in enumerate(u):
             if not _rotation_factors(uj[0], None if real else uj[1], uj[-1],
                                      f[:, j], g[:, j], (w0, w1)):
@@ -514,8 +529,6 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         for fk, gk in zip(f.reshape(-1, shape[1]), g.reshape(-1, shape[1])):
             lf, lg = fk * lf - gk * lg.conj(), fk * lg + gk * lf.conj()
         fl[l0:l0 + cols], gl[l0:l0 + cols] = lf, lg
-    if shared:  # the whole run turned about one axis
-        products_from_sums()
 
     # every tile was finite; now the step must resolve the peak
     scale, k, p, l = best
@@ -530,6 +543,21 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
             + np.abs(np.asarray(profile.omega_mag(fine), dtype=float)))))
     # the probe in _prepare can miss a pulse narrower than its spacing
     _check_resolution(h, scale, "max |Omega| + |omega| over the sweep nodes")
+    a_out = np.ones(samples, dtype=complex)
+    b_out = np.zeros(samples, dtype=complex)
+    if shared:
+        # the whole run turned about one axis: U at each sample is one
+        # exponential of the running sum over its lanes, with the rounding
+        # error of every addition added back (TwoSum; Ogita, Rump & Oishi,
+        # SIAM J. Sci. Comput. 26, 2005)
+        cum = np.cumsum(sums, axis=1)
+        last, added = cum[:, :-1], cum[:, 1:] - cum[:, :-1]
+        cum[:, 1:] += np.cumsum(
+            (last - (cum[:, 1:] - added)) + (sums[:, 1:] - added), axis=1)
+        ends = cum[:, chunks - 1::chunks]
+        _rotation_factors(ends[0], None if real else ends[1], ends[-1],
+                          a_out[1:], b_out[1:], np.empty((2, intervals)))
+        return a_out, b_out
 
     # fold the lanes in order into the first column (a, c) of U, two
     # levels deep: running products inside groups of about sqrt(lanes)
@@ -549,8 +577,6 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     a_run = (pf * a0 + pg * c0).T.reshape(-1)[chunks - 1:lanes:chunks]
     c_run = (pf.conj() * c0 - pg.conj() * a0).T.reshape(-1)[
         chunks - 1:lanes:chunks]
-    a_out = np.ones(samples, dtype=complex)
-    b_out = np.zeros(samples, dtype=complex)
     a_out[1:] = a_run
     b_out[1:] = -np.conj(c_run)
     return a_out, b_out

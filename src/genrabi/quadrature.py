@@ -271,6 +271,9 @@ def panel_quad(fn: Callable, edges, tol: float = 1e-10):
     order = np.argsort(starts, kind="stable")
     mesh = np.append(starts[order], edges[-1])
     running = np.concatenate(([0.0], np.cumsum(np.concatenate(parts)[order])))
+    # a panel one ulp wide bisects into an empty half, which repeats an edge
+    keep = np.append(mesh[:-1] < mesh[1:], True)
+    mesh, running = mesh[keep], running[keep]
     below = np.searchsorted(mesh, edges, side="right") - 1
     off = mesh[below] != edges
     if np.any(off):

@@ -173,10 +173,12 @@ def sweep_exit(run):
 def test_real_drive_sweep_matches_the_scalar_loop(samples, substeps, scheme):
     # the frame's drive, resonant (Delta = 0) and constant (Delta = 0.7,
     # |omega| = 1.2): every exponential turns about one axis, so each lane
-    # holds the sum of its rotation vectors until one exponential per lane
-    # makes the product. The loop's own round-off grows linearly over
-    # identical factors: on the constant drive it reached 1.3e-12 over the
-    # 8e4 CF4 exponentials of (41, 997), while the sweep stays at round-off
+    # holds the sum of its rotation vectors, and each sample takes one
+    # exponential of their running sum over the lanes, compensated: a plain
+    # running sum missed the loop by 1.24e-12 and 1.38e-12 at (16501, 1).
+    # The loop's own round-off grows linearly over identical factors: on
+    # the constant drive it reached 1.3e-12 over the 8e4 CF4 exponentials
+    # of (41, 997), while the sweep stays at round-off
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     resonant = frame_drive(zero)
     constant = propagator._in_frame(FieldProfile(
@@ -198,7 +200,8 @@ def test_axis_that_breaks_partway_matches_the_scalar_loop(samples, substeps,
                                                           where, scheme):
     # Delta is 0 except in one substep, which leaves the axis: the tiles
     # before it sum, and its tile turns every lane's sum, the lanes past
-    # the tile in its row included, into a product for the chain
+    # the tile in its row included, into a product for the chain by one
+    # exponential per lane
     _, (lanes, run, depth, cols, _) = sweep_geometry(samples, substeps,
                                                      scheme)
     if where == "before later lanes":
@@ -378,13 +381,26 @@ def test_long_constant_runs_stay_unitary(family, scheme):
     # 4.0M midpoint substeps over t_max = 3000: multiplied one by one, the
     # identical factors rounded alike in every lane and in the fold, and
     # the drift reached 1.7e-10, past the bound; summed along their shared
-    # axis it is 3.2e-13
+    # axis, with one exponential per lane and the fold, it was 3.2e-13, and
+    # with one exponential per sample of the running sum it is 6.7e-16
     prof = make_scenario(family)
     traj = propagate(prof, PropagatorConfig(scheme=scheme), 3000.0)
     assert traj.unitarity_drift <= 1e-12
     a, b = closed_form_series(ScenarioParams(family), prof, traj.t)
     assert np.max(np.abs(traj.a - a)) <= 1e-10
     assert np.max(np.abs(traj.b - b)) <= 1e-10
+
+
+def test_shared_axis_run_stays_at_round_off():
+    # rabi over 2^22 midpoint substeps in one interval: U is one
+    # exponential of the compensated running sum of the lanes' rotation
+    # vectors, so only that exponential rounds. One exponential per lane
+    # and the lane fold drifted 1.4e-13 here
+    t_max = 4.0 * math.pi
+    traj = propagate(make_scenario("rabi"),
+                     PropagatorConfig(step=t_max / 2 ** 22, samples=2), t_max)
+    assert t_max / traj.step == 2 ** 22
+    assert traj.unitarity_drift <= 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

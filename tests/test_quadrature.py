@@ -106,6 +106,20 @@ def test_panel_quad_snaps_midpoints_onto_given_edges():
     assert np.max(np.abs(running - np.sin(mesh))) < 1e-12
 
 
+@pytest.mark.parametrize("ulps", [[1], [1, 1], [2, 1], [3]])
+def test_panel_quad_mesh_ascends_over_edges_ulps_apart(ulps):
+    # edges past the 16th a few ulps apart, as a saturating tau gives them:
+    # a last starting panel one ulp wide bisected into an empty half whose
+    # start repeated the top edge, and the mesh was no panel_quad input
+    edges = np.append(np.linspace(0.0, 1.0, 17),
+                      1.0 + np.cumsum(ulps) * np.spacing(1.0))
+    mesh, running = panel_quad(np.cos, edges)
+    assert np.all(np.diff(mesh) > 0.0)
+    assert np.array_equal(mesh[np.searchsorted(mesh, edges)], edges)
+    assert np.max(np.abs(running - np.sin(mesh))) < 1e-15
+    panel_quad(np.sin, mesh)
+
+
 def test_panel_quad_reports_nonconvergence():
     # an endpoint divergence runs out of depth; an interior pole runs out of
     # panels; both carry where the refinement stopped

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from genrabi import closed_forms, propagator, quadrature, theta
+from genrabi import closed_forms, propagator, quadrature, scenarios, theta
 from genrabi.closed_forms import (
     beta0_series,
     case1_detuning_ratio,
@@ -410,6 +410,26 @@ def test_verify_evaluates_tau_once(monkeypatch):
     prof = dataclasses.replace(make_scenario("case2"), tau_of_t=None)
     report = verify_ansatz(case2_ansatz(), prof, 5.0, samples=33)
     assert report.passed and len(calls) == 1
+
+
+def test_verify_passes_where_tau_saturates_on_the_grid():
+    # case2's ratio over a fast exponential envelope: tau reaches its limit
+    # within the window, so the last edges of the phi_int mesh lie one ulp
+    # apart; the mesh once repeated its top edge, and the r pass refused
+    # it as a bad input (ConfigError)
+    profile = scenarios._build(
+        dataclasses.replace(scenarios._CATALOG["case2"],
+                            envelope=scenarios._exp),
+        {"omega_mag0": 0.2734375, "gamma": 10.0, "phi_dot0": 0.0}, 0.0,
+        "case2 over _exp")
+    t_max = 2.0 / 0.2734375
+    step = min(propagator.suggested_step(profile, t_max,
+                                         "commutator_free_4th"),
+               t_max / 2 ** 13)
+    report = verify_ansatz(case2_ansatz(), profile, t_max, samples=33,
+                           config=propagator.PropagatorConfig(
+                               scheme="commutator_free_4th", step=step))
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("samples", [0, 2.5, -3, 1])
