@@ -7,10 +7,9 @@ families, plus a unitarity-preserving numerical oracle and a coupled
 waveguide-mode front end.
 """
 
-from .closed_forms import (EvolutionEntries, beta0_entries, case1_entries,
-                           case2_entries, elliptic_phase,
-                           modulated_probability, resonance_asymptote,
-                           resonance_entries)
+from .closed_forms import (EvolutionEntries, case1_entries, case2_entries,
+                           elliptic_phase, modulated_probability,
+                           resonance_asymptote)
 from .errors import (ConfigError, GenrabiError, InconsistentProfileError,
                      NumericError, QuadratureError, SingularAnsatzError,
                      StepResolutionError, UnitarityDriftError)
@@ -20,24 +19,21 @@ from .fields import (FieldProfile, PhysicalField, detuning, from_profile,
 from .modes import (CouplingSpec, ModeState, ModeTrajectory,
                     coupling_from_config, detilde, propagate_modes, tilde,
                     to_su2_profile)
-from .observables import (sigma_xy_expectation, sigma_z_expectation,
-                          transition_probability)
+from .observables import pauli_series
 from .propagator import (ConvergenceReport, PropagatorConfig, Trajectory,
                          propagate, richardson_check, suggested_step)
 from .scenarios import (FAMILIES, ScenarioParams, closed_form_series,
                         default_window, make_scenario, scenario_time_scale)
-from .theta import (AnsatzVerification, PhaseIntegrals, ThetaAnsatz,
-                    ThetaEvaluator, ansatz_from_table, beta0_ansatz,
-                    case1_ansatz, case2_ansatz, general_entries,
-                    general_entries_series, induced_detuning, named_ansatz,
-                    phase_integrals, verify_ansatz, zero_ansatz)
+from .theta import (AnsatzVerification, ThetaAnsatz, ThetaEvaluator,
+                    ansatz_from_table, beta0_ansatz, case1_ansatz,
+                    case2_ansatz, general_entries_series, named_ansatz,
+                    verify_ansatz, zero_ansatz)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionEntries", "beta0_entries", "case1_entries", "case2_entries",
-    "elliptic_phase", "modulated_probability", "resonance_asymptote",
-    "resonance_entries",
+    "EvolutionEntries", "case1_entries", "case2_entries", "elliptic_phase",
+    "modulated_probability", "resonance_asymptote",
     "ConfigError", "GenrabiError", "InconsistentProfileError", "NumericError",
     "QuadratureError", "SingularAnsatzError", "StepResolutionError",
     "UnitarityDriftError",
@@ -46,14 +42,13 @@ __all__ = [
     "transverse_area",
     "CouplingSpec", "ModeState", "ModeTrajectory", "coupling_from_config",
     "detilde", "propagate_modes", "tilde", "to_su2_profile",
-    "sigma_xy_expectation", "sigma_z_expectation", "transition_probability",
+    "pauli_series",
     "ConvergenceReport", "PropagatorConfig", "Trajectory", "propagate",
     "richardson_check", "suggested_step",
     "FAMILIES", "ScenarioParams", "closed_form_series", "default_window",
     "make_scenario", "scenario_time_scale",
-    "AnsatzVerification", "PhaseIntegrals", "ThetaAnsatz", "ThetaEvaluator",
+    "AnsatzVerification", "ThetaAnsatz", "ThetaEvaluator",
     "ansatz_from_table", "beta0_ansatz", "case1_ansatz", "case2_ansatz",
-    "general_entries", "general_entries_series", "induced_detuning",
-    "named_ansatz", "phase_integrals", "verify_ansatz", "zero_ansatz",
+    "general_entries_series", "named_ansatz", "verify_ansatz", "zero_ansatz",
     "__version__",
 ]

@@ -46,10 +46,8 @@ __all__ = [
     "beta0_triple",
     "case1_triple",
     "case2_triple",
-    "resonance_entries",
     "resonance_asymptote",
     "modulated_probability",
-    "beta0_entries",
     "case1_entries",
     "case2_entries",
     "elliptic_phase",
@@ -68,9 +66,6 @@ __all__ = [
 
 _UNITARITY_TOL = 1e-9
 
-# Single-point entries check the detuning on this many points of [0, t].
-_CHECK_SAMPLES = 33
-
 
 @dataclass(frozen=True)
 class EvolutionEntries:
@@ -86,7 +81,7 @@ class EvolutionEntries:
     t: float
 
     def __post_init__(self):
-        defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
+        defect = self.unitarity_defect
         if not defect <= _UNITARITY_TOL:
             raise ConfigError(
                 f"entries at t={self.t:g} violate unitarity by {defect:.3e}")
@@ -172,28 +167,16 @@ def closed_solution(triple, ratio):
     return lambda tau: (*triple(tau), ratio(tau) if callable(ratio) else ratio)
 
 
-def check_grid(t: float) -> np.ndarray:
-    """The grid a single-point evaluation at t checks and evaluates on."""
-    t = float(t)
-    return np.linspace(0.0, t, _CHECK_SAMPLES) if t > 0 else np.array([t])
-
-
-def last_entries(pair, t: float) -> EvolutionEntries:
-    """The final sample of an (a, b) series as EvolutionEntries at t."""
-    a, b = pair
-    return EvolutionEntries(a=complex(a[-1]), b=complex(b[-1]), t=float(t))
-
-
 def _area_entries(triple, family: str, omega_mag, phi_omega, t: float,
                   tau: float | None) -> EvolutionEntries:
     if tau is None:
         tau = running_integral(omega_mag, float(t), name="t")
     else:
         check_numbers({"tau": tau}, nonnegative=("tau",))
-    pair = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
+    a, b = entry_map(*triple(np.array([float(tau)])), float(phi_omega(t)),
                      float(phi_omega(0.0)))
-    check_entries(*pair, [float(t)], f"the {family} closed form")
-    return last_entries(pair, t)
+    check_entries(a, b, [float(t)], f"the {family} closed form")
+    return EvolutionEntries(a=complex(a[0]), b=complex(b[0]), t=float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +189,12 @@ def resonance_triple(tau):
     return zero, tau + 0.0, zero
 
 
-def resonance_entries(profile: FieldProfile, t: float, *,
-                      tol: float = 1e-10) -> EvolutionEntries:
-    """Entries for a generalized-resonant profile (zero detuning).
-
-    a = cos(tau) e^{i phi/2}, b = sin(tau) e^{i(phi/2 - pi/2)} with
-    tau the accumulated transverse area; the flip probability is sin^2(tau)
-    independent of the phase realization.
-    """
-    return last_entries(resonance_series(profile, check_grid(t), tol=tol), t)
-
-
 def resonance_series(profile: FieldProfile, ts: np.ndarray, *,
                      tol: float = 1e-10):
-    """Vectorized resonance entries over an ascending time grid."""
+    """Entries of a generalized-resonant profile (zero detuning) over an
+    ascending time grid: a = cos(tau) e^{i phi/2}, b = sin(tau)
+    e^{i(phi/2 - pi/2)}, so the flip probability sin^2(tau) does not depend
+    on the phase realization."""
     return entry_series(profile, ts, closed_solution(resonance_triple, 0.0),
                         tol=tol, what="the generalized resonance condition")
 
@@ -278,20 +253,11 @@ def beta0_triple(beta0: float):
     return triple
 
 
-def beta0_entries(profile: FieldProfile, beta0: float, t: float, *,
-                  tol: float = 1e-10) -> EvolutionEntries:
-    """Entries when the detuning is locked to beta0 |omega(t)|.
-
-    The flip probability is sin^2(sqrt(1+beta0^2) tau) / (1+beta0^2): the
-    resonant law with the area axis stretched by sqrt(1+beta0^2) and the
-    amplitude capped at 1/(1+beta0^2). beta0 = 0 recovers resonance exactly.
-    """
-    return last_entries(beta0_series(profile, beta0, check_grid(t), tol=tol),
-                        t)
-
-
 def beta0_series(profile: FieldProfile, beta0: float, ts: np.ndarray, *,
                  tol: float = 1e-10):
+    """Entries when the detuning is locked to beta0 |omega|: flip probability
+    sin^2(sqrt(1+beta0^2) tau) / (1+beta0^2), the resonant law on a stretched
+    area axis; beta0 = 0 is the resonance exactly."""
     beta0 = float(beta0)
     return entry_series(profile, ts,
                         closed_solution(beta0_triple(beta0), beta0),

@@ -39,9 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_forms import (EvolutionEntries, beta0_triple, case1_theta,
-                           case2_theta, check_grid, closed_solution,
-                           detuning_deviation, entry_series, last_entries,
+from .closed_forms import (beta0_triple, case1_theta, case2_theta,
+                           closed_solution, detuning_deviation, entry_series,
                            resonance_triple, solution_entries)
 from .errors import (ConfigError, NumericError, SingularAnsatzError,
                      check_name, check_numbers, check_tolerance)
@@ -55,16 +54,12 @@ from .propagator import suggested_step  # noqa: F401
 # unused here; benchmarks/gbench/tracer.py patches theta.adaptive_quad
 from .quadrature import adaptive_quad  # noqa: F401
 from .quadrature import (edges_from_zero, gauss_legendre, gauss_panels,
-                         node_integrals, panel_quad, running_integral)
+                         node_integrals, panel_quad)
 
 __all__ = [
     "ThetaAnsatz",
-    "PhaseIntegrals",
     "ThetaEvaluator",
     "AnsatzVerification",
-    "induced_detuning",
-    "phase_integrals",
-    "general_entries",
     "general_entries_series",
     "verify_ansatz",
     "zero_ansatz",
@@ -124,14 +119,6 @@ class ThetaAnsatz:
         if not abs(at_zero) <= 1e-12:
             raise ConfigError(
                 f"ansatz {self.label!r} must vanish at tau=0, got {at_zero:g}")
-
-
-@dataclass(frozen=True)
-class PhaseIntegrals:
-    """The two accumulated phases of the general entry representation."""
-
-    phi_int: float
-    r_int: float
 
 
 def _numeric_theta_prime(theta: Callable, tau: np.ndarray) -> np.ndarray:
@@ -274,50 +261,12 @@ class ThetaEvaluator:
         return float(self.solve(float(tau))[3])
 
 
-# ---------------------------------------------------------------------------
-# module-level operations (transient evaluator per call)
-
-def induced_detuning(ansatz: ThetaAnsatz, profile_omega_mag: Callable,
-                     t: float, *, quad_tol: float = 1e-10) -> float:
-    """The detuning the ansatz demands at time t, given |omega|.
-
-    Returns |omega(t)| times the dimensionless ratio at tau(t). A profile is
-    exactly solvable by this ansatz iff its own detuning matches this value
-    at all times in the window. profile_omega_mag is called on arrays, as a
-    FieldProfile's is, for the panel quadrature of tau(t); a constant or a
-    scalar-only callable serves too (see quadrature.on_arrays).
-    """
-    ev = ThetaEvaluator(ansatz, quad_tol=quad_tol)
-    tau = running_integral(profile_omega_mag, float(t), name="t")
-    return float(profile_omega_mag(float(t))) * ev.detuning_ratio(tau)
-
-
-def phase_integrals(ansatz: ThetaAnsatz, omega_mag: Callable, t: float,
-                    quad_tol: float = 1e-10) -> PhaseIntegrals:
-    """Both accumulated phases at time t. omega_mag is taken as in
-    induced_detuning."""
-    tau = running_integral(omega_mag, float(t), name="t")
-    _, phi, r, _ = ThetaEvaluator(ansatz, quad_tol=quad_tol).solve(tau)
-    return PhaseIntegrals(phi_int=float(phi), r_int=float(r))
-
-
-def general_entries(ansatz: ThetaAnsatz, profile: FieldProfile, t: float, *,
-                    check: bool = True,
-                    quad_tol: float = 1e-10) -> EvolutionEntries:
-    """Entries of the general solvable representation at time t.
-
-    By default the profile's detuning is checked against the induced one on
-    a grid over [0, t] (tolerance 1e-8); a mismatch raises
-    InconsistentProfileError, because evaluating the representation on a
-    non-matching profile produces plausible-looking wrong answers.
-    """
-    return last_entries(general_entries_series(
-        ansatz, profile, check_grid(t), check=check, quad_tol=quad_tol), t)
-
-
 def general_entries_series(ansatz: ThetaAnsatz, profile: FieldProfile, ts, *,
                            check: bool = True, quad_tol: float = 1e-10):
-    """Vectorized general entries over an ascending time grid."""
+    """Entries of the general solvable representation over an ascending
+    time grid. With check the profile's detuning must match the induced one
+    within 1e-8 on the grid, else InconsistentProfileError: on a
+    non-matching profile the representation gives plausible wrong entries."""
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts[0] < 0 or np.any(np.diff(ts) <= 0)):
         raise ConfigError("time grid must be ascending and start at t >= 0")

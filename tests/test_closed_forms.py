@@ -15,7 +15,6 @@ import pytest
 
 from genrabi.closed_forms import (
     EvolutionEntries,
-    beta0_entries,
     beta0_series,
     case1_detuning_integral,
     case1_detuning_ratio,
@@ -29,7 +28,6 @@ from genrabi.closed_forms import (
     elliptic_phase,
     modulated_probability,
     resonance_asymptote,
-    resonance_entries,
     resonance_series,
 )
 from genrabi.errors import ConfigError, InconsistentProfileError, NumericError
@@ -79,10 +77,10 @@ def test_resonance_constant_drive_probability():
     prof = make_scenario(ScenarioParams("rabi", {
         "omega_z0": 0.0, "omega_mag0": 1.0, "phi_dot0": 0.0}))
     for t in (0.0, 0.4, math.pi / 2, 2.0):
-        e = resonance_entries(prof, t)
-        assert e.b_mag ** 2 == pytest.approx(math.sin(t) ** 2, abs=1e-14)
-    assert resonance_entries(prof, math.pi / 2).b_mag ** 2 == pytest.approx(
-        1.0, abs=1e-14)
+        _, b = resonance_series(prof, np.array([t]))
+        assert abs(b[-1]) ** 2 == pytest.approx(math.sin(t) ** 2, abs=1e-14)
+    _, b = resonance_series(prof, np.array([math.pi / 2]))
+    assert abs(b[-1]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_resonance_sech_matches_tanh_squared():
@@ -93,23 +91,23 @@ def test_resonance_sech_matches_tanh_squared():
 
 
 def test_resonance_frozen_entries_sech():
-    e = resonance_entries(make_scenario("sech_resonant"), 2.0)
-    assert e.a == pytest.approx(SECH_T2_A, abs=1e-9)
-    assert e.b == pytest.approx(SECH_T2_B, abs=1e-9)
+    a, b = resonance_series(make_scenario("sech_resonant"), np.array([2.0]))
+    assert complex(a[-1]) == pytest.approx(SECH_T2_A, abs=1e-9)
+    assert complex(b[-1]) == pytest.approx(SECH_T2_B, abs=1e-9)
 
 
 def test_resonance_frozen_entries_exp():
     prof = make_scenario(
         ScenarioParams("exp_resonant", {"alpha": 3.0 * math.pi}))
-    e = resonance_entries(prof, 3.0 * math.pi)
-    assert e.a == pytest.approx(EXP_A3PI_GT1_A, abs=1e-9)
-    assert e.b == pytest.approx(EXP_A3PI_GT1_B, abs=1e-9)
+    a, b = resonance_series(prof, np.array([3.0 * math.pi]))
+    assert complex(a[-1]) == pytest.approx(EXP_A3PI_GT1_A, abs=1e-9)
+    assert complex(b[-1]) == pytest.approx(EXP_A3PI_GT1_B, abs=1e-9)
 
 
 def test_resonance_rejects_detuned_profile():
     prof = make_scenario("rabi")
     with pytest.raises(InconsistentProfileError):
-        resonance_entries(prof, 1.0)
+        resonance_series(prof, np.array([1.0]))
     with pytest.raises(InconsistentProfileError):
         resonance_series(prof, np.linspace(0.0, 1.0, 5))
 
@@ -161,23 +159,23 @@ def test_beta0_probability_law():
 
 def test_beta0_frozen_entries():
     prof = make_scenario(ScenarioParams("constant_beta0", {"beta0": 0.5}))
-    e = beta0_entries(prof, 0.5, 2.0)
-    assert e.a == pytest.approx(BETA05_T2_A, abs=1e-9)
-    assert e.b == pytest.approx(BETA05_T2_B, abs=1e-9)
+    a, b = beta0_series(prof, 0.5, np.array([2.0]))
+    assert complex(a[-1]) == pytest.approx(BETA05_T2_A, abs=1e-9)
+    assert complex(b[-1]) == pytest.approx(BETA05_T2_B, abs=1e-9)
 
 
 def test_beta0_zero_reduces_to_resonance():
     prof = make_scenario("sech_resonant")
-    e0 = beta0_entries(prof, 0.0, 2.0)
-    er = resonance_entries(prof, 2.0)
-    assert e0.a == pytest.approx(er.a, abs=1e-15)
-    assert e0.b == pytest.approx(er.b, abs=1e-15)
+    a0, b0 = beta0_series(prof, 0.0, np.array([2.0]))
+    ar, br = resonance_series(prof, np.array([2.0]))
+    assert complex(a0[-1]) == pytest.approx(complex(ar[-1]), abs=1e-15)
+    assert complex(b0[-1]) == pytest.approx(complex(br[-1]), abs=1e-15)
 
 
 def test_beta0_rejects_mismatched_ratio():
     prof = make_scenario(ScenarioParams("constant_beta0", {"beta0": 1.0}))
     with pytest.raises(InconsistentProfileError):
-        beta0_entries(prof, 0.5, 2.0)
+        beta0_series(prof, 0.5, np.array([2.0]))
     with pytest.raises(InconsistentProfileError):
         beta0_series(prof, 0.5, np.linspace(0.0, 2.0, 9))
 

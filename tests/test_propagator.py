@@ -1066,6 +1066,33 @@ def test_a_lab_frame_carrier_past_the_stencil_step_is_resolved_or_refused():
     assert np.max(np.abs(traj.p_flip - exact)) <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="a feature narrower than the probe "
+                   "spacing t_max/256 and the node spacing is never seen "
+                   "(ROADMAP item 16)")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_pulse_narrower_than_the_node_spacing_is_resolved_or_refused(
+        scheme):
+    # a resonant Gaussian of area pi/4 (exact P = 1/2) and width 1e-4 falls
+    # between every probe and node: at step 0.1 the run returns P(10) = 0
+    # (CF4 1.9e-127) without an error, and transverse_area_series reads
+    # tau(10) = 0.0
+    width, centre, area = 1e-4, 3.77713, math.pi / 4.0
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    peak = area / (width * math.sqrt(2.0 * math.pi))
+    prof = FieldProfile(
+        omega_z=zero, phi_omega=zero, phi_omega_dot=zero,
+        omega_mag=lambda t: peak * np.exp(
+            -0.5 * ((np.asarray(t, dtype=float) - centre) / width) ** 2))
+    try:
+        traj = propagate(prof, PropagatorConfig(scheme=scheme, samples=11),
+                         10.0)
+    except (ConfigError, NumericError):
+        return
+    swept = np.array([0.5 * area * (1.0 + math.erf(
+        (t - centre) / (width * math.sqrt(2.0)))) for t in traj.t])
+    assert np.max(np.abs(traj.p_flip - np.sin(swept) ** 2)) <= 1e-6
+
+
 def test_effective_substep_never_exceeds_configured_step():
     prof = constant_drive()
     traj = propagate(prof, PropagatorConfig(step=0.3, samples=11), 1.0)
