@@ -56,17 +56,17 @@ feature wider than about a hundredth of the failing step.
 
 The exponentials of each output interval are split into lanes of about
 sqrt(total) in acting order, the last lane padded by repeating its last
-substep. The sweep evaluates each profile callable once per Gauss node per
-block of whole tile rows (about _DRIVE cells), a real drive's times in the
-block's position-major order, a lab drive's lane by lane in time order, and
-runs that block's tiles of about _BLOCK (position, lane) cells before the
-next, so its memory does not grow with the run. A tile takes the drive in
-real form (Omega, |omega| cos phi, |omega| sin phi), zeroed in padded cells,
-and records its peak of |Omega| + |omega|. On a shared axis it adds its
-weighted drive sums to the lane sums; off it, it mixes the scheme rows with
-the step folded into the weights into rotation vectors, checks that they
-are finite, writes the Euler-form factors and multiplies them into its
-lanes' running products, one update per position. The lane
+substep. The sweep walks the run in tiles of about _BLOCK (position, lane)
+cells, row by row, and evaluates each profile callable once per Gauss node
+per tile, a real drive's times in the tile's position-major order, a lab
+drive's lane by lane in time order; each tile is done before the next is
+evaluated, so its memory does not grow with the run. A tile takes the
+drive in real form (Omega, |omega| cos phi, |omega| sin phi), zeroed in
+padded cells, and records its peak of |Omega| + |omega|. On a shared axis
+it adds its weighted drive sums to the lane sums; off it, it mixes the
+scheme rows with the step folded into the weights into rotation vectors,
+checks that they are finite, writes the Euler-form factors and multiplies
+them into its lanes' running products, one update per position. The lane
 products are folded into the running operator two levels deep: running
 products inside groups of about sqrt(lanes) lanes, vectorized across groups,
 then a short scalar fold of the group totals. A sequential order inside each
@@ -125,17 +125,14 @@ _STEP_MARGIN = 0.0015
 _SCALE_PROBES = 257
 
 # Most substeps one integration may take. The sweep's memory does not grow
-# with the run: its tracemalloc peak on exp_resonant is about 4.7 (midpoint)
-# to 7.6 MB (CF4) from 2e5 substeps up to this cap; the largest runs of the
+# with the run: its tracemalloc peak on exp_resonant is about 2.5 (midpoint)
+# to 4.2 MB (CF4) from 2e5 substeps up to this cap; the largest runs of the
 # test suite and the benchmark take under 3e5.
 _MAX_SUBSTEPS = 1 << 24
 
 # Cells per tile of the sweep's factor pass: a tile's dozen scratch arrays
 # stay in cache between its elementwise passes.
 _BLOCK = 1 << 14
-# Cells per Gauss node of a drive block of whole tile rows across every
-# lane, at least one row: a run of up to 49,152 cells takes one block.
-_DRIVE = 1 << 16
 _TINY = np.finfo(float).tiny
 _SMALL = _RESOLUTION_BOUND ** 2  # |u|^2 of every factor of a resolved run
 _LEFT_OUT = np.finfo(float).eps / 2 ** 13  # see the module docstring
@@ -404,28 +401,26 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         return (l // chunks) * substeps + np.minimum(
             (l % chunks) * run + p, substeps - 1)
 
-    # tiles of `depth` positions by `cols` lanes, at most `cut` cells, in
-    # blocks of `span` positions; fl, gl, every lane's product so far, live
-    # in the fold's padded arrays
+    # tiles of `depth` positions by `cols` lanes, at most `cut` cells; fl,
+    # gl, every lane's product so far, live in the fold's padded arrays
     cols = min(lanes, _BLOCK)
     depth = max(1, _BLOCK // cols)
     cut = min(depth, run) * cols
-    span = depth * max(1, _DRIVE // (depth * lanes))
     group = math.isqrt(lanes - 1) + 1
     groups = -(-lanes // group)
     pf = np.ones(groups * group, dtype=complex)
     pg = np.zeros_like(pf)
     fl, gl = pf[:lanes], pg[:lanes]
 
-    def evaluate(b0, drive):
+    def evaluate(p0, l0, drive):
         # drive[k] gets (Omega, |omega|, phi), or (Omega, |omega|) for a
-        # real drive, at t = substep * h + x_k h from position b0 on. A
-        # real drive's callables get the times in the block's own order,
-        # position by position; a lab drive's get them lane by lane, one
-        # sorted 1-d array, so a phase unwrapped along it stays continuous.
-        # The last node shifts them in place
-        drive = drive[:, :, :run - b0]
-        p, l = np.arange(b0, b0 + drive.shape[2]), np.arange(lanes)
+        # real drive, at t = substep * h + x_k h over the tile at position
+        # p0, lane l0. A real drive's callables get the times in the tile's
+        # own order, position by position; a lab drive's get them lane by
+        # lane, one sorted 1-d array. The last node shifts them in place
+        p = np.arange(p0, min(p0 + depth, run))
+        l = np.arange(l0, min(l0 + cols, lanes))
+        drive = drive[:, :, :p.size, :l.size]
         times = (substep(p[:, None], l) if real
                  else substep(p, l[:, None])).ravel() * h
         for k, (node, x) in enumerate(zip(drive, nodes), 1 - len(nodes)):
@@ -437,17 +432,17 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
         return drive
 
     # scratch rows: (Re omega, Im omega) per node, two for the factors, one
-    # term, u per exponential; a tile's f[p, j, l], g[p, j, l] is
-    # exponential j of its position p of its lane l. One allocation:
-    # glibc's malloc keeps twice its largest freed block for reuse, so the
-    # sweep's memory stays mapped between calls (as three arrays it was
-    # faulted in again at most calls)
+    # term, u per exponential, then the tile's drive; a tile's f[p, j, l],
+    # g[p, j, l] is exponential j of its position p of its lane l. One
+    # allocation: glibc's malloc keeps twice its largest freed block for
+    # reuse, so the sweep's memory stays mapped between calls (as three
+    # arrays it was faulted in again at most calls)
     head = 4 * m * cut
     tail = head + (2 * len(nodes) + 3 + comps * m) * cut
-    work = np.empty(tail + comps * len(nodes) * min(span, run) * lanes)
+    work = np.empty(tail + comps * len(nodes) * cut)
     factors = work[:head].view(complex).reshape(2, -1)
     scratch = work[head:tail].reshape(-1, cut)
-    drive = work[tail:].reshape(len(nodes), comps, -1, lanes)
+    drive = work[tail:].reshape(len(nodes), comps, -1, cols)
     # exponential j is exp(-i h H_j) = exp(i u.sigma) for the rotation
     # vector u = -h (Re omega, -Im omega, Omega) of H_j = sum_k w_jk H(node k),
     # u = -h (|omega|, 0, Delta) for a real drive
@@ -462,24 +457,20 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     products_from_sums = partial(_rotation_factors, sums[0],
                                  None if real else sums[1], sums[-1], fl, gl,
                                  np.empty((2, lanes)))
-    for p0, l0 in product(range(0, run, depth), range(0, lanes, cols)):
-        q = p0 % span  # the tile's first position in its block
-        if q == l0 == 0:
-            block = evaluate(p0, drive)
-        tile = np.s_[q:q + depth, l0:l0 + cols]
-        shape = block[0, 0][tile].shape
+    tiles = list(product(range(0, run, depth), range(0, lanes, cols)))
+    for i, (p0, l0) in enumerate(tiles):
+        tile = evaluate(p0, l0, drive)
+        shape = tile.shape[2:]
         f, g = factors[:, :m * math.prod(shape)].reshape(2, shape[0], m, -1)
         cells = scratch[:, :math.prod(shape)].reshape(-1, *shape)
         *nodal, w0, w1, term = cells[:2 * len(nodes) + 3]
         u = cells[2 * len(nodes) + 3:].reshape(m, comps, *shape)
         # the padded positions of every interval's last lane turn by 0; they
         # repeat a substep, so the peak stays
-        block[:, :, q:q + depth, l0:l0 + cols][
-            ..., max(substeps - (chunks - 1) * run - p0, 0):,
-            (chunks - 1 - l0) % chunks::chunks] = 0.0
+        tile[..., max(substeps - (chunks - 1) * run - p0, 0):,
+             (chunks - 1 - l0) % chunks::chunks] = 0.0
         parts = []  # per node: the drive in u's components, up to -h w
-        for k, (om, mg, *ph) in enumerate(block):
-            om, mg = om[tile], mg[tile]
+        for k, (om, mg, *ph) in enumerate(tile):
             peak = np.abs(om, out=w0)
             peak += np.abs(mg, out=w1)
             p, l = divmod(int(peak.argmax()), shape[1])
@@ -489,9 +480,9 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
                 parts.append((mg, om))
                 continue
             re, im = nodal[2 * k:2 * k + 2]
-            np.cos(ph[0][tile], out=re)
+            np.cos(ph[0], out=re)
             re *= mg
-            np.sin(ph[0][tile], out=im)
+            np.sin(ph[0], out=im)
             im *= mg
             parts.append((re, im, om))
         if shared:
@@ -522,8 +513,8 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
             if not _rotation_factors(uj[0], None if real else uj[1], uj[-1],
                                      f[:, j], g[:, j], (w0, w1)):
                 _raise_non_finite(profile, (
-                    (b0, evaluate(b0, np.empty_like(drive)))
-                    for b0 in range(p0 - q, run, span)), substep, h)
+                    (p, l, evaluate(p, l, np.empty_like(drive)))
+                    for p, l in tiles[i:]), substep, h)
         # each position's factors [[F, G], [-G*, F*]] onto its lanes' products
         lf, lg = fl[l0:l0 + cols], gl[l0:l0 + cols]
         for fk, gk in zip(f.reshape(-1, shape[1]), g.reshape(-1, shape[1])):
@@ -582,13 +573,13 @@ def _integrate(profile: FieldProfile, t_max: float, samples: int,
     return a_out, b_out
 
 
-def _raise_non_finite(profile: FieldProfile, blocks, substep, h) -> None:
+def _raise_non_finite(profile: FieldProfile, tiles, substep, h) -> None:
     """Raise NumericError at the earliest substep whose drive is not finite
-    in blocks, (first position, [node, component, position, lane] drive)
-    pairs over the run from the failing tile's block on, substep(p, l)
-    naming the substep at position p of lane l; return if there is none
+    in tiles, (first position, first lane, [node, component, position,
+    lane] drive) triples over the run from the failing tile on, substep(p,
+    l) naming the substep at position p of lane l; return if there is none
     (then only the rotation angle overflowed; the resolution check fails)."""
-    bad = [int(substep(p + b0, l).min()) for b0, drive in blocks
+    bad = [int(substep(p + p0, l + l0).min()) for p0, l0, drive in tiles
            for p, l in [np.nonzero(~np.isfinite(drive).all(axis=(0, 1)))]
            if p.size]
     if bad:

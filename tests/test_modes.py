@@ -6,10 +6,12 @@ high-order adaptive integrator at relative tolerance 1e-12.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from genrabi import propagator
 from genrabi.errors import ConfigError
 from genrabi.fields import is_generalized_resonant
 from genrabi.modes import (
@@ -270,15 +272,35 @@ def test_coupling_calls_do_not_grow_with_substeps():
             return spec.k_ab(z)
         return CouplingSpec(k_ab=k_ab, delta=spec.delta, label=spec.label)
 
+    code = propagator._integrate.__code__
+
+    def sweep_tiles(frame, event, arg):
+        # the sweep's tiles, read from its locals as it returns
+        if event == "return" and frame.f_code is code:
+            tiles.append(frame.f_locals.get("tiles"))
+
     spec = counted(_sech_builtin(0.5))
-    counts = []
-    # 40,000 substeps span several blocks of the sweep's factor pass
+    counts, tiles = [], []
+    # 40,000 substeps span several tiles of the sweep
     for substeps in (1_000, 10_000, 40_000):
         calls.clear()
-        propagate_modes(spec, (1.0, 0.0), 6.0, config=PropagatorConfig(
-            step=6.0 / substeps, samples=101))
+        outer = sys.getprofile()
+        sys.setprofile(sweep_tiles)
+        try:
+            propagate_modes(spec, (1.0, 0.0), 6.0, config=PropagatorConfig(
+                step=6.0 / substeps, samples=101))
+        finally:
+            sys.setprofile(outer)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2] <= 30
+    # without the stated phase the drive runs in the lab frame, where the
+    # sweep calls k_ab for |omega| and phi once per tile; the scale probe
+    # and the trajectory's columns make the same calls at every run size
+    assert None not in tiles, "_integrate has no local 'tiles'"
+    tiles = [len(t) for t in tiles]
+    rest = counts[0] - 2 * tiles[0]
+    assert tiles[0] == tiles[1] == 1 < tiles[2]
+    assert 0 < rest and counts == [rest + 2 * n for n in tiles]
+    assert max(counts) <= 30
     # at suggested_step, as genrabi modes runs it: about 5,000 substeps
     calls.clear()
     out = propagate_modes(spec, (1.0, 0.0), 6.0)

@@ -126,8 +126,8 @@ def check_accumulation(samples, substeps, scheme, profile=None):
 def test_lane_sweep_matches_the_scalar_loop(samples, substeps, scheme):
     check_accumulation(samples, substeps, scheme)
     if (samples, substeps) == (16501, 3):
-        _, (lanes, run, depth, cols, _) = sweep_geometry(samples, substeps,
-                                                         scheme)
+        _, (lanes, run, depth, cols) = sweep_geometry(samples, substeps,
+                                                      scheme)
         assert cols < lanes and -(-run // depth) == 3
 
 
@@ -202,8 +202,8 @@ def test_axis_that_breaks_partway_matches_the_scalar_loop(samples, substeps,
     # before it sum, and its tile turns every lane's sum, the lanes past
     # the tile in its row included, into a product for the chain by one
     # exponential per lane
-    _, (lanes, run, depth, cols, _) = sweep_geometry(samples, substeps,
-                                                     scheme)
+    _, (lanes, run, depth, cols) = sweep_geometry(samples, substeps,
+                                                  scheme)
     if where == "before later lanes":
         assert cols < lanes and depth == 1
         first = 3 * 5 + 1  # lane 5, position 1
@@ -251,8 +251,8 @@ def test_lab_frame_sweep_sums_only_on_a_shared_axis(turning, scheme):
 
 def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
     # Python lines run in _integrate's own frame, and the lane count, the
-    # substeps per lane, a tile's positions and lanes and a drive block's
-    # positions, read from the frame's locals as it returns
+    # substeps per lane and a tile's positions and lanes, read from the
+    # frame's locals as it returns
     code = propagator._integrate.__code__
     lines = 0
     geometry = []
@@ -261,9 +261,7 @@ def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
         nonlocal lines
         lines += event == "line"
         if event == "return":
-            v = frame.f_locals
-            geometry.append(tuple(v[k] for k in ("lanes", "run", "depth",
-                                                 "cols", "span")))
+            geometry.append(dict(frame.f_locals))
         return local
 
     def calls(frame, event, arg):
@@ -277,13 +275,16 @@ def sweep_geometry(samples, substeps, scheme="midpoint_exponential"):
                               scheme)
     finally:
         sys.settrace(outer)
-    [geometry] = geometry
-    return lines, geometry
+    [v] = geometry
+    names = ("lanes", "run", "depth", "cols")
+    for name in names:  # a renamed local fails here, by name
+        assert name in v, f"_integrate has no local {name!r}"
+    return lines, tuple(v[name] for name in names)
 
 
 def count_sweep_lines(samples, substeps):
     # the lines the sweep runs, and a bound from its geometry
-    lines, (lanes, width, depth, cols, _) = sweep_geometry(samples, substeps)
+    lines, (lanes, width, depth, cols) = sweep_geometry(samples, substeps)
     count = -(-width // depth) * -(-lanes // cols)  # tiles of the run
     # the lane loop runs once per exponential of a lane and the fold about
     # 2 sqrt(lanes) times, at most 3 lines each; the factor pass and the
@@ -322,22 +323,30 @@ def sweep_peak(substeps, scheme, profile=None):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("scheme, bound", [
-    ("midpoint_exponential", 30.0), ("commutator_free_4th", 47.0)])
-def test_sweep_peak_memory_per_substep(scheme, bound):
-    # the drive is evaluated one block of positions at a time and each
-    # tile's factors go into the lane products before the next tile is
-    # built: about 23.5 (midpoint) and 37 (CF4) bytes per substep at 2e5
-    # substeps. Building every factor as a full array peaked at about 130
-    # and 220, writing the tiles into run-sized factor arrays at about 62
-    # and 119, and holding the whole run's drive at about 48 and 80
-    assert sweep_peak(20000, scheme) / (10 * 20000) <= bound
+@pytest.mark.parametrize("drive, scheme, bound", [
+    ("lab", "midpoint_exponential", 16.0),
+    ("lab", "commutator_free_4th", 26.0),
+    ("frame", "midpoint_exponential", 15.0),
+    ("frame", "commutator_free_4th", 24.0)])
+def test_sweep_peak_memory_per_substep(drive, scheme, bound):
+    # the drive is evaluated one tile at a time and each tile's factors go
+    # into the lane products before the next tile is built: at 2e5
+    # substeps about 12.7 (midpoint) and 21.0 (CF4) bytes per substep on
+    # exp_resonant in the lab frame, 12.0 and 19.0 on case1 in the
+    # resonance frame. Drive blocks of about 2^16 cells across every lane
+    # peaked at about 26.3 and 42.1 (lab) and 25.6 and 38.2 (frame),
+    # building every factor as a full array at about 130 and 220, writing
+    # the tiles into run-sized factor arrays at about 62 and 119, and
+    # holding the whole run's drive at about 48 and 80
+    profile = propagator._in_frame(make_scenario("case1")) \
+        if drive == "frame" else None
+    assert sweep_peak(20000, scheme, profile) / (10 * 20000) <= bound
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sweep_peak_memory_does_not_grow_with_the_run(scheme):
     # 6e5 substeps against 2e5: holding the whole run's drive tripled the
-    # peak; blocks of the drive keep it flat
+    # peak; tiles of the drive keep it flat
     assert sweep_peak(60000, scheme) <= 1.2 * sweep_peak(20000, scheme)
 
 
@@ -770,12 +779,12 @@ def test_profile_callables_see_the_times_in_order(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_non_finite_drive_names_the_earliest_substep_across_blocks(scheme):
-    # one interval of 4e5 substeps, its drive in several blocks: NaN at lane
-    # 0, position run - 30, in a later block, and at the later substep of
-    # lane 1, position 5, in the first block, whose tile fails first; the
-    # earlier substep is named, so the scan covers the rest of the run
-    _, (lanes, run, _, _, span) = sweep_geometry(2, 400000, scheme)
-    assert (run - 30) // span > 0 and lanes > 1
+    # one interval of 4e5 substeps in several tile rows: NaN at lane 0,
+    # position run - 30, in a later row, and at the later substep of lane 1,
+    # position 5, in the first row, whose tile fails first; the earlier
+    # substep is named, so the scan covers the rest of the run
+    _, (lanes, run, depth, _) = sweep_geometry(2, 400000, scheme)
+    assert (run - 30) // depth > 0 and lanes > 1
     h = 1.0 / 400000
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     spikes = np.array([[run - 29.5], [run + 5.5]]) * h
@@ -800,7 +809,7 @@ def test_non_finite_real_drive_names_its_first_substep(scheme, on_axis):
     # (Delta = 0) or run the chain (Delta turns); only the real drive's two
     # evaluated components are checked, and the substep named starts
     # within one substep of t0
-    _, (lanes, run, depth, _, _) = sweep_geometry(2, 250000, scheme)
+    _, (lanes, run, depth, _) = sweep_geometry(2, 250000, scheme)
     h = 1e-3
     t0 = ((lanes - 1) * run + depth + 5.3) * h
     assert t0 < 250.0
@@ -823,12 +832,10 @@ def test_non_finite_real_drive_names_its_first_substep(scheme, on_axis):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_profile_callables_are_called_once_per_node_and_block(scheme):
-    # 2e5 substeps in several drive blocks: each callable is called once per
-    # Gauss node per block, each time with one 1-d array of non-decreasing
-    # times
-    _, (_, run, _, _, span) = sweep_geometry(3, 100000, scheme)
-    blocks = -(-run // span)
-    assert blocks > 1
+    # each callable is called once per Gauss node per tile of the sweep,
+    # each time with one 1-d array of non-decreasing times that no tile
+    # outgrows: 2e5 substeps in several tile rows, and 20,000 lanes of one
+    # position, more than one tile holds
     grids = []
 
     def seen(fn):
@@ -842,12 +849,19 @@ def test_profile_callables_are_called_once_per_node_and_block(scheme):
                            omega_mag=seen(base.omega_mag),
                            phi_omega=seen(base.phi_omega),
                            phi_omega_dot=base.phi_omega_dot, label="seen")
-    propagator._integrate(profile, 0.02 * 2 * 100000, 3, 100000, scheme)
     nodes = len(propagator._SCHEMES[scheme][1])
-    assert len(grids) == 3 * nodes * blocks
-    for t in grids:
-        assert t.ndim == 1 and t.size >= 2
-        assert np.all(np.diff(t) >= 0.0)
+    for samples, substeps in ((3, 100000), (20001, 1)):
+        _, (lanes, run, depth, cols) = sweep_geometry(samples, substeps,
+                                                      scheme)
+        tiles = -(-run // depth) * -(-lanes // cols)
+        assert tiles > 1
+        grids.clear()
+        propagator._integrate(profile, 0.02 * (samples - 1) * substeps,
+                              samples, substeps, scheme)
+        assert len(grids) == 3 * nodes * tiles
+        for t in grids:
+            assert t.ndim == 1 and 2 <= t.size <= propagator._BLOCK
+            assert np.all(np.diff(t) >= 0.0)
 
 
 def test_substep_ceiling_error_quotes_the_real_count():
